@@ -20,13 +20,15 @@ same content as a single JSON document with ``--format structured``.
 
 Exit status: 0 on success, 1 when a verification fails (axiom violations in
 an input table, or a census with equivalence violations), 2 on usage and
-parse errors.
+parse errors.  When the reader of stdout goes away before the report is
+written (``ispaces ... | head``), the command exits 1 without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -492,6 +494,16 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
 # Parser and entry point
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ispaces",
@@ -553,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", default=None, help="orbit density in [0,1], or 'sweep' (default)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--triple-budget", type=int, default=DEFAULT_TRIPLE_BUDGET,
                    help="skip the subset-triple conditions past this many subset triples")
     p.add_argument("--allow-large", action="store_true", help="lift the exhaustive-size cap")
@@ -567,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", default="1,2,3,4,5,6", help="comma-separated sizes to scan")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", default=None, help="orbit density in [0,1], or 'sweep' (default)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     add_format(p)
     p.set_defaults(handler=_cmd_search)
 
@@ -589,6 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
+        code = 1
         payload = {
             "command": args.command,
             "valid": False,
@@ -596,9 +609,17 @@ def main(argv: list[str] | None = None) -> int:
                 {"axiom": v.axiom.value, "witness": tuple(v.witness)} for v in exc.violations
             ],
         }
+    try:
         _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so the flush
+        # at interpreter exit cannot raise again, as the signal module's
+        # documentation describes.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
-    _emit(payload, args.format)
     return code
 
 

@@ -14,7 +14,7 @@ which the test suite exploits as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import FiniteIntervalSpace, PointSet, bits_of
 
@@ -29,7 +29,9 @@ class ClosureSystem:
 
     ``closed`` holds the member bit masks in ascending mask order.  Both
     invariants are verified at construction; a family violating them is
-    rejected rather than repaired.
+    rejected rather than repaired.  The antiexchange and chain-union
+    witnesses are computed at most once per instance and then shared by
+    every predicate that needs them.
     """
 
     n: int
@@ -104,6 +106,35 @@ class ClosureSystem:
                 out &= m
         return out
 
+    @cached_property
+    def _antiexchange_witness(self) -> tuple[PointSet, int, int] | None:
+        full = (1 << self.n) - 1
+        for a_mask in self.closed:
+            outside = full & ~a_mask
+            if outside == 0:
+                continue
+            cl_with = {x: self._cl_mask(a_mask | (1 << x)) for x in bits_of(outside)}
+            rest = outside
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                rest ^= low
+                cands = cl_with[x] & outside & ~((1 << (x + 1)) - 1)
+                while cands:
+                    lo = cands & -cands
+                    y = lo.bit_length() - 1
+                    cands ^= lo
+                    if (cl_with[y] >> x) & 1:
+                        return (PointSet(self.n, a_mask), x, y)
+        return None
+
+    @cached_property
+    def _chain_witness(self) -> tuple[PointSet, ...] | None:
+        witness = _chain_union_witness(self.closed)
+        if witness is None:
+            return None
+        return tuple(PointSet(self.n, m) for m in witness)
+
 
 @lru_cache(maxsize=256)
 def _convex_closure_system_cached(space: FiniteIntervalSpace, allow_large: bool) -> ClosureSystem:
@@ -114,9 +145,10 @@ def convex_closure_system(space: FiniteIntervalSpace, *, allow_large: bool = Fal
     """The closure system of all convex sets of a space.
 
     Materializes the convex family (subset-enumeration cap applies) and runs
-    the full Moore verification on it, so a convexity bug cannot produce a
-    silently broken system.  The result is memoized per space; systems are
-    immutable, so sharing is safe.
+    the full Moore verification on it, O(k^2) pairs for k convex sets, so a
+    convexity bug cannot produce a silently broken system.  The result is
+    memoized per space, together with the closure witnesses computed on it;
+    systems are immutable, so sharing is safe.
     """
     return _convex_closure_system_cached(space, allow_large)
 
@@ -127,25 +159,7 @@ def convex_closure_system(space: FiniteIntervalSpace, *, allow_large: bool = Fal
 
 def antiexchange_witness(cs: ClosureSystem) -> tuple[PointSet, int, int] | None:
     """Smallest (A, x, y): A closed, x < y outside A, x |-_A y and y |-_A x."""
-    full = (1 << cs.n) - 1
-    for a_mask in cs.closed:
-        outside = full & ~a_mask
-        if outside == 0:
-            continue
-        cl_with = {x: cs._cl_mask(a_mask | (1 << x)) for x in bits_of(outside)}
-        rest = outside
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            rest ^= low
-            cands = cl_with[x] & outside & ~((1 << (x + 1)) - 1)
-            while cands:
-                lo = cands & -cands
-                y = lo.bit_length() - 1
-                cands ^= lo
-                if (cl_with[y] >> x) & 1:
-                    return (PointSet(cs.n, a_mask), x, y)
-    return None
+    return cs._antiexchange_witness
 
 
 def is_antiexchange(cs: ClosureSystem) -> bool:
@@ -153,26 +167,35 @@ def is_antiexchange(cs: ClosureSystem) -> bool:
     return antiexchange_witness(cs) is None
 
 
-@lru_cache(maxsize=2048)
-def _chain_union_witness(n: int, closed: tuple[int, ...]) -> tuple[int, ...] | None:
+def _chain_union_witness(closed: tuple[int, ...]) -> tuple[int, ...] | None:
     """First chain (by size-then-mask DFS order) whose union is not closed.
 
-    Enumerates every nonempty chain of the containment order exactly once;
-    chain counts grow steeply with the family, so callers should keep
-    standalone families small.
+    The walk visits chains depth first as strictly increasing index
+    sequences, tests each chain's union against the family, and expands a
+    chain by every proper superset of its last element.  Those extensions
+    depend only on the state (last index, union), and indices rise along
+    every chain, so when a state comes round again its whole subtree has
+    already been searched without a witness and is skipped.  The first
+    witness in DFS order is unchanged; each state is expanded once, so the
+    cost is O(k^2) for k sets instead of one step per chain.
     """
     members = set(closed)
     by_size = sorted(closed, key=lambda m: (m.bit_count(), m))
     k = len(by_size)
     # Proper supersets have strictly more bits, so their indices are larger;
-    # chains are therefore enumerated exactly once as increasing sequences.
+    # every chain is therefore one strictly increasing index sequence.
     supersets: list[list[int]] = [
         [j for j in range(i + 1, k) if by_size[i] != by_size[j] and by_size[i] & ~by_size[j] == 0]
         for i in range(k)
     ]
+    expanded: set[tuple[int, int]] = set()
     stack: list[tuple[tuple[int, ...], int]] = [((i,), by_size[i]) for i in range(k - 1, -1, -1)]
     while stack:
         chain, union = stack.pop()
+        state = (chain[-1], union)
+        if state in expanded:
+            continue
+        expanded.add(state)
         if union not in members:
             return tuple(by_size[i] for i in chain)
         for j in reversed(supersets[chain[-1]]):
@@ -184,13 +207,12 @@ def combinatorial_witness(cs: ClosureSystem) -> tuple[PointSet, ...] | None:
     """A chain of closed sets whose union is not closed, or None.
 
     On any finite system the union of a nonempty chain is its largest
-    element, so this must return None; the exhaustive chain walk is kept as
-    a genuine extensional check rather than being short-circuited.
+    element, so this must return None; the chain walk is kept as a genuine
+    extensional check rather than being short-circuited.  It expands each
+    (last set, union) state once, O(k^2) for k closed sets, and the result
+    is memoized on the system.
     """
-    witness = _chain_union_witness(cs.n, cs.closed)
-    if witness is None:
-        return None
-    return tuple(PointSet(cs.n, m) for m in witness)
+    return cs._chain_witness
 
 
 def is_combinatorial(cs: ClosureSystem) -> bool:

@@ -364,11 +364,12 @@ class FiniteIntervalSpace:
 
     Construction validates the three axioms and raises
     :class:`ValidationError` otherwise.  Instances are immutable; the only
-    internal state beyond the table is a lazily built set-interval lookup
-    table, which is a pure memo.
+    internal state beyond the table is pure memos, filled on first use: the
+    set-interval lookup table, the convex masks, and the interval-transitivity
+    witness (boxed in a 1-tuple, since None is a valid witness).
     """
 
-    __slots__ = ("table", "n", "_ivl", "_fwd", "_tab")
+    __slots__ = ("table", "n", "_ivl", "_fwd", "_tab", "_convex", "_it_witness")
 
     def __init__(self, table: BetweennessTable):
         violations = axiom_violations(table)
@@ -405,7 +406,9 @@ class FiniteIntervalSpace:
                     ivl[a * n + c] |= 1 << x
         self._ivl = tuple(ivl)
         self._fwd = tuple(fwd)
-        self._tab: list[list[int]] | None = None
+        self._tab: list[tuple[int, ...]] | None = None
+        self._convex: tuple[int, ...] | None = None
+        self._it_witness: tuple[tuple[int, ...] | None] | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -563,13 +566,16 @@ class FiniteIntervalSpace:
                 return cur
             cur = nxt
 
-    def _convex_masks(self, *, allow_large: bool = False) -> list[int]:
+    def _convex_masks(self, *, allow_large: bool = False) -> tuple[int, ...]:
+        """Every convex subset mask, ascending (memoized; the cap is checked on every call)."""
         if self.n > SUBSET_ENUMERATION_CAP and not allow_large:
             raise CapExceededError(
                 f"enumerating 2^{self.n} subsets exceeds the cap n <= {SUBSET_ENUMERATION_CAP}; "
                 "pass allow_large=True to override"
             )
-        return [m for m in range(1 << self.n) if self._is_convex_mask(m)]
+        if self._convex is None:
+            self._convex = tuple(m for m in range(1 << self.n) if self._is_convex_mask(m))
+        return self._convex
 
     def _base_set_rows(self, am: int) -> list[int]:
         n = self.n
@@ -584,15 +590,19 @@ class FiniteIntervalSpace:
                 rows[x] |= fwd[base + x]
         return rows
 
-    def _subset_table(self, *, allow_large: bool = False) -> list[list[int]]:
-        """Full [A, C] lookup table over all 2^n x 2^n subset pairs (memoized)."""
-        if self._tab is not None:
-            return self._tab
+    def _subset_table(self, *, allow_large: bool = False) -> list[tuple[int, ...]]:
+        """Full [A, C] lookup table over all 2^n x 2^n subset pairs (memoized).
+
+        Rows are tuples so that scans can gather from them at C level
+        (``operator.itemgetter``).
+        """
         if self.n > SUBSET_TRIPLE_CAP and not allow_large:
             raise CapExceededError(
                 f"the 4^{self.n}-entry set-interval table exceeds the cap n <= {SUBSET_TRIPLE_CAP}; "
                 "pass allow_large=True to override"
             )
+        if self._tab is not None:
+            return self._tab
         n = self.n
         size = 1 << n
         ivl = self._ivl
@@ -610,6 +620,6 @@ class FiniteIntervalSpace:
             for c_mask in range(1, size):
                 low = c_mask & -c_mask
                 row[c_mask] = row[c_mask ^ low] | cols[low.bit_length() - 1][a_mask]
-            tab.append(row)
+            tab.append(tuple(row))
         self._tab = tab
         return tab

@@ -16,6 +16,7 @@ quantifiers) everywhere, which makes reported witnesses deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .core import SUBSET_TRIPLE_CAP, FiniteIntervalSpace, PointSet
@@ -136,7 +137,17 @@ def is_point_antisymmetric(space: FiniteIntervalSpace) -> bool:
 
 
 def interval_transitivity_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int, int] | None:
-    """Smallest (a, b, x, y, z) where the base order of [a, b] breaks transitivity."""
+    """Smallest (a, b, x, y, z) where the base order of [a, b] breaks transitivity.
+
+    Memoized on the space: the census hypothesis filter, C1 and the named
+    property all ask for it.
+    """
+    if space._it_witness is None:
+        space._it_witness = (_interval_transitivity_scan(space),)
+    return space._it_witness[0]
+
+
+def _interval_transitivity_scan(space: FiniteIntervalSpace) -> tuple[int, int, int, int, int] | None:
     n = space.n
     ivl = space._ivl
     for a in range(n):
@@ -297,7 +308,7 @@ def _c2_c3_witnesses(space: FiniteIntervalSpace) -> tuple[tuple | None, tuple | 
     return (w2, w3)
 
 
-def _associativity_witness(space: FiniteIntervalSpace, tab: list[list[int]]) -> tuple | None:
+def _associativity_witness(space: FiniteIntervalSpace, tab: list[tuple[int, ...]]) -> tuple | None:
     """Smallest (A, B, C, x) with x in exactly one of [[A,B],C] and [A,[B,C]]."""
     size = len(tab)
     n = space.n
@@ -305,8 +316,9 @@ def _associativity_witness(space: FiniteIntervalSpace, tab: list[list[int]]) -> 
         row_a = tab[am]
         for bm in range(size):
             left_row = tab[row_a[bm]]
-            row_b = tab[bm]
-            right_row = [row_a[t] for t in row_b]
+            # right_row[C] = [A, [B, C]]; rows have 2^n >= 2 entries, so the
+            # gather always returns a tuple.
+            right_row = itemgetter(*tab[bm])(row_a)
             if left_row != right_row:
                 for cm in range(size):
                     diff = left_row[cm] ^ right_row[cm]
@@ -316,7 +328,7 @@ def _associativity_witness(space: FiniteIntervalSpace, tab: list[list[int]]) -> 
     return None
 
 
-def _commutativity_witness(space: FiniteIntervalSpace, tab: list[list[int]]) -> tuple | None:
+def _commutativity_witness(space: FiniteIntervalSpace, tab: list[tuple[int, ...]]) -> tuple | None:
     size = len(tab)
     n = space.n
     for am in range(size):
@@ -329,7 +341,7 @@ def _commutativity_witness(space: FiniteIntervalSpace, tab: list[list[int]]) -> 
     return None
 
 
-def _c6_witness(space: FiniteIntervalSpace, convex_masks: list[int]) -> tuple | None:
+def _c6_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
     """Interval-convexity breaches scan first, then base-order transitivity per convex set."""
     w = interval_convexity_witness(space)
     if w is not None:
@@ -343,11 +355,15 @@ def _c6_witness(space: FiniteIntervalSpace, convex_masks: list[int]) -> tuple | 
 
 
 def _c7_witness(
-    space: FiniteIntervalSpace, convex_masks: list[int], tab: list[list[int]] | None
+    space: FiniteIntervalSpace, convex_masks: tuple[int, ...], tab: list[tuple[int, ...]] | None
 ) -> tuple | None:
+    # A set in the convex family has no breach, so only the others are scanned.
+    convex = set(convex_masks)
     for am in convex_masks:
         for bm in convex_masks:
             t = tab[am][bm] if tab is not None else space._set_interval_mask(am, bm)
+            if t in convex:
+                continue
             breach = _convexity_breach(space, t)
             if breach is not None:
                 return (PointSet(space.n, am), PointSet(space.n, bm), *breach)
@@ -442,7 +458,7 @@ def transitivity_conditions(
     return ConditionVector("transitivity", tuple(values), tuple(witnesses))
 
 
-def _d3_witness(space: FiniteIntervalSpace, convex_masks: list[int]) -> tuple | None:
+def _d3_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
     """Smallest (A, x, y): A convex, x < y outside A, base order of A relates both ways."""
     full = (1 << space.n) - 1
     for am in convex_masks:

@@ -14,6 +14,7 @@ from a shared generator, so censuses are identical for every worker count.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -301,17 +302,24 @@ def _census_chunk(args: tuple) -> dict:
     return {"counts": counts, "vectors": vectors, "violations": violations, "excluded": excluded}
 
 
+def _pool_size(workers: int, chunks: int) -> int:
+    """Worker processes worth starting: no more than CPUs or chunks, at least one."""
+    return max(1, min(workers, os.cpu_count() or 1, chunks))
+
+
 def _partition(total: int, workers: int) -> list[tuple[int, int]]:
     if total == 0:
         return []
+    workers = _pool_size(workers, total)
     chunk = total if workers <= 1 else max(1, -(-total // (workers * 4)))
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 
 def _run_chunks(task, args_list: list[tuple], workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
+    size = _pool_size(workers, len(args_list))
+    if size == 1:
         return [task(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(task, args_list))
 
 

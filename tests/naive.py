@@ -147,6 +147,62 @@ def commutative_semigroup(space):  # C5
     return commutes and associative(space)
 
 
+def _mask(members):
+    return sum(1 << i for i in members)
+
+
+def _members(mask):
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def subset_interval_table(space):
+    """[A, C] as a mask for every pair of subset masks: the union of [a, c]."""
+    n = space.n
+    ivl = [[_mask(interval(space, a, c)) for c in range(n)] for a in range(n)]
+    members = [sorted(_members(m)) for m in range(1 << n)]
+    table = []
+    for a_members in members:
+        row = []
+        for c_members in members:
+            out = 0
+            for a in a_members:
+                for c in c_members:
+                    out |= ivl[a][c]
+            row.append(out)
+        table.append(row)
+    return table
+
+
+def semigroup_witnesses(space, tab):
+    """C4 and C5 witnesses as masks, (A, B, C, x) and (A, B, x), by plain row scans.
+
+    ``tab`` is a [A, C] table indexed by masks; the scan order is A, then B,
+    then C ascending (A < B for commutativity), x the lowest differing point.
+    """
+    size = len(tab)
+    w4 = None
+    for am in range(size):
+        row_a = tab[am]
+        for bm in range(size):
+            left_row = [tab[row_a[bm]][cm] for cm in range(size)]
+            right_row = [row_a[t] for t in tab[bm]]
+            diffs = [(cm, left_row[cm] ^ right_row[cm]) for cm in range(size) if left_row[cm] != right_row[cm]]
+            if diffs:
+                cm, diff = diffs[0]
+                w4 = (am, bm, cm, (diff & -diff).bit_length() - 1)
+                break
+        if w4 is not None:
+            break
+    if w4 is not None:
+        return w4, w4
+    for am in range(size):
+        for bm in range(am + 1, size):
+            diff = tab[am][bm] ^ tab[bm][am]
+            if diff:
+                return None, (am, bm, (diff & -diff).bit_length() - 1)
+    return None, None
+
+
 def convex_base_transitive(space):  # C6
     if not interval_convex(space):
         return False
@@ -162,6 +218,24 @@ def convex_base_transitive(space):  # C6
 def convex_pairs_convex(space):  # C7
     cs = convex_sets(space)
     return all(is_convex(space, set_interval(space, a, b)) for a, b in product(cs, repeat=2))
+
+
+def convex_pairs_witness(space, tab):  # C7, in the library's scan order
+    """Smallest (A, B, u, v, w), A and B convex masks ascending, u, v in [A, B],
+    w between them and outside [A, B]; None when C7 holds.  ``tab`` is
+    :func:`subset_interval_table` of the space."""
+    n = space.n
+    between = [[interval(space, u, v) for v in range(n)] for u in range(n)]
+    masks = sorted(_mask(s) for s in convex_sets(space))
+    for am in masks:
+        for bm in masks:
+            t = _members(tab[am][bm])
+            for u in sorted(t):
+                for v in sorted(t):
+                    outside = between[u][v] - t
+                    if outside:
+                        return (am, bm, u, v, min(outside))
+    return None
 
 
 def triangle_convex(space):  # C8
@@ -227,6 +301,30 @@ def combinatorial(space):  # chain unions stay convex, checked over every chain
                 if union not in family:
                     return False
     return True
+
+
+def chain_walk(closed):
+    """First chain (size-then-mask DFS order) whose union is not in ``closed``.
+
+    The path-enumerating walk: every nonempty chain of the family is visited
+    once, one step per chain, with no pruning.  Reference for the library's
+    state-pruned walk, which must return the same witness.
+    """
+    members = set(closed)
+    by_size = sorted(closed, key=lambda m: (m.bit_count(), m))
+    k = len(by_size)
+    supersets = [
+        [j for j in range(i + 1, k) if by_size[i] != by_size[j] and by_size[i] & ~by_size[j] == 0]
+        for i in range(k)
+    ]
+    stack = [((i,), by_size[i]) for i in range(k - 1, -1, -1)]
+    while stack:
+        chain, union = stack.pop()
+        if union not in members:
+            return tuple(by_size[i] for i in chain)
+        for j in reversed(supersets[chain[-1]]):
+            stack.append((chain + (j,), union | by_size[j]))
+    return None
 
 
 def antimatroid(space):  # D5

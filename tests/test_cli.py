@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +223,34 @@ class TestCommands:
         code2, out2, _ = run_cli(capsys, *args, "--workers", "4", "--format", "structured")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_workers_below_one_rejected(self, capsys):
+        for value in ("0", "-3", "two"):
+            code, out, err = run_cli(
+                capsys, "verify", "--theorem", "transitivity", "--n", "3", "--exhaustive",
+                "--workers", value,
+            )
+            assert code == 2 and out == "" and "--workers" in err
+            code, _, err = run_cli(capsys, "search", "--workers", value)
+            assert code == 2 and "--workers" in err
+
+    def test_closed_stdout_exits_quietly(self):
+        # the listing (~350 kB) outgrows the pipe buffer, so the writer is
+        # still writing when the reader closes its end
+        src = str(Path(I.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ispaces", "enumerate", "--n", "4", "--list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert first == b"command: enumerate\n"
+        assert err == b""
+        assert code == 1
 
     def test_verify_needs_population(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--theorem", "transitivity", "--n", "3")

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,10 +13,40 @@ from ispaces import (
     convex_closure_system,
     validate,
 )
-from ispaces.closure import antiexchange_witness, combinatorial_witness
+from ispaces.closure import _chain_union_witness, antiexchange_witness, combinatorial_witness
 
 import naive
 from conftest import space_strategy, space_with_masks
+
+
+def _moore_closure(n, raw):
+    """Close a family of masks under intersection and add the universe."""
+    family = set(raw) | {(1 << n) - 1}
+    grew = True
+    while grew:
+        grew = False
+        for a in list(family):
+            for b in list(family):
+                if a & b not in family:
+                    family.add(a & b)
+                    grew = True
+    return tuple(sorted(family))
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +109,8 @@ class TestClosureOperator:
         # close an arbitrary collection under intersection, add the universe,
         # and check the operator contracts hold on the standalone system
         raw = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=6))
-        family = set(raw) | {(1 << n) - 1}
-        grew = True
-        while grew:
-            grew = False
-            for a in list(family):
-                for b in list(family):
-                    if a & b not in family:
-                        family.add(a & b)
-                        grew = True
-        cs = ClosureSystem(n, tuple(sorted(family)))
+        family = _moore_closure(n, raw)
+        cs = ClosureSystem(n, family)
         am = data.draw(st.integers(0, (1 << n) - 1))
         closure = cs.cl(PointSet(n, am))
         assert cs.is_closed(closure)
@@ -195,6 +220,60 @@ class TestCombinatorial:
     @settings(max_examples=25)
     def test_verify_combinatorial_prop(self, space):
         assert I.verify_combinatorial_prop(space)
+
+
+class TestChainWalk:
+    """The state-pruned chain walk against the path-enumerating one in naive."""
+
+    def test_every_space_up_to_four_points(self):
+        for n in range(1, 5):
+            for space in I.enumerate_spaces(n):
+                closed = convex_closure_system(space).closed
+                assert _chain_union_witness(closed) == naive.chain_walk(closed)
+
+    @given(space_strategy(min_n=5, max_n=6))
+    @settings(max_examples=30)
+    def test_sampled_five_and_six_points(self, space):
+        closed = convex_closure_system(space).closed
+        assert _chain_union_witness(closed) == naive.chain_walk(closed)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=60)
+    def test_hand_built_systems(self, n, data):
+        raw = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12))
+        cs = ClosureSystem(n, _moore_closure(n, raw))
+        expected = naive.chain_walk(cs.closed)
+        assert _chain_union_witness(cs.closed) == expected
+        assert combinatorial_witness(cs) == (
+            None if expected is None else tuple(PointSet(n, m) for m in expected)
+        )
+
+    def test_boolean_lattice_is_quick(self):
+        # every subset of ten points is closed: about 4 * 10^8 chains, which the
+        # per-chain walk could not finish in minutes; the state walk expands
+        # each of the 1024 sets once
+        cs = ClosureSystem(10, tuple(range(1 << 10)))
+        with _deadline(20):
+            assert combinatorial_witness(cs) is None
+
+
+class TestClosureMemo:
+    @given(space_strategy(max_n=5))
+    @settings(max_examples=40)
+    def test_memoized_witnesses_equal_fresh(self, space):
+        cs = convex_closure_system(space)
+        first = (antiexchange_witness(cs), combinatorial_witness(cs))
+        assert (antiexchange_witness(cs), combinatorial_witness(cs)) == first
+        I.property_report(space)
+        fresh = ClosureSystem(cs.n, cs.closed)
+        assert (antiexchange_witness(fresh), combinatorial_witness(fresh)) == first
+        assert (first[0] is None) == naive.antiexchange(space)
+
+    def test_memo_shared_by_predicates(self, non_stiff_3):
+        cs = ClosureSystem(non_stiff_3.n, convex_closure_system(non_stiff_3).closed)
+        witness = antiexchange_witness(cs)
+        assert I.antimatroid_report(cs)["antiexchange_witness"] is witness
+        assert not I.is_antiexchange(cs) and not I.is_antimatroid(cs)
 
 
 class TestAntimatroid:

@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 import ispaces as I
 from ispaces import BetweennessTable, HypothesisNotMetError, validate
 from ispaces.properties import (
+    _c7_witness,
+    _interval_transitivity_scan,
     antisymmetry_conditions,
+    interval_transitivity_witness,
     property_report,
     resolve_properties,
     transitivity_conditions,
@@ -118,6 +121,65 @@ class TestTransitivityConditions:
         cv = transitivity_conditions(big)
         assert cv.skipped == ("C4", "C5")
         assert cv.all_equal()
+
+
+def _mask_witness(witness):
+    return None if witness is None else tuple(
+        part.mask if isinstance(part, I.PointSet) else part for part in witness
+    )
+
+
+def _check_fast_paths(space):
+    """C4/C5 (row gather) and C7 (skip of convex [A, B]) against plain scans."""
+    tab = naive.subset_interval_table(space)
+    assert [list(row) for row in space._subset_table()] == tab
+    w4, w5 = naive.semigroup_witnesses(space, tab)
+    witnesses = transitivity_conditions(space, semigroup_conditions=True).witnesses
+    assert _mask_witness(witnesses.get("C4")) == w4
+    assert _mask_witness(witnesses.get("C5")) == w5
+    w7 = naive.convex_pairs_witness(space, tab)
+    assert _mask_witness(witnesses.get("C7")) == w7
+    # without the table, C7 takes the set-interval route
+    assert _mask_witness(_c7_witness(space, space._convex_masks(), None)) == w7
+
+
+class TestFastPathOracles:
+    def test_every_space_up_to_four_points(self):
+        for n in range(1, 5):
+            for space in I.enumerate_spaces(n):
+                _check_fast_paths(space)
+
+    @given(space_strategy(min_n=5, max_n=5))
+    @settings(max_examples=8)
+    def test_sampled_five_points(self, space):
+        _check_fast_paths(space)
+
+
+class TestSpaceMemo:
+    @given(space_strategy(max_n=5))
+    @settings(max_examples=60)
+    def test_memoized_values_equal_fresh(self, space):
+        property_report(space)
+        assert interval_transitivity_witness(space) == _interval_transitivity_scan(space)
+        assert (interval_transitivity_witness(space) is None) == naive.interval_transitive(space)
+        naive_convex = tuple(sorted(sum(1 << i for i in s) for s in naive.convex_sets(space)))
+        assert space._convex_masks() == naive_convex
+        enc = I.free_orbit_encoding(space.n)
+        fresh = enc.decode(enc.encode(space))
+        assert fresh._convex is None and fresh._it_witness is None
+        assert interval_transitivity_witness(fresh) == interval_transitivity_witness(space)
+        assert fresh._convex_masks() == space._convex_masks()
+
+    def test_caps_checked_before_memo(self):
+        big = I.linear_order_space(I.SUBSET_ENUMERATION_CAP + 1)
+        big._convex = ()
+        with pytest.raises(I.CapExceededError):
+            big._convex_masks()
+        assert big._convex_masks(allow_large=True) == ()
+        wide = I.linear_order_space(I.SUBSET_TRIPLE_CAP + 1)
+        wide._tab = []
+        with pytest.raises(I.CapExceededError):
+            wide._subset_table()
 
 
 class TestAntisymmetryConditions:

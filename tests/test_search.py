@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from ispaces import (
     verify_antisymmetry_theorem,
     verify_transitivity_theorem,
 )
+
+from ispaces.search import _partition, _pool_size
 
 import naive
 
@@ -148,6 +151,17 @@ class TestVerifyTheorems:
             verify_transitivity_theorem(pop, workers=w).to_dict() for w in (1, 3)
         ]
         assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+
+    def test_pool_size_clamped(self):
+        cpus = os.cpu_count() or 1
+        assert _pool_size(1, 100) == 1
+        assert _pool_size(10**6, 3) == min(3, cpus)
+        assert _pool_size(10**6, 10**6) == cpus
+        assert _pool_size(2, 1) == 1
+        assert _pool_size(4, 0) == 1
+        # chunking follows the clamped count, not the requested one
+        assert len(_partition(4096, 10**6)) <= 4 * cpus
+        assert _partition(4096, 10**6)[-1][1] == 4096
 
     def test_interval_transitive_counts_frozen(self):
         # regression values from the first verified exhaustive runs
