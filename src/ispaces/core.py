@@ -142,14 +142,39 @@ def _triple_index(n: int, a: int, x: int, c: int) -> int:
     return (a * n + x) * n + c
 
 
+def _join_rows(n: int, rows: list[int]) -> int:
+    """Table bits from its n^2 rows: row a*n + x holds <a, x, c> at bit c.
+
+    One base-2 parse of the concatenated rows is linear in n^3; ORing each
+    triple or row into a growing int would be quadratic.
+    """
+    return int("".join(format(row, f"0{n}b") for row in reversed(rows)) or "0", 2)
+
+
+def _split_rows(n: int, bits: int) -> list[int]:
+    """The n^2 rows of table bits, the inverse of :func:`_join_rows`.
+
+    The table is cut into n planes <a, ., .> and each plane into its rows, so
+    no shift runs over the whole n^3 bits more than n times.
+    """
+    row_mask = (1 << n) - 1
+    plane_mask = (1 << n * n) - 1
+    rows: list[int] = []
+    for a in range(n):
+        plane = bits >> a * n * n & plane_mask
+        rows += [plane >> i & row_mask for i in range(0, n * n, n)]
+    return rows
+
+
+def _forced_rows(n: int) -> list[int]:
+    """Rows every interval space must contain: <x, x, a> and <a, x, x> true."""
+    full = (1 << n) - 1
+    return [full if a == x else 1 << x for a in range(n) for x in range(n)]
+
+
 def _forced_bits(n: int) -> int:
     """Bits every interval space must have: <x, x, a> and <a, x, x> true."""
-    bits = 0
-    for a in range(n):
-        for x in range(n):
-            bits |= 1 << _triple_index(n, x, x, a)
-            bits |= 1 << _triple_index(n, a, x, x)
-    return bits
+    return _join_rows(n, _forced_rows(n))
 
 
 @dataclass(frozen=True)
@@ -172,13 +197,13 @@ class BetweennessTable:
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "BetweennessTable":
         """Table with exactly the given <a, x, c> triples true."""
-        bits = 0
+        rows = [0] * (n * n)
         for a, x, c in triples:
             _check_point(n, a)
             _check_point(n, x)
             _check_point(n, c)
-            bits |= 1 << _triple_index(n, a, x, c)
-        return cls(n, bits)
+            rows[a * n + x] |= 1 << c
+        return cls(n, _join_rows(n, rows))
 
     @classmethod
     def completed(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "BetweennessTable":
@@ -188,26 +213,28 @@ class BetweennessTable:
         <c, x, a> of every listed <a, x, c>.  A listed triple of the shape
         <a, x, a> with x != a can never sit in a valid space and is rejected.
         """
-        bits = _forced_bits(n)
+        rows = _forced_rows(n)
         for a, x, c in triples:
             _check_point(n, a)
             _check_point(n, x)
             _check_point(n, c)
             if a == c and x != a:
                 raise ValueError(f"triple <{a},{x},{c}> breaks thinness: middle differs from repeated endpoint")
-            bits |= 1 << _triple_index(n, a, x, c)
-            bits |= 1 << _triple_index(n, c, x, a)
-        return cls(n, bits)
+            rows[a * n + x] |= 1 << c
+            rows[c * n + x] |= 1 << a
+        return cls(n, _join_rows(n, rows))
 
     @classmethod
     def from_function(cls, n: int, rel: Callable[[int, int, int], bool]) -> "BetweennessTable":
-        bits = 0
+        rows = []
         for a in range(n):
             for x in range(n):
+                row = 0
                 for c in range(n):
                     if rel(a, x, c):
-                        bits |= 1 << _triple_index(n, a, x, c)
-        return cls(n, bits)
+                        row |= 1 << c
+                rows.append(row)
+        return cls(n, _join_rows(n, rows))
 
     def holds(self, a: int, x: int, c: int) -> bool:
         _check_point(self.n, a)
@@ -217,12 +244,10 @@ class BetweennessTable:
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """All true triples, lexicographic."""
-        n = self.n
-        for a in range(n):
-            for x in range(n):
-                for c in range(n):
-                    if (self.bits >> _triple_index(n, a, x, c)) & 1:
-                        yield (a, x, c)
+        for ax, row in enumerate(_split_rows(self.n, self.bits)):
+            a, x = divmod(ax, self.n)
+            for c in bits_of(row):
+                yield (a, x, c)
 
 
 class Axiom(Enum):
@@ -260,22 +285,29 @@ def axiom_violations(table: BetweennessTable) -> list[AxiomViolation]:
     thinness), each group in lexicographic witness order.  A symmetry breach
     is witnessed by the representative <x, a, z> with x < z.
     """
-    n, bits = table.n, table.bits
+    n = table.n
+    rows = _split_rows(n, table.bits)  # rows[a*n + x] bit c: <a, x, c>
     out: list[AxiomViolation] = []
     for a in range(n):
         for x in range(n):
-            if not (bits >> _triple_index(n, x, x, a)) & 1:
+            if not (rows[x * n + x] >> a) & 1:
                 out.append(AxiomViolation(Axiom.REFLEXIVITY, (x, x, a)))
-            if a != x and not (bits >> _triple_index(n, a, x, x)) & 1:
+            if a != x and not (rows[a * n + x] >> x) & 1:
                 out.append(AxiomViolation(Axiom.REFLEXIVITY, (a, x, x)))
+    # mirrored[z*n + a] bit x: <x, a, z>
+    mirrored = [0] * (n * n)
+    for xa, row in enumerate(rows):
+        x, a = divmod(xa, n)
+        for z in bits_of(row):
+            mirrored[z * n + a] |= 1 << x
     for x in range(n):
+        above = ~((2 << x) - 1)
         for a in range(n):
-            for z in range(x + 1, n):
-                if ((bits >> _triple_index(n, x, a, z)) & 1) != ((bits >> _triple_index(n, z, a, x)) & 1):
-                    out.append(AxiomViolation(Axiom.MIDDLE_SYMMETRY, (x, a, z)))
+            for z in bits_of((rows[x * n + a] ^ mirrored[x * n + a]) & above):
+                out.append(AxiomViolation(Axiom.MIDDLE_SYMMETRY, (x, a, z)))
     for x in range(n):
         for y in range(n):
-            if y != x and (bits >> _triple_index(n, x, y, x)) & 1:
+            if y != x and (rows[x * n + y] >> x) & 1:
                 out.append(AxiomViolation(Axiom.THINNESS, (x, y, x)))
     return out
 
@@ -291,6 +323,37 @@ def validate(table: BetweennessTable) -> "FiniteIntervalSpace":
 
 # ---------------------------------------------------------------------------
 # Binary relations (base-point / base-set orders)
+
+
+def _transitive_rows_witness(rows: list[int] | tuple[int, ...]) -> tuple[int, int, int] | None:
+    """Smallest (x, y, z) with y in rows[x], z in rows[y], z not in rows[x]."""
+    for x, row_x in enumerate(rows):
+        rest = row_x
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            rest ^= low
+            extra = rows[y] & ~row_x
+            if extra:
+                return (x, y, (extra & -extra).bit_length() - 1)
+    return None
+
+
+def _antisymmetric_rows_witness(rows: list[int] | tuple[int, ...], scope: int) -> tuple[int, int] | None:
+    """Smallest (x, y), x < y, both in ``scope``, with y in rows[x] and x in rows[y]."""
+    rest_x = scope
+    while rest_x:
+        low = rest_x & -rest_x
+        x = low.bit_length() - 1
+        rest_x ^= low
+        cands = rows[x] & scope & ~((1 << (x + 1)) - 1)
+        while cands:
+            lo = cands & -cands
+            y = lo.bit_length() - 1
+            cands ^= lo
+            if (rows[y] >> x) & 1:
+                return (x, y)
+    return None
 
 
 @dataclass(frozen=True)
@@ -310,19 +373,7 @@ class BinaryRelation:
 
     def transitivity_witness(self) -> tuple[int, int, int] | None:
         """Lexicographically smallest (x, y, z) with R(x,y), R(y,z), not R(x,z)."""
-        rows = self.rows
-        for x in range(self.n):
-            row_x = rows[x]
-            rest = row_x
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                rest ^= low
-                extra = rows[y] & ~row_x
-                if extra:
-                    z = (extra & -extra).bit_length() - 1
-                    return (x, y, z)
-        return None
+        return _transitive_rows_witness(self.rows)
 
     def is_transitive(self) -> bool:
         return self.transitivity_witness() is None
@@ -333,20 +384,7 @@ class BinaryRelation:
         ``within`` restricts both quantifiers; None means all of [0, n).
         """
         scope = (1 << self.n) - 1 if within is None else within.mask
-        rows = self.rows
-        rest_x = scope
-        while rest_x:
-            low = rest_x & -rest_x
-            x = low.bit_length() - 1
-            rest_x ^= low
-            cands = rows[x] & scope & ~((1 << (x + 1)) - 1)
-            while cands:
-                lo = cands & -cands
-                y = lo.bit_length() - 1
-                cands ^= lo
-                if (rows[y] >> x) & 1:
-                    return (x, y)
-        return None
+        return _antisymmetric_rows_witness(self.rows, scope)
 
     def is_antisymmetric(self, within: PointSet | None = None) -> bool:
         return self.antisymmetry_witness(within) is None
@@ -386,24 +424,20 @@ class FiniteIntervalSpace:
 
     def _setup(self, table: BetweennessTable) -> None:
         n = table.n
-        bits = table.bits
         self.table = table
         self.n = n
         # _ivl[a*n + c] over x, _fwd[a*n + x] over y: two slicings of <a, x, c>.
+        fwd = _split_rows(n, table.bits)
         ivl = [0] * (n * n)
-        fwd = [0] * (n * n)
-        idx = 0
+        ax = 0
         for a in range(n):
             for x in range(n):
-                row = (bits >> idx) & ((1 << n) - 1)  # bits <a, x, 0..n-1>
-                idx += n
-                fwd[a * n + x] = row
-                rest = row
+                rest = fwd[ax]
+                ax += 1
                 while rest:
                     low = rest & -rest
-                    c = low.bit_length() - 1
+                    ivl[a * n + low.bit_length() - 1] |= 1 << x
                     rest ^= low
-                    ivl[a * n + c] |= 1 << x
         self._ivl = tuple(ivl)
         self._fwd = tuple(fwd)
         self._tab: list[tuple[int, ...]] | None = None

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .core import SUBSET_TRIPLE_CAP, FiniteIntervalSpace, PointSet
+from .core import (
+    SUBSET_TRIPLE_CAP,
+    FiniteIntervalSpace,
+    PointSet,
+    _antisymmetric_rows_witness,
+    _transitive_rows_witness,
+)
 from .closure import (
     HypothesisNotMetError,
     antiexchange_witness,
@@ -48,35 +54,6 @@ CLOSURE_FLAG_NAMES = ("antiexchange", "combinatorial", "antimatroid")
 
 # ---------------------------------------------------------------------------
 # Shared row-level helpers
-
-
-def _transitive_rows_witness(rows: list[int] | tuple[int, ...]) -> tuple[int, int, int] | None:
-    for x, row_x in enumerate(rows):
-        rest = row_x
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            rest ^= low
-            extra = rows[y] & ~row_x
-            if extra:
-                return (x, y, (extra & -extra).bit_length() - 1)
-    return None
-
-
-def _antisymmetric_rows_witness(rows: list[int] | tuple[int, ...], scope: int) -> tuple[int, int] | None:
-    rest_x = scope
-    while rest_x:
-        low = rest_x & -rest_x
-        x = low.bit_length() - 1
-        rest_x ^= low
-        cands = rows[x] & scope & ~((1 << (x + 1)) - 1)
-        while cands:
-            lo = cands & -cands
-            y = lo.bit_length() - 1
-            cands ^= lo
-            if (rows[y] >> x) & 1:
-                return (x, y)
-    return None
 
 
 def _convexity_breach(space: FiniteIntervalSpace, sm: int) -> tuple[int, int, int] | None:
@@ -274,14 +251,16 @@ class ConditionVector:
         return all(v == decided[0] for v in decided) if decided else True
 
 
-def _c2_c3_witnesses(space: FiniteIntervalSpace) -> tuple[tuple | None, tuple | None]:
-    """Witnesses for [{a},[b,c]] <= [[a,b],{c}] and for equality of the two."""
+def _c2_c3_witnesses(space: FiniteIntervalSpace, triangles: list[int]) -> tuple[tuple | None, tuple | None]:
+    """Witnesses for [{a},[b,c]] <= [[a,b],{c}] and for equality of the two.
+
+    ``triangles`` holds [[a,b],{c}] at (a*n + b)*n + c (:func:`_triangle_masks`).
+    """
     n = space.n
     ivl = space._ivl
     w2 = w3 = None
     for a in range(n):
         for b in range(n):
-            ab = ivl[a * n + b]
             for c in range(n):
                 lhs = 0
                 rest = ivl[b * n + c]
@@ -289,12 +268,7 @@ def _c2_c3_witnesses(space: FiniteIntervalSpace) -> tuple[tuple | None, tuple | 
                     low = rest & -rest
                     lhs |= ivl[a * n + low.bit_length() - 1]
                     rest ^= low
-                rhs = 0
-                rest = ab
-                while rest:
-                    low = rest & -rest
-                    rhs |= ivl[(low.bit_length() - 1) * n + c]
-                    rest ^= low
+                rhs = triangles[(a * n + b) * n + c]
                 if w2 is None:
                     extra = lhs & ~rhs
                     if extra:
@@ -355,10 +329,14 @@ def _c6_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tu
 
 
 def _c7_witness(
-    space: FiniteIntervalSpace, convex_masks: tuple[int, ...], tab: list[tuple[int, ...]] | None
+    space: FiniteIntervalSpace,
+    convex_masks: tuple[int, ...],
+    tab: list[tuple[int, ...]] | None,
+    convex: set[int] | None = None,
 ) -> tuple | None:
     # A set in the convex family has no breach, so only the others are scanned.
-    convex = set(convex_masks)
+    if convex is None:
+        convex = set(convex_masks)
     for am in convex_masks:
         for bm in convex_masks:
             t = tab[am][bm] if tab is not None else space._set_interval_mask(am, bm)
@@ -383,28 +361,43 @@ def _pair_point_interval_mask(space: FiniteIntervalSpace, a: int, b: int, c: int
     return out
 
 
-def _c8_witness(space: FiniteIntervalSpace) -> tuple | None:
+def _triangle_masks(space: FiniteIntervalSpace) -> list[int]:
+    """[[a, b], {c}] for every (a, b, c), at index (a*n + b)*n + c."""
     n = space.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                breach = _convexity_breach(space, _pair_point_interval_mask(space, a, b, c))
-                if breach is not None:
-                    return (a, b, c, *breach)
+    return [_pair_point_interval_mask(space, a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+
+
+def _c8_witness(space: FiniteIntervalSpace, triangles: list[int], convex: set[int]) -> tuple | None:
+    """Smallest (a, b, c, u, v, w): a convexity breach of [[a,b],{c}].
+
+    A member of the convex family ``convex`` has no breach and is skipped.
+    """
+    for index, t in enumerate(triangles):
+        if t not in convex:
+            breach = _convexity_breach(space, t)
+            if breach is not None:
+                a, bc = divmod(index, space.n * space.n)
+                return (a, *divmod(bc, space.n), *breach)
     return None
 
 
-def _c9_witness(space: FiniteIntervalSpace) -> tuple | None:
-    """Smallest (a, b, c, x) with x in exactly one of co({a,b,c}) and [[a,b],{c}]."""
+def _c9_witness(space: FiniteIntervalSpace, triangles: list[int]) -> tuple | None:
+    """Smallest (a, b, c, x) with x in exactly one of co({a,b,c}) and [[a,b],{c}].
+
+    Each hull is computed once per distinct point set {a, b, c}.
+    """
     n = space.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                t = _pair_point_interval_mask(space, a, b, c)
-                h = space._hull_mask((1 << a) | (1 << b) | (1 << c))
-                diff = t ^ h
-                if diff:
-                    return (a, b, c, (diff & -diff).bit_length() - 1)
+    hulls: dict[int, int] = {}
+    for index, t in enumerate(triangles):
+        a, bc = divmod(index, n * n)
+        b, c = divmod(bc, n)
+        mask = (1 << a) | (1 << b) | (1 << c)
+        h = hulls.get(mask)
+        if h is None:
+            h = hulls[mask] = space._hull_mask(mask)
+        diff = t ^ h
+        if diff:
+            return (a, b, c, (diff & -diff).bit_length() - 1)
     return None
 
 
@@ -420,25 +413,28 @@ def transitivity_conditions(
     ``semigroup_conditions=None`` they are evaluated exactly when n is
     within `SUBSET_TRIPLE_CAP` and reported as skipped (None) otherwise.
     Pass True to force them or False to skip regardless.  The full [A, B]
-    table is built once and shared by the subset-level conditions.
+    table is built once and shared by the subset-level conditions, and the
+    sets [[a, b], {c}] once for C2/C3, C8 and C9.
     """
     if semigroup_conditions is None:
         semigroup_conditions = space.n <= SUBSET_TRIPLE_CAP
     convex = space._convex_masks(allow_large=allow_large)
+    convex_set = set(convex)
     tab = space._subset_table(allow_large=True) if semigroup_conditions else None
+    triangles = _triangle_masks(space)
 
     witnesses: list[tuple[str, tuple]] = []
     values: list[bool | None] = []
 
     w1 = interval_transitivity_witness(space)
-    w2, w3 = _c2_c3_witnesses(space)
+    w2, w3 = _c2_c3_witnesses(space, triangles)
     if tab is not None:
         w4 = _associativity_witness(space, tab)
         w5 = w4 if w4 is not None else _commutativity_witness(space, tab)
     w6 = _c6_witness(space, convex)
-    w7 = _c7_witness(space, convex, tab)
-    w8 = _c8_witness(space)
-    w9 = _c9_witness(space)
+    w7 = _c7_witness(space, convex, tab, convex_set)
+    w8 = _c8_witness(space, triangles, convex_set)
+    w9 = _c9_witness(space, triangles)
 
     for name, witness in zip(("C1", "C2", "C3"), (w1, w2, w3)):
         values.append(witness is None)

@@ -10,6 +10,9 @@ theorems, and search for spaces separating named properties.
 
 All sampling is partition-stable: sample i is drawn from seed + i, never
 from a shared generator, so censuses are identical for every worker count.
+For n <= ``sliced.MAX_N`` the transitivity census evaluates C1..C9 on whole
+batches of encodings at once (:mod:`ispaces.sliced`); every other census
+decodes and checks one space at a time.
 """
 
 from __future__ import annotations
@@ -19,15 +22,18 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, Union
 
+from . import sliced
 from .core import (
     BetweennessTable,
     CapExceededError,
     FiniteIntervalSpace,
     _forced_bits,
     _triple_index,
+    bits_of,
 )
 from .properties import (
     ANTISYMMETRY_CONDITIONS,
@@ -123,20 +129,25 @@ def enumerate_spaces(n: int, *, allow_large: bool = False) -> Iterator[FiniteInt
         yield enc.decode(bits)
 
 
-def random_space(n: int, seed: int, density: float = 0.5) -> FiniteIntervalSpace:
-    """A seeded random space: each free orbit is true with probability ``density``.
+def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
+    """The orbit encoding of a seeded random space: each free orbit is set
+    with probability ``density``.
 
     Deterministic in (n, seed, density); independent of any global state.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    enc = free_orbit_encoding(n)
     rng = random.Random(seed)
     bits = 0
-    for k in range(enc.orbit_count):
+    for k in range(free_orbit_encoding(n).orbit_count):
         if rng.random() < density:
             bits |= 1 << k
-    return enc.decode(bits)
+    return bits
+
+
+def random_space(n: int, seed: int, density: float = 0.5) -> FiniteIntervalSpace:
+    """The space of :func:`random_encoding` (n, seed, density)."""
+    return free_orbit_encoding(n).decode(random_encoding(n, seed, density))
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +167,18 @@ class ExhaustivePopulation:
     def describe(self) -> str:
         return f"exhaustive n={self.n}"
 
-    def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
+    def encodings(self, start: int, stop: int) -> range:
+        """Orbit encodings of spaces start..stop-1 (a space's index is its encoding)."""
         if self.n > EXHAUSTIVE_CAP and not self.allow_large:
             raise CapExceededError(
                 f"exhaustive population at n={self.n} exceeds the cap n <= {EXHAUSTIVE_CAP}"
             )
+        return range(start, stop)
+
+    def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
         enc = free_orbit_encoding(self.n)
         stop = enc.space_count if stop is None else stop
-        for bits in range(start, stop):
+        for bits in self.encodings(start, stop):
             yield bits, enc.decode(bits)
 
 
@@ -190,6 +205,10 @@ class SampledPopulation:
     def describe(self) -> str:
         density = "sweep" if self.density is None else f"{self.density:g}"
         return f"sampled n={self.n} seed={self.seed} count={self.count} density={density}"
+
+    def encodings(self, start: int, stop: int) -> list[int]:
+        """Orbit encodings of samples start..stop-1."""
+        return [random_encoding(self.n, self.seed + i, self.density_at(i)) for i in range(start, stop)]
 
     def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
         stop = self.count if stop is None else stop
@@ -278,8 +297,42 @@ def _pattern(values: tuple[bool | None, ...]) -> str:
     return "".join("-" if v is None else ("T" if v else "F") for v in values)
 
 
+def _sliced(theorem: str, population: Population) -> bool:
+    """Whether the census evaluates its conditions bit-sliced, a batch at a time."""
+    return theorem == "transitivity" and population.n <= sliced.MAX_N
+
+
+def _sliced_chunk(population: Population, start: int, stop: int, semigroup: bool) -> dict:
+    enc = free_orbit_encoding(population.n)
+    counts: Counter = Counter()
+    vectors: Counter = Counter()
+    violations: list[EquivalenceViolation] = []
+    for lo in range(start, stop, sliced.BATCH):
+        encodings = population.encodings(lo, min(lo + sliced.BATCH, stop))
+        values = sliced.transitivity_slices(enc.n, sliced.triple_slices(enc, encodings), semigroup)
+        for name, s in zip(TRANSITIVITY_CONDITIONS, values):
+            if s:
+                counts[name] += s.bit_count()
+        # A space agrees when every evaluated condition is true or every one
+        # is false; the others are violations, read out one by one.
+        decided = [s for s in values if s is not None]
+        full = (1 << len(encodings)) - 1
+        agree_true = reduce(and_, decided)
+        agree_false = full & ~reduce(or_, decided)
+        for agreed, value in ((agree_true, True), (agree_false, False)):
+            if agreed:
+                vectors[_pattern(tuple(None if s is None else value for s in values))] += agreed.bit_count()
+        for j in bits_of(full & ~(agree_true | agree_false)):
+            vector = tuple(None if s is None else bool(s >> j & 1) for s in values)
+            vectors[_pattern(vector)] += 1
+            violations.append(EquivalenceViolation(lo + j, encodings[j], vector))
+    return {"counts": counts, "vectors": vectors, "violations": violations, "excluded": 0}
+
+
 def _census_chunk(args: tuple) -> dict:
     theorem, population, start, stop, semigroup = args
+    if _sliced(theorem, population):
+        return _sliced_chunk(population, start, stop, semigroup)
     enc = free_orbit_encoding(population.n)
     counts: Counter = Counter()
     vectors: Counter = Counter()
@@ -307,11 +360,13 @@ def _pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, chunks))
 
 
-def _partition(total: int, workers: int) -> list[tuple[int, int]]:
+def _partition(total: int, workers: int, min_chunk: int = 1) -> list[tuple[int, int]]:
+    """Index ranges covering [0, total): about four per worker, none shorter
+    than ``min_chunk`` except the last."""
     if total == 0:
         return []
     workers = _pool_size(workers, total)
-    chunk = total if workers <= 1 else max(1, -(-total // (workers * 4)))
+    chunk = total if workers <= 1 else max(min_chunk, -(-total // (workers * 4)))
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 
@@ -325,9 +380,10 @@ def _run_chunks(task, args_list: list[tuple], workers: int) -> list:
 
 def _verify(theorem: str, population: Population, semigroup: bool, workers: int) -> CensusReport:
     total = population.size()
+    min_chunk = sliced.BATCH if _sliced(theorem, population) else 1
     chunk_results = _run_chunks(
         _census_chunk,
-        [(theorem, population, s, e, semigroup) for s, e in _partition(total, workers)],
+        [(theorem, population, s, e, semigroup) for s, e in _partition(total, workers, min_chunk)],
         workers,
     )
     counts: Counter = Counter()
@@ -382,21 +438,11 @@ def verify_antisymmetry_theorem(population: Population, *, workers: int = 1) -> 
 # Separating search
 
 
-def _sample_density(density: float | None, i: int) -> float:
-    return density if density is not None else (i % 101) / 100.0
-
-
 def _search_chunk(args: tuple) -> int | None:
-    kind, n, seed, density, start, stop, want, want_not = args
-    enc = free_orbit_encoding(n) if kind == "exhaustive" else None
+    population, start, stop, want, want_not = args
     want_checks = [PROPERTY_CHECKS[name] for name in want]
     want_not_checks = [PROPERTY_CHECKS[name] for name in want_not]
-    for i in range(start, stop):
-        space = (
-            enc.decode(i)
-            if enc is not None
-            else random_space(n, seed + i, _sample_density(density, i))
-        )
+    for i, space in population.spaces(start, stop):
         if all(check(space) for check in want_checks) and not any(
             check(space) for check in want_not_checks
         ):
@@ -404,16 +450,19 @@ def _search_chunk(args: tuple) -> int | None:
     return None
 
 
-def _search_plan(ns: Iterable[int], max_spaces: int) -> list[tuple[str, int, int]]:
-    """(kind, n, count) segments: exhaustive sizes ascending, then sampled
-    sizes ascending with the leftover budget split evenly."""
+def _search_plan(
+    ns: Iterable[int], max_spaces: int, seed: int, density: float | None
+) -> list[tuple[Population, int]]:
+    """(population, count) segments, each scanned over its first ``count``
+    spaces: exhaustive sizes ascending, then sampled sizes ascending with the
+    leftover budget split evenly."""
     sizes = sorted(set(ns))
-    plan: list[tuple[str, int, int]] = []
+    plan: list[tuple[Population, int]] = []
     remaining = max_spaces
     for n in [m for m in sizes if m <= EXHAUSTIVE_CAP]:
         k = min(remaining, free_orbit_encoding(n).space_count)
         if k > 0:
-            plan.append(("exhaustive", n, k))
+            plan.append((ExhaustivePopulation(n), k))
             remaining -= k
     sampled = [m for m in sizes if m > EXHAUSTIVE_CAP]
     if sampled and remaining > 0:
@@ -421,7 +470,7 @@ def _search_plan(ns: Iterable[int], max_spaces: int) -> list[tuple[str, int, int
         for j, n in enumerate(sampled):
             k = base + (1 if j < extra else 0)
             if k > 0:
-                plan.append(("sampled", n, k))
+                plan.append((SampledPopulation(n, seed, k, density), k))
     return plan
 
 
@@ -451,15 +500,13 @@ def find_separating(
     want_not = resolve_properties(want_not)
     if max_spaces < 0:
         raise ValueError("max_spaces must be nonnegative")
-    for kind, n, count in _search_plan(ns, max_spaces):
+    for population, count in _search_plan(ns, max_spaces, seed, density):
         args_list = [
-            (kind, n, seed, density, s, e, tuple(want), tuple(want_not))
+            (population, s, e, tuple(want), tuple(want_not))
             for s, e in _partition(count, workers)
         ]
         hits = _run_chunks(_search_chunk, args_list, workers)
         for hit in hits:
             if hit is not None:
-                if kind == "exhaustive":
-                    return free_orbit_encoding(n).decode(hit)
-                return random_space(n, seed + hit, _sample_density(density, hit))
+                return next(population.spaces(hit, hit + 1))[1]
     return None

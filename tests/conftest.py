@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -45,3 +48,19 @@ def space_with_masks(min_n=1, max_n=5, masks=1):
         return st.tuples(st.just(space), *[mask] * masks)
 
     return space_strategy(min_n, max_n).flatmap(attach)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

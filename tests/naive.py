@@ -55,6 +55,25 @@ def entails(space, a_set, x, y):
     return y in hull_by_intersection(space, frozenset(a_set) | {x})
 
 
+def axiom_violations(table):
+    """(axiom name, witness) pairs by a per-triple scan: reflexivity, then
+    middle symmetry (witness <x, a, z> with x < z), then thinness."""
+    n = table.n
+    out = []
+    for a, x in product(range(n), repeat=2):
+        if not table.holds(x, x, a):
+            out.append(("reflexivity", (x, x, a)))
+        if a != x and not table.holds(a, x, x):
+            out.append(("reflexivity", (a, x, x)))
+    for x, a, z in product(range(n), repeat=3):
+        if x < z and table.holds(x, a, z) != table.holds(z, a, x):
+            out.append(("middle-symmetry", (x, a, z)))
+    for x, y in product(range(n), repeat=2):
+        if y != x and table.holds(x, y, x):
+            out.append(("thinness", (x, y, x)))
+    return out
+
+
 # -- named properties --------------------------------------------------------
 
 
@@ -253,6 +272,31 @@ def hull_equals_triangle(space):  # C9
         == set_interval(space, interval(space, a, b), {c})
         for a, b, c in product(range(n), repeat=3)
     )
+
+
+def triangle_witnesses(space):  # C8 and C9, in the library's scan order
+    """(w8, w9): the smallest (a, b, c, u, v, w) with u, v in [[a,b],{c}] and w
+    between them outside it, and the smallest (a, b, c, x) with x in exactly
+    one of co({a,b,c}) and [[a,b],{c}]; None where the condition holds."""
+    n = space.n
+    convex = convex_sets(space)
+    w8 = w9 = None
+    for a, b, c in product(range(n), repeat=3):
+        t = set_interval(space, interval(space, a, b), {c})
+        if w8 is None:
+            for u, v in product(sorted(t), repeat=2):
+                outside = interval(space, u, v) - t
+                if outside:
+                    w8 = (a, b, c, u, v, min(outside))
+                    break
+        if w9 is None:
+            hull = frozenset(points(space))
+            for s in convex:
+                if {a, b, c} <= s:
+                    hull &= s
+            if hull != t:
+                w9 = (a, b, c, min(hull ^ t))
+    return w8, w9
 
 
 def transitivity_vector(space):

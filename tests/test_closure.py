@@ -1,6 +1,3 @@
-import signal
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +13,7 @@ from ispaces import (
 from ispaces.closure import _chain_union_witness, antiexchange_witness, combinatorial_witness
 
 import naive
-from conftest import space_strategy, space_with_masks
+from conftest import deadline, space_strategy, space_with_masks
 
 
 def _moore_closure(n, raw):
@@ -31,22 +28,6 @@ def _moore_closure(n, raw):
                     family.add(a & b)
                     grew = True
     return tuple(sorted(family))
-
-
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the block after ``seconds`` of wall time."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +234,7 @@ class TestChainWalk:
         # per-chain walk could not finish in minutes; the state walk expands
         # each of the 1024 sets once
         cs = ClosureSystem(10, tuple(range(1 << 10)))
-        with _deadline(20):
+        with deadline(20):
             assert combinatorial_witness(cs) is None
 
 

@@ -12,7 +12,7 @@ from ispaces import (
 )
 
 import naive
-from conftest import space_strategy, space_with_masks
+from conftest import deadline, space_strategy, space_with_masks
 
 
 def chain_table(n):
@@ -66,6 +66,47 @@ class TestValidate:
     def test_completed_rejects_explicit_thinness_breach(self):
         with pytest.raises(ValueError, match="thinness"):
             BetweennessTable.completed(3, [(0, 1, 0)])
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n ** 3) - 1))))
+    @settings(max_examples=150)
+    def test_violations_equal_per_triple_scan(self, case):
+        n, bits = case
+        table = BetweennessTable(n, bits)
+        got = [(v.axiom.value, v.witness) for v in axiom_violations(table)]
+        assert got == naive.axiom_violations(table)
+
+    @given(space_strategy(max_n=5), st.data())
+    @settings(max_examples=80)
+    def test_near_valid_tables_diagnosed(self, space, data):
+        n = space.n
+        flips = data.draw(st.lists(st.integers(0, n ** 3 - 1), max_size=3))
+        bits = space.table.bits
+        for t in flips:
+            bits ^= 1 << t
+        table = BetweennessTable(n, bits)
+        got = [(v.axiom.value, v.witness) for v in axiom_violations(table)]
+        assert got == naive.axiom_violations(table)
+
+    @given(space_strategy(max_n=5))
+    @settings(max_examples=60)
+    def test_builders_agree(self, space):
+        table = space.table
+        n = table.n
+        assert BetweennessTable.from_triples(n, table.triples()) == table
+        assert BetweennessTable.from_function(n, table.holds) == table
+        assert list(table.triples()) == [
+            (a, x, c) for a in range(n) for x in range(n) for c in range(n) if table.holds(a, x, c)
+        ]
+        halves = [(a, x, c) for a, x, c in table.triples() if a < c]
+        assert BetweennessTable.completed(n, halves) == table
+
+    def test_large_path_loads_quickly(self):
+        # 120^3 triples: building or checking the table one triple at a time
+        # against the whole n^3-bit int took minutes
+        with deadline(20):
+            space = I.geodesic_space_from_graph(I.path_graph(120))
+        assert space.interval(0, 119) == PointSet.full(120)
+        assert space.interval(3, 5) == PointSet.of(120, [3, 4, 5])
 
 
 # ---------------------------------------------------------------------------

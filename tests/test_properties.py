@@ -155,6 +155,16 @@ class TestFastPathOracles:
         _check_fast_paths(space)
 
 
+class TestTriangleWitnesses:
+    """C8 (skip of convex [[a,b],{c}]) and C9 (one hull per point set) against plain scans."""
+
+    @given(space_strategy(min_n=1, max_n=5))
+    @settings(max_examples=80)
+    def test_against_plain_scan(self, space):
+        witnesses = transitivity_conditions(space, semigroup_conditions=False).witnesses
+        assert (witnesses.get("C8"), witnesses.get("C9")) == naive.triangle_witnesses(space)
+
+
 class TestSpaceMemo:
     @given(space_strategy(max_n=5))
     @settings(max_examples=60)

@@ -1,0 +1,151 @@
+"""The bit-sliced census path against the scalar per-space path."""
+
+import json
+from collections import Counter
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ispaces import (
+    CapExceededError,
+    ExhaustivePopulation,
+    SampledPopulation,
+    free_orbit_encoding,
+    random_space,
+    sliced,
+    transitivity_conditions,
+    verify_transitivity_theorem,
+)
+from ispaces import search
+from ispaces.properties import TRANSITIVITY_CONDITIONS
+from ispaces.search import EquivalenceViolation, _partition, _verify, random_encoding
+
+
+def _scalar_values(n, encodings, semigroup):
+    enc = free_orbit_encoding(n)
+    return [
+        transitivity_conditions(enc.decode(e), semigroup_conditions=semigroup).values
+        for e in encodings
+    ]
+
+
+def _sliced_values(n, encodings, semigroup):
+    slices = sliced.transitivity_slices(
+        n, sliced.triple_slices(free_orbit_encoding(n), encodings), semigroup
+    )
+    return [
+        tuple(None if s is None else bool(s >> i & 1) for s in slices)
+        for i in range(len(encodings))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _scalar_census(population, semigroup):
+    """The census payload by a plain loop over spaces and the scalar conditions
+    (cached: both worker counts compare against it)."""
+    enc = free_orbit_encoding(population.n)
+    counts = Counter()
+    vectors = Counter()
+    details = []
+    for index, space in population.spaces():
+        values = transitivity_conditions(space, semigroup_conditions=semigroup).values
+        counts.update(name for name, v in zip(TRANSITIVITY_CONDITIONS, values) if v)
+        vectors["".join("-" if v is None else "T" if v else "F" for v in values)] += 1
+        if len({v for v in values if v is not None}) > 1:
+            details.append({"index": index, "encoding": enc.encode(space), "values": list(values)})
+    return {
+        "theorem": "transitivity",
+        "n": population.n,
+        "population": population.describe(),
+        "spaces": population.size(),
+        "hypothesis_excluded": 0,
+        "skipped": [] if semigroup else ["C4", "C5"],
+        "condition_counts": {name: counts[name] for name in TRANSITIVITY_CONDITIONS},
+        "vector_counts": dict(sorted(vectors.items())),
+        "violations": len(details),
+        "violation_details": details,
+    }
+
+
+class TestSlices:
+    def test_triple_slices_are_the_decoded_tables(self):
+        for n in range(1, 5):
+            enc = free_orbit_encoding(n)
+            encodings = range(enc.space_count)
+            slices = sliced.triple_slices(enc, encodings)
+            for i in encodings:
+                bits = enc.decode(i).table.bits
+                assert [s >> i & 1 for s in slices] == [bits >> t & 1 for t in range(n ** 3)]
+
+    @pytest.mark.parametrize("semigroup", [True, False])
+    def test_every_space_up_to_four_points(self, semigroup):
+        for n in range(1, 5):
+            encodings = range(free_orbit_encoding(n).space_count)
+            assert _sliced_values(n, encodings, semigroup) == _scalar_values(n, encodings, semigroup)
+
+    @given(
+        st.lists(st.integers(0, free_orbit_encoding(5).space_count - 1), min_size=1, max_size=24),
+        st.booleans(),
+    )
+    @settings(max_examples=20)
+    def test_five_point_batches(self, encodings, semigroup):
+        assert _sliced_values(5, encodings, semigroup) == _scalar_values(5, encodings, semigroup)
+
+
+class TestSlicedCensus:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "population, semigroup",
+        [
+            (ExhaustivePopulation(1), True),
+            (ExhaustivePopulation(2), True),
+            (ExhaustivePopulation(3), True),
+            (ExhaustivePopulation(4), True),
+            (ExhaustivePopulation(4), False),
+            (SampledPopulation(4, seed=41, count=sliced.BATCH + 300), False),
+            (SampledPopulation(5, seed=52, count=150), True),
+            (SampledPopulation(5, seed=53, count=400), False),
+        ],
+        ids=lambda p: p.describe() if hasattr(p, "describe") else f"semigroup={p}",
+    )
+    def test_report_equals_scalar_loop(self, population, semigroup, workers):
+        report = _verify("transitivity", population, semigroup, workers).to_dict()
+        assert json.dumps(report) == json.dumps(_scalar_census(population, semigroup))
+
+    def test_flipped_bit_is_reported_as_violation(self, monkeypatch):
+        population = SampledPopulation(4, seed=7, count=50)
+        flipped = 17
+        real = sliced.transitivity_slices
+
+        def one_flip(n, slices, semigroup):
+            values = list(real(n, slices, semigroup))
+            values[1] ^= 1 << flipped  # C2 of sample 17
+            return tuple(values)
+
+        monkeypatch.setattr(sliced, "transitivity_slices", one_flip)
+        report = _verify("transitivity", population, True, 1)
+        encoding = random_encoding(4, 7 + flipped, population.density_at(flipped))
+        values = list(_scalar_values(4, [encoding], True)[0])
+        values[1] = not values[1]
+        assert report.violations == (EquivalenceViolation(flipped, encoding, tuple(values)),)
+        assert random_space(4, 7 + flipped, population.density_at(flipped)) == (
+            free_orbit_encoding(4).decode(encoding)
+        )
+
+    def test_exhaustive_cap_checked_before_any_batch(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a batch was built")
+
+        monkeypatch.setattr(sliced, "triple_slices", refuse)
+        with pytest.raises(CapExceededError):
+            verify_transitivity_theorem(ExhaustivePopulation(5))
+
+
+def test_partition_respects_minimum_chunk(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert _partition(0, 2, 4096) == []
+    assert _partition(4096, 2, 4096) == [(0, 4096)]
+    assert _partition(10_000, 2, 4096) == [(0, 4096), (4096, 8192), (8192, 10_000)]
+    assert _partition(100, 2) == [(s, min(s + 13, 100)) for s in range(0, 100, 13)]
+    assert _partition(100, 1, 4096) == [(0, 100)]
