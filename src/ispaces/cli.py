@@ -18,10 +18,12 @@ Subset flags (--set, --A, --C) take comma-separated ids; ``-`` is the empty
 set.  Every command renders one report: aligned text by default, or the
 same content as a single JSON document with ``--format structured``.
 
-Exit status: 0 on success, 1 when a verification fails (axiom violations in
-an input table, or a census with equivalence violations), 2 on usage and
-parse errors.  When the reader of stdout goes away before the report is
-written (``ispaces ... | head``), the command exits 1 without a traceback.
+Exit status: 0 on success, 1 when a census finds equivalence violations,
+2 on usage and parse errors (a point or vertex count above `MAX_POINTS` is
+a parse error).  Every loader builds a valid table by construction, so no
+input file fails the axiom check.  When the reader of stdout goes away
+before the report is written (``ispaces ... | head``), the command exits 1
+without a traceback.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .core import (
     CapExceededError,
     FiniteIntervalSpace,
     PointSet,
-    ValidationError,
     validate,
 )
 from .models import Graph, geodesic_space_from_graph, vector_space_on_points
@@ -50,7 +51,6 @@ from .properties import (
 )
 from .search import (
     DEFAULT_TRIPLE_BUDGET,
-    EXHAUSTIVE_CAP,
     ExhaustivePopulation,
     SampledPopulation,
     find_separating,
@@ -58,6 +58,12 @@ from .search import (
     verify_antisymmetry_theorem,
     verify_transitivity_theorem,
 )
+
+
+#: Largest point or vertex count a file may declare.  Loading n points
+#: builds n^3-bit tables: at 256 an ispace file with no triples loads in
+#: about 1 s and a 256-vertex path in about 9 s (2-CPU VM, Python 3.11).
+MAX_POINTS = 256
 
 
 class SpaceFileError(ValueError):
@@ -100,16 +106,26 @@ def _expect_int(path: str, lineno: int, token: str, what: str) -> int:
         raise SpaceFileError(path, lineno, f"{what} must be an integer, got {token!r}") from None
 
 
-def _load_ispace(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
-    if len(lines) < 2 or lines[1][1].split()[0] != "points":
-        raise SpaceFileError(path, lines[1][0] if len(lines) > 1 else None, "expected 'points N'")
+def _header_count(path: str, lines: list[tuple[int, str]], form: str, what: str, limit: int | None) -> int:
+    """N from the second line, which must read ``form`` (e.g. 'points N'):
+    an integer from 1 up to ``limit`` (None: no upper bound)."""
+    keyword = form.split()[0]
+    if len(lines) < 2 or lines[1][1].split()[0] != keyword:
+        raise SpaceFileError(path, lines[1][0] if len(lines) > 1 else None, f"expected {form!r}")
     lineno, header = lines[1]
     parts = header.split()
     if len(parts) != 2:
-        raise SpaceFileError(path, lineno, "expected 'points N'")
-    n = _expect_int(path, lineno, parts[1], "point count")
+        raise SpaceFileError(path, lineno, f"expected {form!r}")
+    n = _expect_int(path, lineno, parts[1], what)
     if n < 1:
-        raise SpaceFileError(path, lineno, "point count must be at least 1")
+        raise SpaceFileError(path, lineno, f"{what} must be at least 1")
+    if limit is not None and n > limit:
+        raise SpaceFileError(path, lineno, f"{what} {n} exceeds the limit of {limit}")
+    return n
+
+
+def _load_ispace(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
+    n = _header_count(path, lines, "points N", "point count", MAX_POINTS)
     triples: list[tuple[int, int, int]] = []
     for lineno, body in lines[2:]:
         parts = body.split()
@@ -128,15 +144,7 @@ def _load_ispace(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace
 
 
 def _load_graph(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
-    if len(lines) < 2 or lines[1][1].split()[0] != "vertices":
-        raise SpaceFileError(path, lines[1][0] if len(lines) > 1 else None, "expected 'vertices N'")
-    lineno, header = lines[1]
-    parts = header.split()
-    if len(parts) != 2:
-        raise SpaceFileError(path, lineno, "expected 'vertices N'")
-    n = _expect_int(path, lineno, parts[1], "vertex count")
-    if n < 1:
-        raise SpaceFileError(path, lineno, "vertex count must be at least 1")
+    n = _header_count(path, lines, "vertices N", "vertex count", MAX_POINTS)
     edges: list[tuple[int, int]] = []
     for lineno, body in lines[2:]:
         parts = body.split()
@@ -157,15 +165,7 @@ def _load_graph(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
 
 
 def _load_qpoints(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
-    if len(lines) < 2 or lines[1][1].split()[0] != "dim":
-        raise SpaceFileError(path, lines[1][0] if len(lines) > 1 else None, "expected 'dim D'")
-    lineno, header = lines[1]
-    parts = header.split()
-    if len(parts) != 2:
-        raise SpaceFileError(path, lineno, "expected 'dim D'")
-    dim = _expect_int(path, lineno, parts[1], "dimension")
-    if dim < 1:
-        raise SpaceFileError(path, lineno, "dimension must be at least 1")
+    dim = _header_count(path, lines, "dim D", "dimension", None)
     points: list[tuple[Fraction, ...]] = []
     seen: dict[tuple[Fraction, ...], int] = {}
     for lineno, body in lines[2:]:
@@ -403,11 +403,7 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, dict]:
     if args.n < 1:
         raise UsageError("need at least one point")
-    if args.n > EXHAUSTIVE_CAP and not args.allow_large:
-        raise CapExceededError(
-            f"exhaustive enumeration at n={args.n} exceeds the cap n <= {EXHAUSTIVE_CAP}; "
-            "pass --allow-large to override"
-        )
+    encodings = ExhaustivePopulation(args.n, allow_large=args.allow_large).encodings()
     enc = free_orbit_encoding(args.n)
     payload: dict[str, Any] = {
         "command": "enumerate",
@@ -417,7 +413,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, dict]:
     }
     if args.list:
         listing = []
-        for bits in range(enc.space_count):
+        for bits in encodings:
             reps = [enc.orbits[k] for k in range(enc.orbit_count) if (bits >> k) & 1]
             listing.append({"encoding": bits, "triples": [tuple(t) for t in reps]})
         payload["list"] = listing
@@ -600,15 +596,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        code = 1
-        payload = {
-            "command": args.command,
-            "valid": False,
-            "violations": [
-                {"axiom": v.axiom.value, "witness": tuple(v.witness)} for v in exc.violations
-            ],
-        }
     try:
         _emit(payload, args.format)
         sys.stdout.flush()

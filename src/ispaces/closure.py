@@ -4,7 +4,7 @@ A :class:`ClosureSystem` is a materialized Moore family: it contains the
 universe and is closed under nonempty intersection (verified at
 construction, whether the family comes from a space or is hand-built).
 On top of it live the closure operator cl, the relative entailment
-relations, and the antiexchange / combinatorial / antimatroid predicates.
+relations, and the antiexchange and antimatroid predicates.
 
 For a system built from a space by :func:`convex_closure_system`, cl agrees
 with the space's fixpoint hull; the two are computed by different routes,
@@ -14,7 +14,7 @@ which the test suite exploits as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .core import FiniteIntervalSpace, PointSet, bits_of
 
@@ -29,9 +29,8 @@ class ClosureSystem:
 
     ``closed`` holds the member bit masks in ascending mask order.  Both
     invariants are verified at construction; a family violating them is
-    rejected rather than repaired.  The antiexchange and chain-union
-    witnesses are computed at most once per instance and then shared by
-    every predicate that needs them.
+    rejected rather than repaired.  The antiexchange witness is computed at
+    most once per instance and then shared by every predicate that needs it.
     """
 
     n: int
@@ -68,7 +67,7 @@ class ClosureSystem:
 
     def is_closed(self, s: PointSet) -> bool:
         self._check_set(s)
-        return s.mask in set(self.closed)
+        return s.mask in self._members
 
     def has_empty(self) -> bool:
         return 0 in self.closed
@@ -85,7 +84,7 @@ class ClosureSystem:
         unclosed base set is rejected unless ``allow_unclosed`` is passed.
         """
         self._check_set(a_set)
-        if not allow_unclosed and a_set.mask not in set(self.closed):
+        if not allow_unclosed and a_set.mask not in self._members:
             raise HypothesisNotMetError(
                 f"base set {a_set} is not closed; pass allow_unclosed=True to relax"
             )
@@ -99,7 +98,13 @@ class ClosureSystem:
         if s.n != self.n:
             raise ValueError(f"point set universe {s.n} does not match system universe {self.n}")
 
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(self.closed)
+
     def _cl_mask(self, am: int) -> int:
+        if am in self._members:
+            return am
         out = (1 << self.n) - 1
         for m in self.closed:
             if am & ~m == 0:
@@ -128,33 +133,24 @@ class ClosureSystem:
                         return (PointSet(self.n, a_mask), x, y)
         return None
 
-    @cached_property
-    def _chain_witness(self) -> tuple[PointSet, ...] | None:
-        witness = _chain_union_witness(self.closed)
-        if witness is None:
-            return None
-        return tuple(PointSet(self.n, m) for m in witness)
-
-
-@lru_cache(maxsize=256)
-def _convex_closure_system_cached(space: FiniteIntervalSpace, allow_large: bool) -> ClosureSystem:
-    return ClosureSystem(space.n, tuple(space._convex_masks(allow_large=allow_large)))
-
 
 def convex_closure_system(space: FiniteIntervalSpace, *, allow_large: bool = False) -> ClosureSystem:
     """The closure system of all convex sets of a space.
 
     Materializes the convex family (subset-enumeration cap applies) and runs
     the full Moore verification on it, O(k^2) pairs for k convex sets, so a
-    convexity bug cannot produce a silently broken system.  The result is
-    memoized per space, together with the closure witnesses computed on it;
-    systems are immutable, so sharing is safe.
+    convexity bug cannot produce a silently broken system.  The system is
+    memoized on the space, together with the witnesses computed on it; the
+    cap is checked on every call, before the memo is read.
     """
-    return _convex_closure_system_cached(space, allow_large)
+    convex = space._convex_masks(allow_large=allow_large)
+    if space._closure is None:
+        space._closure = ClosureSystem(space.n, convex)
+    return space._closure
 
 
 # ---------------------------------------------------------------------------
-# Antiexchange / combinatorial / antimatroid predicates
+# Antiexchange / antimatroid predicates
 
 
 def antiexchange_witness(cs: ClosureSystem) -> tuple[PointSet, int, int] | None:
@@ -167,80 +163,26 @@ def is_antiexchange(cs: ClosureSystem) -> bool:
     return antiexchange_witness(cs) is None
 
 
-def _chain_union_witness(closed: tuple[int, ...]) -> tuple[int, ...] | None:
-    """First chain (by size-then-mask DFS order) whose union is not closed.
+def antimatroid_witness(cs: ClosureSystem) -> tuple | None:
+    """Why the system is not an antimatroid, or None when it is.
 
-    The walk visits chains depth first as strictly increasing index
-    sequences, tests each chain's union against the family, and expands a
-    chain by every proper superset of its last element.  Those extensions
-    depend only on the state (last index, union), and indices rise along
-    every chain, so when a state comes round again its whole subtree has
-    already been searched without a witness and is skipped.  The first
-    witness in DFS order is unchanged; each state is expanded once, so the
-    cost is O(k^2) for k sets instead of one step per chain.
-    """
-    members = set(closed)
-    by_size = sorted(closed, key=lambda m: (m.bit_count(), m))
-    k = len(by_size)
-    # Proper supersets have strictly more bits, so their indices are larger;
-    # every chain is therefore one strictly increasing index sequence.
-    supersets: list[list[int]] = [
-        [j for j in range(i + 1, k) if by_size[i] != by_size[j] and by_size[i] & ~by_size[j] == 0]
-        for i in range(k)
-    ]
-    expanded: set[tuple[int, int]] = set()
-    stack: list[tuple[tuple[int, ...], int]] = [((i,), by_size[i]) for i in range(k - 1, -1, -1)]
-    while stack:
-        chain, union = stack.pop()
-        state = (chain[-1], union)
-        if state in expanded:
-            continue
-        expanded.add(state)
-        if union not in members:
-            return tuple(by_size[i] for i in chain)
-        for j in reversed(supersets[chain[-1]]):
-            stack.append((chain + (j,), union | by_size[j]))
-    return None
-
-
-def combinatorial_witness(cs: ClosureSystem) -> tuple[PointSet, ...] | None:
-    """A chain of closed sets whose union is not closed, or None.
-
-    On any finite system the union of a nonempty chain is its largest
-    element, so this must return None; the chain walk is kept as a genuine
-    extensional check rather than being short-circuited.  It expands each
-    (last set, union) state once, O(k^2) for k closed sets, and the result
-    is memoized on the system.
-    """
-    return cs._chain_witness
-
-
-def is_combinatorial(cs: ClosureSystem) -> bool:
-    """Whether the union of every nonempty chain of closed sets is closed."""
-    return combinatorial_witness(cs) is None
-
-
-def antimatroid_report(cs: ClosureSystem) -> dict:
-    """The three antimatroid conjuncts, reported separately.
-
-    ``empty_closed`` is data, not an assumption: hand-built systems may or
-    may not contain the empty set, while convex systems always do.
+    The antiexchange witness comes first; failing that,
+    ``("empty-set-not-closed",)`` when the empty set is not closed.  The
+    third conjunct, combinatorial (the union of every chain of closed sets
+    is closed), holds on every finite family, since a finite chain's union
+    is its largest member (Edelman & Jamison, "The theory of convex
+    geometries", 1985), so it never supplies a witness.  Hand-built systems
+    may lack the empty set; convex systems always contain it.
     """
     witness = antiexchange_witness(cs)
-    report = {
-        "empty_closed": cs.has_empty(),
-        "combinatorial": is_combinatorial(cs),
-        "antiexchange": witness is None,
-    }
-    report["antimatroid"] = all(report.values())
     if witness is not None:
-        report["antiexchange_witness"] = witness
-    return report
+        return witness
+    return None if cs.has_empty() else ("empty-set-not-closed",)
 
 
 def is_antimatroid(cs: ClosureSystem) -> bool:
-    """Combinatorial, antiexchange, and the empty set closed."""
-    return cs.has_empty() and is_combinatorial(cs) and is_antiexchange(cs)
+    """Antiexchange, the empty set closed, and (always, when finite) combinatorial."""
+    return antimatroid_witness(cs) is None
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +221,3 @@ def entailment_reverse_witness(space: FiniteIntervalSpace, a_set: PointSet) -> t
 
 def entailment_is_reverse_of_between(space: FiniteIntervalSpace, a_set: PointSet) -> bool:
     return entailment_reverse_witness(space, a_set) is None
-
-
-def verify_combinatorial_prop(space: FiniteIntervalSpace, *, allow_large: bool = False) -> bool:
-    """Whether the convex closure system of the space is combinatorial."""
-    return is_combinatorial(convex_closure_system(space, allow_large=allow_large))

@@ -403,11 +403,13 @@ class FiniteIntervalSpace:
     Construction validates the three axioms and raises
     :class:`ValidationError` otherwise.  Instances are immutable; the only
     internal state beyond the table is pure memos, filled on first use: the
-    set-interval lookup table, the convex masks, and the interval-transitivity
-    witness (boxed in a 1-tuple, since None is a valid witness).
+    set-interval lookup table, the convex masks, the closure system of the
+    convex sets (:func:`ispaces.closure.convex_closure_system`), and the
+    interval-transitivity witness (boxed in a 1-tuple, since None is a valid
+    witness).
     """
 
-    __slots__ = ("table", "n", "_ivl", "_fwd", "_tab", "_convex", "_it_witness")
+    __slots__ = ("table", "n", "_ivl", "_fwd", "_tab", "_convex", "_closure", "_it_witness")
 
     def __init__(self, table: BetweennessTable):
         violations = axiom_violations(table)
@@ -442,6 +444,7 @@ class FiniteIntervalSpace:
         self._fwd = tuple(fwd)
         self._tab: list[tuple[int, ...]] | None = None
         self._convex: tuple[int, ...] | None = None
+        self._closure: "ClosureSystem | None" = None
         self._it_witness: tuple[tuple[int, ...] | None] | None = None
 
     # -- identity ----------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each named property (point-transitive, stiff, interval-convex, ...) has a
 witness function returning the lexicographically smallest counterexample
-tuple, or None when the property holds, plus a boolean wrapper.  The two
+tuple, or None when the property holds; the registry :data:`PROPERTIES`
+lists them by name, and a flag is always ``witness is None``.  The two
 condition vectors bundle the nine formulations equivalent to
 interval-transitivity (C1..C9) and the five equivalent to
 interval-antisymmetry (D1..D5).  Every condition is evaluated from its own
@@ -29,27 +30,12 @@ from .core import (
 from .closure import (
     HypothesisNotMetError,
     antiexchange_witness,
-    antimatroid_report,
-    combinatorial_witness,
+    antimatroid_witness,
     convex_closure_system,
-    is_antiexchange,
-    is_antimatroid,
-    is_combinatorial,
 )
 
 TRANSITIVITY_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
 ANTISYMMETRY_CONDITIONS = ("D1", "D2", "D3", "D4", "D5")
-
-PROPERTY_NAMES = (
-    "point-transitive",
-    "point-antisymmetric",
-    "interval-transitive",
-    "interval-antisymmetric",
-    "interval-convex",
-    "stiff",
-)
-
-CLOSURE_FLAG_NAMES = ("antiexchange", "combinatorial", "antimatroid")
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +481,7 @@ def antisymmetry_conditions(
     w2 = stiffness_witness(space)
     w3 = _d3_witness(space, convex)
     w4 = antiexchange_witness(cs)
-    am_report = antimatroid_report(cs)
-    if am_report["antimatroid"]:
-        w5 = None
-    else:
-        w5 = am_report.get("antiexchange_witness")
-        if w5 is None:
-            chain = combinatorial_witness(cs)
-            w5 = ("chain-union-not-closed", chain) if chain is not None else ("empty-set-not-closed",)
+    w5 = antimatroid_witness(cs)
 
     witnesses = []
     values = []
@@ -608,38 +587,34 @@ class PropertyReport:
     notes: dict[str, str] = field(default_factory=dict)
 
 
-def _antiexchange_flag(space: FiniteIntervalSpace) -> bool:
-    return is_antiexchange(convex_closure_system(space))
+def _combinatorial_witness(space: FiniteIntervalSpace, allow_large: bool) -> None:
+    """Always None: on a finite family the union of a chain of closed sets is
+    its largest member, so it is closed (see :func:`antimatroid_witness`).
+
+    The closure system is still built, so this entry hits the same subset
+    cap as the other closure entries.
+    """
+    convex_closure_system(space, allow_large=allow_large)
+    return None
 
 
-def _combinatorial_flag(space: FiniteIntervalSpace) -> bool:
-    return is_combinatorial(convex_closure_system(space))
-
-
-def _antimatroid_flag(space: FiniteIntervalSpace) -> bool:
-    return is_antimatroid(convex_closure_system(space))
-
-
-#: Named boolean predicates usable in searches and the command line.
-PROPERTY_CHECKS: dict[str, Callable[[FiniteIntervalSpace], bool]] = {
-    "point-transitive": is_point_transitive,
-    "point-antisymmetric": is_point_antisymmetric,
-    "interval-transitive": is_interval_transitive,
-    "interval-antisymmetric": is_interval_antisymmetric,
-    "interval-convex": is_interval_convex,
-    "stiff": is_stiff,
-    "antiexchange": _antiexchange_flag,
-    "combinatorial": _combinatorial_flag,
-    "antimatroid": _antimatroid_flag,
-}
-
-_PROPERTY_WITNESSES: dict[str, Callable[[FiniteIntervalSpace], tuple | None]] = {
-    "point-transitive": point_transitivity_witness,
-    "point-antisymmetric": point_antisymmetry_witness,
-    "interval-transitive": interval_transitivity_witness,
-    "interval-antisymmetric": interval_antisymmetry_witness,
-    "interval-convex": interval_convexity_witness,
-    "stiff": stiffness_witness,
+#: Every named property in report order: name -> witness(space, allow_large),
+#: the smallest counterexample or None when the property holds.  Only the
+#: closure entries enumerate subsets, so only they read ``allow_large``.
+PROPERTIES: dict[str, Callable[[FiniteIntervalSpace, bool], tuple | None]] = {
+    "point-transitive": lambda space, allow_large: point_transitivity_witness(space),
+    "point-antisymmetric": lambda space, allow_large: point_antisymmetry_witness(space),
+    "interval-transitive": lambda space, allow_large: interval_transitivity_witness(space),
+    "interval-antisymmetric": lambda space, allow_large: interval_antisymmetry_witness(space),
+    "interval-convex": lambda space, allow_large: interval_convexity_witness(space),
+    "stiff": lambda space, allow_large: stiffness_witness(space),
+    "antiexchange": lambda space, allow_large: antiexchange_witness(
+        convex_closure_system(space, allow_large=allow_large)
+    ),
+    "combinatorial": _combinatorial_witness,
+    "antimatroid": lambda space, allow_large: antimatroid_witness(
+        convex_closure_system(space, allow_large=allow_large)
+    ),
 }
 
 
@@ -647,8 +622,8 @@ def resolve_properties(names: Iterable[str]) -> list[str]:
     """Validate predicate names against the registry, preserving order."""
     out = []
     for name in names:
-        if name not in PROPERTY_CHECKS:
-            known = ", ".join(sorted(PROPERTY_CHECKS))
+        if name not in PROPERTIES:
+            known = ", ".join(sorted(PROPERTIES))
             raise ValueError(f"unknown property {name!r}; known: {known}")
         out.append(name)
     return out
@@ -669,33 +644,11 @@ def property_report(
     hypothesis breach when the space is not interval-transitive.
     """
     report = PropertyReport(n=space.n)
-    selected = list(PROPERTY_NAMES) + list(CLOSURE_FLAG_NAMES) if names is None else resolve_properties(names)
-
-    cs = None
-    for name in selected:
-        if name in _PROPERTY_WITNESSES:
-            witness = _PROPERTY_WITNESSES[name](space)
-            report.flags[name] = witness is None
-            if witness is not None:
-                report.witnesses[name] = witness
-        else:
-            if cs is None:
-                cs = convex_closure_system(space, allow_large=allow_large)
-            if name == "antiexchange":
-                witness = antiexchange_witness(cs)
-                report.flags[name] = witness is None
-                if witness is not None:
-                    report.witnesses[name] = witness
-            elif name == "combinatorial":
-                chain = combinatorial_witness(cs)
-                report.flags[name] = chain is None
-                if chain is not None:
-                    report.witnesses[name] = chain
-            elif name == "antimatroid":
-                am = antimatroid_report(cs)
-                report.flags[name] = am["antimatroid"]
-                if not am["antimatroid"]:
-                    report.witnesses[name] = am.get("antiexchange_witness", ("empty-set-not-closed",))
+    for name in list(PROPERTIES) if names is None else resolve_properties(names):
+        witness = PROPERTIES[name](space, allow_large)
+        report.flags[name] = witness is None
+        if witness is not None:
+            report.witnesses[name] = witness
 
     if include_conditions:
         cv = transitivity_conditions(

@@ -38,7 +38,7 @@ from .core import (
 from .properties import (
     ANTISYMMETRY_CONDITIONS,
     TRANSITIVITY_CONDITIONS,
-    PROPERTY_CHECKS,
+    PROPERTIES,
     ConditionVector,
     antisymmetry_conditions,
     interval_transitivity_witness,
@@ -119,14 +119,8 @@ def free_orbit_encoding(n: int) -> FreeOrbitEncoding:
 
 def enumerate_spaces(n: int, *, allow_large: bool = False) -> Iterator[FiniteIntervalSpace]:
     """All valid spaces on n labeled points, in ascending encoding order."""
-    if n > EXHAUSTIVE_CAP and not allow_large:
-        raise CapExceededError(
-            f"exhaustive enumeration at n={n} needs 2^{free_orbit_encoding(n).orbit_count} spaces; "
-            f"cap is n <= {EXHAUSTIVE_CAP}, pass allow_large=True to override"
-        )
-    enc = free_orbit_encoding(n)
-    for bits in range(enc.space_count):
-        yield enc.decode(bits)
+    for _, space in ExhaustivePopulation(n, allow_large).spaces():
+        yield space
 
 
 def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
@@ -167,18 +161,23 @@ class ExhaustivePopulation:
     def describe(self) -> str:
         return f"exhaustive n={self.n}"
 
-    def encodings(self, start: int, stop: int) -> range:
-        """Orbit encodings of spaces start..stop-1 (a space's index is its encoding)."""
+    def encodings(self, start: int = 0, stop: int | None = None) -> range:
+        """Orbit encodings of spaces start..stop-1 (a space's index is its encoding).
+
+        The one place the exhaustive cap is checked, before the encoding of
+        n points is built.
+        """
         if self.n > EXHAUSTIVE_CAP and not self.allow_large:
             raise CapExceededError(
-                f"exhaustive population at n={self.n} exceeds the cap n <= {EXHAUSTIVE_CAP}"
+                f"exhaustive enumeration at n={self.n} exceeds the cap n <= {EXHAUSTIVE_CAP}; "
+                "pass allow_large=True (--allow-large) to override"
             )
-        return range(start, stop)
+        return range(start, self.size() if stop is None else stop)
 
     def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
+        encodings = self.encodings(start, stop)
         enc = free_orbit_encoding(self.n)
-        stop = enc.space_count if stop is None else stop
-        for bits in self.encodings(start, stop):
+        for bits in encodings:
             yield bits, enc.decode(bits)
 
 
@@ -440,11 +439,11 @@ def verify_antisymmetry_theorem(population: Population, *, workers: int = 1) -> 
 
 def _search_chunk(args: tuple) -> int | None:
     population, start, stop, want, want_not = args
-    want_checks = [PROPERTY_CHECKS[name] for name in want]
-    want_not_checks = [PROPERTY_CHECKS[name] for name in want_not]
+    want_witnesses = [PROPERTIES[name] for name in want]
+    want_not_witnesses = [PROPERTIES[name] for name in want_not]
     for i, space in population.spaces(start, stop):
-        if all(check(space) for check in want_checks) and not any(
-            check(space) for check in want_not_checks
+        if all(w(space, False) is None for w in want_witnesses) and not any(
+            w(space, False) is None for w in want_not_witnesses
         ):
             return i
     return None
@@ -491,8 +490,9 @@ def find_separating(
     seeded samples for the larger sizes, all bounded by ``max_spaces``
     candidates in total.  Sample i of a sampled segment is drawn from
     seed + i; density=None sweeps the 0.00..1.00 grid like
-    :class:`SampledPopulation`.  Property names come from
-    ``PROPERTY_CHECKS``.  Returns None when no candidate within the budget
+    :class:`SampledPopulation`.  Property names are the keys of
+    ``properties.PROPERTIES``; a space has a property when its witness is
+    None.  Returns None when no candidate within the budget
     separates the properties; the answer is identical for every worker
     count.
     """

@@ -5,13 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import ispaces as I
-from ispaces.cli import SpaceFileError, format_ispace, load, main, parse_point_set, save_ispace
+from ispaces.cli import MAX_POINTS, SpaceFileError, format_ispace, load, main, parse_point_set, save_ispace
 from ispaces.search import CensusReport
 
-from conftest import space_strategy
+from conftest import deadline, space_strategy
 
 
 @pytest.fixture
@@ -117,6 +117,105 @@ class TestLoading:
         with pytest.raises(SpaceFileError) as exc:
             load(str(path))
         assert exc.value.line == 3
+
+
+class TestHeaders:
+    @pytest.mark.parametrize("text, line, message", [
+        ("ispace v1\n", None, "expected 'points N'"),
+        ("ispace v1\nvertices 3\n", 2, "expected 'points N'"),
+        ("ispace v1\npoints 3 4\n", 2, "expected 'points N'"),
+        ("ispace v1\npoints x\n", 2, "point count must be an integer, got 'x'"),
+        ("ispace v1\npoints 0\n", 2, "point count must be at least 1"),
+        ("graph v1\n\n# c\nvertices -2\n", 4, "vertex count must be at least 1"),
+        ("graph v1\nvertices 1.5\n", 2, "vertex count must be an integer, got '1.5'"),
+        ("qpoints v1\npoints 2\n", 2, "expected 'dim D'"),
+        ("qpoints v1\ndim 0\n", 2, "dimension must be at least 1"),
+    ])
+    def test_header_errors(self, tmp_path, text, line, message):
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        with pytest.raises(SpaceFileError) as exc:
+            load(str(path))
+        assert exc.value.line == line and exc.value.message == message
+
+    @pytest.mark.parametrize("text", [
+        f"ispace v1\npoints {MAX_POINTS + 1}\n",
+        "ispace v1\npoints 3000\n",
+        "graph v1\nvertices 300000000\nedge 0 1\n",
+    ])
+    def test_count_above_bound_rejected_at_its_line(self, tmp_path, text):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        with deadline(5), pytest.raises(SpaceFileError, match="exceeds the limit") as exc:
+            load(str(path))
+        assert exc.value.line == 2
+
+    def test_count_at_bound_loads(self, tmp_path):
+        path = tmp_path / "bound.ispace"
+        path.write_text(f"ispace v1\npoints {MAX_POINTS}\n")
+        with deadline(30):
+            assert load(str(path)).n == MAX_POINTS
+
+    def test_over_large_file_exits_two_without_traceback(self, tmp_path):
+        path = tmp_path / "big.graph"
+        path.write_text("graph v1\nvertices 300000000\nedge 0 1\n")
+        src = str(Path(I.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ispaces", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {path}:2: vertex count 300000000 exceeds the limit of {MAX_POINTS}"
+        ]
+
+
+_FORMATS = {"ispace": ("points", "triple", 3), "graph": ("vertices", "edge", 2), "qpoints": ("dim", "point", None)}
+_JUNK = st.sampled_from(["x", "", "1.5", "-1", "1/0", "3/-4", "+2", "1e2", "triple", "#"])
+_COORDS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "0.25", "4/2"])
+
+
+@st.composite
+def loader_files(draw):
+    """Text in one of the three formats: a header, a count line and body
+    lines, each either well formed or broken the way a hand-written file can
+    be (wrong keyword, bad count, out-of-range id, junk tokens)."""
+    kind = draw(st.sampled_from(sorted(_FORMATS)))
+    keyword, body_keyword, arity = _FORMATS[kind]
+    keyword = draw(st.sampled_from([keyword] * 4 + ["points", "dim", "edge"]))
+    count = draw(st.one_of(
+        st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+        st.integers(-3, 0),
+        st.integers(MAX_POINTS + 1, 10**9),
+        st.sampled_from(["x", "2.0", "1/2", "3 4", ""]),
+    ))
+    size = count if isinstance(count, int) and 1 <= count <= 5 else 3
+    lines = [f"{kind} v1", f"{keyword} {count}"]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            tokens = draw(st.lists(_JUNK | st.integers(-2, 6).map(str), max_size=5))
+            lines.append(" ".join([draw(st.sampled_from(["triple", "edge", "point", "#", "?"])), *tokens]))
+        elif arity is None:
+            lines.append(" ".join(["point", *draw(st.lists(_COORDS, min_size=size, max_size=size))]))
+        else:
+            ids = draw(st.lists(st.integers(0, size), min_size=arity, max_size=arity))
+            lines.append(" ".join([body_keyword, *map(str, ids)]))
+    return "\n".join(lines) + "\n"
+
+
+class TestLoaderFuzz:
+    @given(loader_files())
+    @settings(max_examples=300)
+    def test_space_or_file_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "f.txt"
+        path.write_text(text)
+        try:
+            space = load(str(path))
+        except SpaceFileError:
+            return
+        # every loader builds a valid table, so no axiom check can fail
+        assert I.axiom_violations(space.table) == []
 
 
 class TestRoundTrip:

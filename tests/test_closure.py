@@ -10,10 +10,10 @@ from ispaces import (
     convex_closure_system,
     validate,
 )
-from ispaces.closure import _chain_union_witness, antiexchange_witness, combinatorial_witness
+from ispaces.closure import antiexchange_witness, antimatroid_witness
 
 import naive
-from conftest import deadline, space_strategy, space_with_masks
+from conftest import space_strategy, space_with_masks
 
 
 def _moore_closure(n, raw):
@@ -186,56 +186,51 @@ class TestAntiexchange:
 
 
 class TestCombinatorial:
+    """Chain unions stay closed on every finite family, checked by the
+    per-chain walk in naive; the registry entry reports exactly that."""
+
     @given(space_strategy(max_n=5))
     @settings(max_examples=40)
     def test_always_true_on_finite_systems(self, space):
-        cs = convex_closure_system(space)
-        assert combinatorial_witness(cs) is None
-        assert I.is_combinatorial(cs)
+        assert naive.chain_walk(convex_closure_system(space).closed) is None
+        assert I.PROPERTIES["combinatorial"](space, False) is None
 
     def test_standalone_family(self):
         cs = ClosureSystem.of(4, [[], [0], [1], [0, 1], [0, 1, 2, 3]])
-        assert I.is_combinatorial(cs)
+        assert naive.chain_walk(cs.closed) is None
 
     @given(space_strategy(max_n=4))
     @settings(max_examples=25)
     def test_verify_combinatorial_prop(self, space):
-        assert I.verify_combinatorial_prop(space)
+        assert naive.combinatorial(space)
+        report = I.property_report(space, ["combinatorial"], include_conditions=False)
+        assert report.flags == {"combinatorial": True} and report.witnesses == {}
+
+    def test_entry_keeps_the_subset_cap(self):
+        big = I.linear_order_space(I.SUBSET_ENUMERATION_CAP + 1)
+        with pytest.raises(I.CapExceededError):
+            I.PROPERTIES["combinatorial"](big, False)
 
 
 class TestChainWalk:
-    """The state-pruned chain walk against the path-enumerating one in naive."""
+    """The per-chain walk finds no chain with an unclosed union."""
 
     def test_every_space_up_to_four_points(self):
         for n in range(1, 5):
             for space in I.enumerate_spaces(n):
-                closed = convex_closure_system(space).closed
-                assert _chain_union_witness(closed) == naive.chain_walk(closed)
+                assert naive.chain_walk(convex_closure_system(space).closed) is None
 
     @given(space_strategy(min_n=5, max_n=6))
     @settings(max_examples=30)
     def test_sampled_five_and_six_points(self, space):
-        closed = convex_closure_system(space).closed
-        assert _chain_union_witness(closed) == naive.chain_walk(closed)
+        assert naive.chain_walk(convex_closure_system(space).closed) is None
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=60)
     def test_hand_built_systems(self, n, data):
         raw = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12))
         cs = ClosureSystem(n, _moore_closure(n, raw))
-        expected = naive.chain_walk(cs.closed)
-        assert _chain_union_witness(cs.closed) == expected
-        assert combinatorial_witness(cs) == (
-            None if expected is None else tuple(PointSet(n, m) for m in expected)
-        )
-
-    def test_boolean_lattice_is_quick(self):
-        # every subset of ten points is closed: about 4 * 10^8 chains, which the
-        # per-chain walk could not finish in minutes; the state walk expands
-        # each of the 1024 sets once
-        cs = ClosureSystem(10, tuple(range(1 << 10)))
-        with deadline(20):
-            assert combinatorial_witness(cs) is None
+        assert naive.chain_walk(cs.closed) is None
 
 
 class TestClosureMemo:
@@ -243,18 +238,34 @@ class TestClosureMemo:
     @settings(max_examples=40)
     def test_memoized_witnesses_equal_fresh(self, space):
         cs = convex_closure_system(space)
-        first = (antiexchange_witness(cs), combinatorial_witness(cs))
-        assert (antiexchange_witness(cs), combinatorial_witness(cs)) == first
+        first = (antiexchange_witness(cs), antimatroid_witness(cs))
+        assert (antiexchange_witness(cs), antimatroid_witness(cs)) == first
         I.property_report(space)
         fresh = ClosureSystem(cs.n, cs.closed)
-        assert (antiexchange_witness(fresh), combinatorial_witness(fresh)) == first
+        assert (antiexchange_witness(fresh), antimatroid_witness(fresh)) == first
         assert (first[0] is None) == naive.antiexchange(space)
 
     def test_memo_shared_by_predicates(self, non_stiff_3):
         cs = ClosureSystem(non_stiff_3.n, convex_closure_system(non_stiff_3).closed)
         witness = antiexchange_witness(cs)
-        assert I.antimatroid_report(cs)["antiexchange_witness"] is witness
+        assert antimatroid_witness(cs) is witness
         assert not I.is_antiexchange(cs) and not I.is_antimatroid(cs)
+
+    @given(space_strategy(max_n=4))
+    @settings(max_examples=30)
+    def test_system_memoized_on_the_space(self, space):
+        cs = convex_closure_system(space)
+        assert convex_closure_system(space) is cs
+        assert cs == ClosureSystem(space.n, tuple(m.mask for m in space.convex_sets()))
+
+    def test_cap_checked_before_the_memo(self):
+        big = I.linear_order_space(I.SUBSET_ENUMERATION_CAP + 1)
+        full = (1 << big.n) - 1
+        big._convex = (full,)
+        big._closure = ClosureSystem(big.n, (full,))
+        with pytest.raises(I.CapExceededError):
+            convex_closure_system(big)
+        assert convex_closure_system(big, allow_large=True) is big._closure
 
 
 class TestAntimatroid:
@@ -262,22 +273,32 @@ class TestAntimatroid:
         assert I.is_antimatroid(convex_closure_system(l3))
 
     def test_non_stiff_space_false(self, non_stiff_3):
-        report = I.antimatroid_report(convex_closure_system(non_stiff_3))
-        assert report["empty_closed"] and report["combinatorial"]
-        assert not report["antiexchange"] and not report["antimatroid"]
+        cs = convex_closure_system(non_stiff_3)
+        assert cs.has_empty() and naive.chain_walk(cs.closed) is None
+        assert antimatroid_witness(cs) == antiexchange_witness(cs) is not None
 
     def test_empty_membership_is_data(self):
         without_empty = ClosureSystem.of(2, [[0], [0, 1]])
-        report = I.antimatroid_report(without_empty)
-        assert report["combinatorial"] and report["antiexchange"]
-        assert not report["empty_closed"] and not report["antimatroid"]
+        assert I.is_antiexchange(without_empty) and not without_empty.has_empty()
+        assert antimatroid_witness(without_empty) == ("empty-set-not-closed",)
+        assert not I.is_antimatroid(without_empty)
 
     @given(space_strategy(max_n=4))
     @settings(max_examples=30)
     def test_space_systems_never_fail_on_empty(self, space):
-        report = I.antimatroid_report(convex_closure_system(space))
-        assert report["empty_closed"]
-        assert report["antimatroid"] == report["antiexchange"]
+        cs = convex_closure_system(space)
+        assert cs.has_empty()
+        assert antimatroid_witness(cs) == antiexchange_witness(cs)
+
+    def test_against_naive_up_to_four_points(self):
+        # both sides depend on the space only through its convex family, so
+        # one space per distinct family covers every space on n <= 4 points
+        families = {}
+        for n in range(1, 5):
+            for space in I.enumerate_spaces(n):
+                families.setdefault((n, convex_closure_system(space).closed), space)
+        for (n, closed), space in families.items():
+            assert (antimatroid_witness(ClosureSystem(n, closed)) is None) == naive.antimatroid(space)
 
 
 class TestTheoremBridges:

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ispaces as I
 from ispaces import BetweennessTable, HypothesisNotMetError, validate
+from ispaces.cli import _jsonify
 from ispaces.properties import (
     _c7_witness,
     _interval_transitivity_scan,
@@ -295,4 +299,27 @@ class TestPropertyReport:
         assert report.flags["D1"] in (True, False)
 
     def test_registry_covers_documented_names(self):
-        assert set(I.PROPERTY_NAMES) | set(I.CLOSURE_FLAG_NAMES) == set(I.PROPERTY_CHECKS)
+        assert list(I.PROPERTIES) == [
+            "point-transitive",
+            "point-antisymmetric",
+            "interval-transitive",
+            "interval-antisymmetric",
+            "interval-convex",
+            "stiff",
+            "antiexchange",
+            "combinatorial",
+            "antimatroid",
+        ]
+        report = property_report(I.linear_order_space(3), include_conditions=False)
+        assert list(report.flags) == list(I.PROPERTIES)
+
+    def test_reports_up_to_four_points_unchanged(self):
+        # flags, witnesses and notes of every space on n <= 4 points, in
+        # report order, rendered as JSON; any change to a flag, a witness or
+        # their order changes the digest
+        digest = hashlib.sha256()
+        for n in range(1, 5):
+            for space in I.enumerate_spaces(n):
+                report = property_report(space)
+                digest.update(json.dumps(_jsonify([report.flags, report.witnesses, report.notes])).encode())
+        assert digest.hexdigest() == "67785ff1e0d5c18fbd29d83c44ce97a9d72f69a056fb005641a5cbad17c67c47"

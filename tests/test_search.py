@@ -17,6 +17,7 @@ from ispaces import (
     verify_transitivity_theorem,
 )
 
+from ispaces.cli import main
 from ispaces.search import _partition, _pool_size
 
 import naive
@@ -116,6 +117,20 @@ class TestPopulations:
     def test_exhaustive_cap_enforced(self):
         with pytest.raises(CapExceededError):
             list(ExhaustivePopulation(5).spaces())
+
+    def test_one_cap_check_names_the_override(self, monkeypatch, capsys):
+        # the check runs before any encoding is built, for every entry point
+        monkeypatch.setattr("ispaces.search.free_orbit_encoding", None)
+        monkeypatch.setattr("ispaces.cli.free_orbit_encoding", None)
+        for call in (
+            lambda: ExhaustivePopulation(7).encodings(),
+            lambda: next(ExhaustivePopulation(7).spaces()),
+            lambda: next(enumerate_spaces(7)),
+        ):
+            with pytest.raises(CapExceededError, match=r"cap n <= 4; pass allow_large=True \(--allow-large\)"):
+                call()
+        assert main(["enumerate", "--n", "7"]) == 2
+        assert "--allow-large" in capsys.readouterr().err
 
 
 class TestVerifyTheorems:
