@@ -11,8 +11,8 @@ Blank lines and ``#`` comments are allowed.  The ispace loader inserts
 every axiom-forced triple and the middle-symmetric partner of each listed
 triple, so a file only needs free representatives; an explicit thinness
 breach (``triple a x a`` with x != a) is rejected at its line.  Graphs must
-be simple and connected, rational points pairwise distinct; fraction tokens
-are ``p/q`` or plain integers.
+be simple and connected, rational points pairwise distinct and at most
+`MAX_POINTS` of them; coordinate tokens are ``p/q`` or plain integers.
 
 Subset flags (--set, --A, --C) take comma-separated ids; ``-`` is the empty
 set.  Every command renders one report: aligned text by default, or the
@@ -20,8 +20,9 @@ same content as a single JSON document with ``--format structured``.
 
 Exit status: 0 on success, 1 when a census finds equivalence violations,
 2 on usage and parse errors (a point or vertex count above `MAX_POINTS` is
-a parse error).  Every loader builds a valid table by construction, so no
-input file fails the axiom check.  When the reader of stdout goes away
+a parse error) and on work over the budget (``--allow-large`` lifts it).
+Every loader builds a valid table by construction, so no input file fails
+the axiom check.  When the reader of stdout goes away
 before the report is written (``ispaces ... | head``), the command exits 1
 without a traceback.
 """
@@ -31,11 +32,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Any
 
 from .core import (
+    WORK_BUDGET,
     BetweennessTable,
     CapExceededError,
     FiniteIntervalSpace,
@@ -43,14 +46,8 @@ from .core import (
     validate,
 )
 from .models import Graph, geodesic_space_from_graph, vector_space_on_points
-from .properties import (
-    ANTISYMMETRY_CONDITIONS,
-    TRANSITIVITY_CONDITIONS,
-    property_report,
-    resolve_properties,
-)
+from .properties import property_report
 from .search import (
-    DEFAULT_TRIPLE_BUDGET,
     ExhaustivePopulation,
     SampledPopulation,
     find_separating,
@@ -60,10 +57,15 @@ from .search import (
 )
 
 
-#: Largest point or vertex count a file may declare.  Loading n points
-#: builds n^3-bit tables: at 256 an ispace file with no triples loads in
-#: about 1 s and a 256-vertex path in about 9 s (2-CPU VM, Python 3.11).
+#: Largest point or vertex count a file may declare, and the most points a
+#: qpoints file may list.  Loading n points builds n^3-bit tables: at 256 an
+#: ispace file with no triples loads in about 1 s and a 256-vertex path in
+#: about 9 s (2-CPU VM, Python 3.11).
 MAX_POINTS = 256
+
+#: A qpoints coordinate: an integer or p/q.  ``Fraction`` alone also takes
+#: decimals and exponents, and ``Fraction('1e10000000')`` takes 13 s.
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class SpaceFileError(ValueError):
@@ -164,6 +166,13 @@ def _load_graph(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
     return geodesic_space_from_graph(graph)
 
 
+def _rational(token: str) -> Fraction:
+    """A coordinate token as a Fraction; any other token fails with Fraction's own message."""
+    if not _RATIONAL_TOKEN.fullmatch(token):
+        raise ValueError(f"Invalid literal for Fraction: {token!r}")
+    return Fraction(token)
+
+
 def _load_qpoints(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
     dim = _header_count(path, lines, "dim D", "dimension", None)
     points: list[tuple[Fraction, ...]] = []
@@ -172,8 +181,10 @@ def _load_qpoints(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpac
         parts = body.split()
         if parts[0] != "point" or len(parts) != dim + 1:
             raise SpaceFileError(path, lineno, f"expected 'point' with {dim} coordinates, got {body!r}")
+        if len(points) == MAX_POINTS:
+            raise SpaceFileError(path, lineno, f"point count exceeds the limit of {MAX_POINTS}")
         try:
-            coords = tuple(Fraction(t) for t in parts[1:])
+            coords = tuple(_rational(t) for t in parts[1:])
         except (ValueError, ZeroDivisionError) as exc:
             raise SpaceFileError(path, lineno, f"bad rational coordinate: {exc}") from None
         if coords in seen:
@@ -304,36 +315,22 @@ def _emit(payload: dict, fmt: str) -> None:
 # Command handlers
 
 
-_CONDITION_NAMES = set(TRANSITIVITY_CONDITIONS) | set(ANTISYMMETRY_CONDITIONS)
-
-
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     space = load(args.file)
-    selected = None
-    wanted = None
-    include_conditions = True
+    names = None
     if args.properties != "all":
-        wanted = [t.strip() for t in args.properties.split(",") if t.strip()]
-        condition_names = [t for t in wanted if t in _CONDITION_NAMES]
-        selected = resolve_properties(t for t in wanted if t not in _CONDITION_NAMES)
-        include_conditions = bool(condition_names)
-    report = property_report(
-        space,
-        selected,
-        include_conditions=include_conditions,
-        allow_large=args.allow_large,
-    )
-    flags, witnesses = report.flags, report.witnesses
-    if wanted is not None:
-        flags = {k: v for k, v in flags.items() if k in wanted}
-        witnesses = {k: v for k, v in witnesses.items() if k in wanted}
+        names = [t.strip() for t in args.properties.split(",") if t.strip()]
+    try:
+        report = property_report(space, names, allow_large=args.allow_large)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     payload = {
         "command": "check",
         "file": args.file,
         "n": space.n,
         "valid": True,
-        "flags": flags,
-        "witnesses": witnesses,
+        "flags": report.flags,
+        "witnesses": report.witnesses,
         "notes": report.notes,
     }
     return 0, payload
@@ -516,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--properties", default="all",
                    help="'all' or comma-separated names (e.g. stiff,interval-convex,C4)")
-    p.add_argument("--allow-large", action="store_true", help="lift subset enumeration caps")
+    p.add_argument("--allow-large", action="store_true",
+                   help="lift the work budget: enumerate the subsets past n=16 and run C4/C5 past n=8")
     add_format(p)
     p.set_defaults(handler=_cmd_check)
 
@@ -550,7 +548,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate all spaces on n labeled points")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--list", action="store_true", help="list each space's free orbit triples")
-    p.add_argument("--allow-large", action="store_true", help="lift the exhaustive-size cap")
+    p.add_argument("--allow-large", action="store_true",
+                   help="lift the work budget on the 2^orbits spaces enumerated (n > 4)")
     add_format(p)
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -562,9 +561,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", default=None, help="orbit density in [0,1], or 'sweep' (default)")
     p.add_argument("--workers", type=_worker_count, default=1)
-    p.add_argument("--triple-budget", type=int, default=DEFAULT_TRIPLE_BUDGET,
-                   help="skip the subset-triple conditions past this many subset triples")
-    p.add_argument("--allow-large", action="store_true", help="lift the exhaustive-size cap")
+    p.add_argument("--triple-budget", type=int, default=WORK_BUDGET,
+                   help="run C4/C5 only while spaces * 8^n subset triples stay within this "
+                   "(default: the work budget, %(default)s); past it they are reported skipped")
+    p.add_argument("--allow-large", action="store_true",
+                   help="lift the work budget on the 2^orbits spaces of --exhaustive (n > 4); "
+                   "C4/C5 still follow --triple-budget")
     add_format(p)
     p.set_defaults(handler=_cmd_verify)
 

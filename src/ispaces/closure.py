@@ -137,11 +137,11 @@ class ClosureSystem:
 def convex_closure_system(space: FiniteIntervalSpace, *, allow_large: bool = False) -> ClosureSystem:
     """The closure system of all convex sets of a space.
 
-    Materializes the convex family (subset-enumeration cap applies) and runs
+    Materializes the convex family (the work budget applies) and runs
     the full Moore verification on it, O(k^2) pairs for k convex sets, so a
     convexity bug cannot produce a silently broken system.  The system is
     memoized on the space, together with the witnesses computed on it; the
-    cap is checked on every call, before the memo is read.
+    budget is checked on every call, before the memo is read.
     """
     convex = space._convex_masks(allow_large=allow_large)
     if space._closure is None:

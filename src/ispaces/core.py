@@ -15,10 +15,10 @@ base-point / base-set "in front of" relations.
 Subsets of the universe are bit masks wrapped in :class:`PointSet`; equality
 is extensional.  Spaces, tables, sets and relations are immutable value
 types and every operation is pure, so instances may be shared freely across
-threads or worker processes.  Operations that materialize the full subset
-lattice are gated behind explicit caps (`SUBSET_ENUMERATION_CAP`,
-`SUBSET_TRIPLE_CAP`); exceeding a cap raises :class:`CapExceededError`
-instead of silently blowing up.
+threads or worker processes.  Work that grows with the subset lattice is
+counted before it starts and held to one budget, `WORK_BUDGET`: over it,
+:func:`check_budget` raises :class:`CapExceededError` instead of silently
+running for minutes.
 """
 
 from __future__ import annotations
@@ -27,16 +27,41 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-#: Largest n for which 2^n subsets may be enumerated (convex_sets and friends).
-SUBSET_ENUMERATION_CAP = 16
-
-#: Largest n for which the full 2^n x 2^n set-interval table may be built
-#: and scanned over subset triples.
-SUBSET_TRIPLE_CAP = 10
+#: Counted steps one operation may take unless ``allow_large=True``
+#: (``--allow-large``).  Each size rule counts its own steps: 2^n * n^2 to
+#: enumerate the subsets of n points (n <= 16), 2^orbits for an exhaustive
+#: population (n <= 4), and count * 8^n subset triples for C4/C5 (n <= 8 for
+#: one space).
+WORK_BUDGET = 1 << 25
 
 
 class CapExceededError(RuntimeError):
-    """An operation would enumerate more of the subset lattice than its cap allows."""
+    """An operation's estimated work exceeds the work budget."""
+
+
+def over_budget(count: int, log2: int, budget: int = WORK_BUDGET) -> bool:
+    """Whether count * 2^log2 steps exceed ``budget``.
+
+    The product is built only when it can fit, so an astronomically large
+    estimate (2^orbits for an exhaustive population) is rejected at no cost.
+    """
+    return (count > 0 and log2 >= budget.bit_length()) or count << log2 > budget
+
+
+def budget_message(what: str, count: int, log2: int) -> str:
+    """The one wording of an over-budget estimate, for errors and skip notes."""
+    estimate = count << log2 if log2 < 64 else f"{count}*2^{log2}".removeprefix("1*")
+    return (
+        f"{what} takes an estimated {estimate} steps, over the work budget of {WORK_BUDGET}; "
+        "pass allow_large=True (--allow-large) to override"
+    )
+
+
+def check_budget(what: str, count: int, log2: int, allow_large: bool = False) -> None:
+    """Raise :class:`CapExceededError` when count * 2^log2 steps of ``what``
+    exceed `WORK_BUDGET` and ``allow_large`` is not set."""
+    if not allow_large and over_budget(count, log2):
+        raise CapExceededError(budget_message(what, count, log2))
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -604,12 +629,8 @@ class FiniteIntervalSpace:
             cur = nxt
 
     def _convex_masks(self, *, allow_large: bool = False) -> tuple[int, ...]:
-        """Every convex subset mask, ascending (memoized; the cap is checked on every call)."""
-        if self.n > SUBSET_ENUMERATION_CAP and not allow_large:
-            raise CapExceededError(
-                f"enumerating 2^{self.n} subsets exceeds the cap n <= {SUBSET_ENUMERATION_CAP}; "
-                "pass allow_large=True to override"
-            )
+        """Every convex subset mask, ascending (memoized; the budget is checked on every call)."""
+        check_budget(f"enumerating the 2^{self.n} subsets", self.n * self.n, self.n, allow_large)
         if self._convex is None:
             self._convex = tuple(m for m in range(1 << self.n) if self._is_convex_mask(m))
         return self._convex
@@ -627,17 +648,13 @@ class FiniteIntervalSpace:
                 rows[x] |= fwd[base + x]
         return rows
 
-    def _subset_table(self, *, allow_large: bool = False) -> list[tuple[int, ...]]:
+    def _subset_table(self) -> list[tuple[int, ...]]:
         """Full [A, C] lookup table over all 2^n x 2^n subset pairs (memoized).
 
         Rows are tuples so that scans can gather from them at C level
-        (``operator.itemgetter``).
+        (``operator.itemgetter``).  The caller budgets the work: C4/C5 scan
+        the table over 8^n subset triples.
         """
-        if self.n > SUBSET_TRIPLE_CAP and not allow_large:
-            raise CapExceededError(
-                f"the 4^{self.n}-entry set-interval table exceeds the cap n <= {SUBSET_TRIPLE_CAP}; "
-                "pass allow_large=True to override"
-            )
         if self._tab is not None:
             return self._tab
         n = self.n

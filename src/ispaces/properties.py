@@ -21,11 +21,12 @@ from operator import itemgetter
 from typing import Callable, Iterable
 
 from .core import (
-    SUBSET_TRIPLE_CAP,
     FiniteIntervalSpace,
     PointSet,
     _antisymmetric_rows_witness,
     _transitive_rows_witness,
+    budget_message,
+    over_budget,
 )
 from .closure import (
     HypothesisNotMetError,
@@ -196,7 +197,7 @@ class ConditionVector:
     """Values of one theorem's equivalent conditions on one space.
 
     ``values`` holds one entry per condition in order; None marks a
-    condition that was skipped (subset-triple cap), never one that was
+    condition that was skipped (work budget), never one that was
     guessed.  Every False entry has a witness.  ``hypothesis_met`` records
     whether the space satisfied the hypothesis the equivalence needs
     (interval-transitivity, for the antisymmetry conditions).
@@ -240,20 +241,15 @@ class ConditionVector:
 def _c2_c3_witnesses(space: FiniteIntervalSpace, triangles: list[int]) -> tuple[tuple | None, tuple | None]:
     """Witnesses for [{a},[b,c]] <= [[a,b],{c}] and for equality of the two.
 
-    ``triangles`` holds [[a,b],{c}] at (a*n + b)*n + c (:func:`_triangle_masks`).
+    ``triangles`` holds [[a,b],{c}] at (a*n + b)*n + c (:func:`_triangle_masks`);
+    by middle symmetry [{a},[b,c]] = [[b,c],{a}] is at (b*n + c)*n + a.
     """
     n = space.n
-    ivl = space._ivl
     w2 = w3 = None
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                lhs = 0
-                rest = ivl[b * n + c]
-                while rest:
-                    low = rest & -rest
-                    lhs |= ivl[a * n + low.bit_length() - 1]
-                    rest ^= low
+                lhs = triangles[(b * n + c) * n + a]
                 rhs = triangles[(a * n + b) * n + c]
                 if w2 is None:
                     extra = lhs & ~rhs
@@ -334,23 +330,11 @@ def _c7_witness(
     return None
 
 
-def _pair_point_interval_mask(space: FiniteIntervalSpace, a: int, b: int, c: int) -> int:
-    """[[a, b], {c}] as a mask."""
-    n = space.n
-    ivl = space._ivl
-    out = 0
-    rest = ivl[a * n + b]
-    while rest:
-        low = rest & -rest
-        out |= ivl[(low.bit_length() - 1) * n + c]
-        rest ^= low
-    return out
-
-
 def _triangle_masks(space: FiniteIntervalSpace) -> list[int]:
     """[[a, b], {c}] for every (a, b, c), at index (a*n + b)*n + c."""
     n = space.n
-    return [_pair_point_interval_mask(space, a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    ivl = space._ivl
+    return [space._set_interval_mask(ivl[a * n + b], 1 << c) for a in range(n) for b in range(n) for c in range(n)]
 
 
 def _c8_witness(space: FiniteIntervalSpace, triangles: list[int], convex: set[int]) -> tuple | None:
@@ -396,17 +380,18 @@ def transitivity_conditions(
     """Evaluate the nine conditions equivalent to interval-transitivity.
 
     C4 and C5 quantify over all (2^n)^3 subset triples; with
-    ``semigroup_conditions=None`` they are evaluated exactly when n is
-    within `SUBSET_TRIPLE_CAP` and reported as skipped (None) otherwise.
-    Pass True to force them or False to skip regardless.  The full [A, B]
-    table is built once and shared by the subset-level conditions, and the
-    sets [[a, b], {c}] once for C2/C3, C8 and C9.
+    ``semigroup_conditions=None`` they are evaluated exactly when those 8^n
+    steps fit the work budget or ``allow_large`` is set, and reported as
+    skipped (None) otherwise.  Pass True to force them or False to skip
+    regardless.  The full [A, B] table is built once and shared by the
+    subset-level conditions, and the sets [[a, b], {c}] once for C2/C3, C8
+    and C9.
     """
     if semigroup_conditions is None:
-        semigroup_conditions = space.n <= SUBSET_TRIPLE_CAP
+        semigroup_conditions = allow_large or not over_budget(1, 3 * space.n)
     convex = space._convex_masks(allow_large=allow_large)
     convex_set = set(convex)
-    tab = space._subset_table(allow_large=True) if semigroup_conditions else None
+    tab = space._subset_table() if semigroup_conditions else None
     triangles = _triangle_masks(space)
 
     witnesses: list[tuple[str, tuple]] = []
@@ -501,19 +486,15 @@ def base_interval_transitivity_prop_witness(space: FiniteIntervalSpace) -> tuple
     [{a},[b,c]] <= [[a,b],{c}].  None on every interval space."""
     n = space.n
     ivl = space._ivl
+    triangles = _triangle_masks(space)
     for a in range(n):
         for b in range(n):
             rows = space._base_set_rows(ivl[a * n + b])
             if _transitive_rows_witness(rows) is not None:
                 continue
             for c in range(n):
-                lhs = 0
-                rest = ivl[b * n + c]
-                while rest:
-                    low = rest & -rest
-                    lhs |= ivl[a * n + low.bit_length() - 1]
-                    rest ^= low
-                extra = lhs & ~_pair_point_interval_mask(space, a, b, c)
+                # [{a},[b,c]] is [[b,c],{a}] by middle symmetry
+                extra = triangles[(b * n + c) * n + a] & ~triangles[(a * n + b) * n + c]
                 if extra:
                     return (a, b, c, (extra & -extra).bit_length() - 1)
     return None
@@ -577,8 +558,8 @@ class PropertyReport:
     """Named flags plus witnesses for one space.
 
     ``flags`` maps each requested name to True/False, or None when the
-    entry was skipped (subset-triple cap); ``notes`` explains every None
-    and every hypothesis breach.  Every False flag has a witness.
+    entry was skipped (work budget); ``notes`` explains every None and
+    every hypothesis breach.  Every False flag has a witness.
     """
 
     n: int
@@ -591,8 +572,8 @@ def _combinatorial_witness(space: FiniteIntervalSpace, allow_large: bool) -> Non
     """Always None: on a finite family the union of a chain of closed sets is
     its largest member, so it is closed (see :func:`antimatroid_witness`).
 
-    The closure system is still built, so this entry hits the same subset
-    cap as the other closure entries.
+    The closure system is still built, so this entry is held to the same
+    work budget as the other closure entries.
     """
     convex_closure_system(space, allow_large=allow_large)
     return None
@@ -633,36 +614,38 @@ def property_report(
     space: FiniteIntervalSpace,
     names: Iterable[str] | None = None,
     *,
-    include_conditions: bool = True,
-    semigroup_conditions: bool | None = None,
     allow_large: bool = False,
 ) -> PropertyReport:
-    """Evaluate named properties (all of them by default) on one space.
+    """Evaluate named properties and conditions (all of them by default) on one space.
 
-    With ``include_conditions`` the report also carries C1..C9 and D1..D5;
-    the D conditions are always evaluated here, with a note recording the
-    hypothesis breach when the space is not interval-transitive.
+    ``names`` mixes registry names with C1..C9 and D1..D5.  Registry names
+    are reported in the order given, then the requested conditions in their
+    own order.  Each condition family is evaluated only when one of its
+    names is requested; the D conditions are evaluated even when the space
+    is not interval-transitive, with a note recording the hypothesis breach.
     """
+    conditions = TRANSITIVITY_CONDITIONS + ANTISYMMETRY_CONDITIONS
+    names = [*PROPERTIES, *conditions] if names is None else list(names)
     report = PropertyReport(n=space.n)
-    for name in list(PROPERTIES) if names is None else resolve_properties(names):
+    for name in resolve_properties(t for t in names if t not in conditions):
         witness = PROPERTIES[name](space, allow_large)
         report.flags[name] = witness is None
         if witness is not None:
             report.witnesses[name] = witness
 
-    if include_conditions:
-        cv = transitivity_conditions(
-            space, semigroup_conditions=semigroup_conditions, allow_large=allow_large
-        )
-        report.flags.update(cv.flags())
-        report.witnesses.update(cv.witnesses)
+    def keep(vector: ConditionVector) -> None:
+        report.flags.update((k, v) for k, v in vector.flags().items() if k in names)
+        report.witnesses.update((k, w) for k, w in vector.witness_items if k in names)
+
+    if any(t in TRANSITIVITY_CONDITIONS for t in names):
+        cv = transitivity_conditions(space, allow_large=allow_large)
+        keep(cv)
         for name in cv.skipped:
-            report.notes[name] = "skipped: subset-triple cap"
-        dv = antisymmetry_conditions(
-            space, allow_non_interval_transitive=True, allow_large=allow_large
-        )
-        report.flags.update(dv.flags())
-        report.witnesses.update(dv.witnesses)
+            if name in names:
+                report.notes[name] = "skipped: " + budget_message(f"C4/C5 on {space.n} points", 1, 3 * space.n)
+    if any(t in ANTISYMMETRY_CONDITIONS for t in names):
+        dv = antisymmetry_conditions(space, allow_non_interval_transitive=True, allow_large=allow_large)
+        keep(dv)
         if not dv.hypothesis_met:
             report.notes["antisymmetry-conditions"] = (
                 "space is not interval-transitive; D1..D5 evaluated anyway and need not agree"

@@ -28,12 +28,14 @@ from typing import Iterable, Iterator, Union
 
 from . import sliced
 from .core import (
+    WORK_BUDGET,
     BetweennessTable,
-    CapExceededError,
     FiniteIntervalSpace,
     _forced_bits,
     _triple_index,
     bits_of,
+    check_budget,
+    over_budget,
 )
 from .properties import (
     ANTISYMMETRY_CONDITIONS,
@@ -46,13 +48,12 @@ from .properties import (
     transitivity_conditions,
 )
 
-#: Largest n enumerated exhaustively without an explicit override
-#: (n = 5 already has 2^30 spaces).
-EXHAUSTIVE_CAP = 4
 
-#: Default budget on population-size * (2^n)^3 before the semigroup
-#: conditions C4/C5 are skipped in a census.
-DEFAULT_TRIPLE_BUDGET = 1 << 25
+def _orbit_count(n: int) -> int:
+    """Free orbits on n points, without building the encoding: an exhaustive
+    population has 2^orbits spaces (2^30 at n = 5).  A size below 1 counts 0,
+    so it reaches the encoding's own error."""
+    return max(0, n * (n - 1) * (n - 2) // 2)
 
 
 class FreeOrbitEncoding:
@@ -164,14 +165,10 @@ class ExhaustivePopulation:
     def encodings(self, start: int = 0, stop: int | None = None) -> range:
         """Orbit encodings of spaces start..stop-1 (a space's index is its encoding).
 
-        The one place the exhaustive cap is checked, before the encoding of
-        n points is built.
+        The one place the 2^orbits spaces are held to the work budget,
+        before the encoding of n points is built.
         """
-        if self.n > EXHAUSTIVE_CAP and not self.allow_large:
-            raise CapExceededError(
-                f"exhaustive enumeration at n={self.n} exceeds the cap n <= {EXHAUSTIVE_CAP}; "
-                "pass allow_large=True (--allow-large) to override"
-            )
+        check_budget(f"exhaustive enumeration at n={self.n}", 1, _orbit_count(self.n), self.allow_large)
         return range(start, self.size() if stop is None else stop)
 
     def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
@@ -412,7 +409,7 @@ def _verify(theorem: str, population: Population, semigroup: bool, workers: int)
 def verify_transitivity_theorem(
     population: Population,
     *,
-    triple_budget: int = DEFAULT_TRIPLE_BUDGET,
+    triple_budget: int = WORK_BUDGET,
     workers: int = 1,
 ) -> CensusReport:
     """Census C1..C9 over a population; equivalence violations must be absent.
@@ -420,7 +417,7 @@ def verify_transitivity_theorem(
     C4/C5 are evaluated in full when population-size * (2^n)^3 fits the
     triple budget, and reported as skipped otherwise.
     """
-    semigroup = population.size() * (8 ** population.n) <= triple_budget
+    semigroup = not over_budget(population.size(), 3 * population.n, triple_budget)
     return _verify("transitivity", population, semigroup, workers)
 
 
@@ -454,16 +451,18 @@ def _search_plan(
 ) -> list[tuple[Population, int]]:
     """(population, count) segments, each scanned over its first ``count``
     spaces: exhaustive sizes ascending, then sampled sizes ascending with the
-    leftover budget split evenly."""
+    leftover budget split evenly.  A size is exhaustive when its population
+    fits the work budget."""
     sizes = sorted(set(ns))
+    exhaustive = [m for m in sizes if not over_budget(1, _orbit_count(m))]
     plan: list[tuple[Population, int]] = []
     remaining = max_spaces
-    for n in [m for m in sizes if m <= EXHAUSTIVE_CAP]:
+    for n in exhaustive:
         k = min(remaining, free_orbit_encoding(n).space_count)
         if k > 0:
             plan.append((ExhaustivePopulation(n), k))
             remaining -= k
-    sampled = [m for m in sizes if m > EXHAUSTIVE_CAP]
+    sampled = [m for m in sizes if m not in exhaustive]
     if sampled and remaining > 0:
         base, extra = divmod(remaining, len(sampled))
         for j, n in enumerate(sampled):
@@ -486,15 +485,14 @@ def find_separating(
     """First space with every ``want`` property and no ``want_not`` property.
 
     Candidates are scanned in a deterministic order: exhaustive enumeration
-    for the sizes within the exhaustive cap (ascending encodings), then
-    seeded samples for the larger sizes, all bounded by ``max_spaces``
-    candidates in total.  Sample i of a sampled segment is drawn from
-    seed + i; density=None sweeps the 0.00..1.00 grid like
+    for the sizes whose populations fit the work budget (ascending
+    encodings), then seeded samples for the larger sizes, all bounded by
+    ``max_spaces`` candidates in total.  Sample i of a sampled segment is
+    drawn from seed + i; density=None sweeps the 0.00..1.00 grid like
     :class:`SampledPopulation`.  Property names are the keys of
     ``properties.PROPERTIES``; a space has a property when its witness is
-    None.  Returns None when no candidate within the budget
-    separates the properties; the answer is identical for every worker
-    count.
+    None.  Returns None when no candidate within the budget separates the
+    properties; the answer is identical for every worker count.
     """
     want = resolve_properties(want)
     want_not = resolve_properties(want_not)

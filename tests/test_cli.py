@@ -118,6 +118,14 @@ class TestLoading:
             load(str(path))
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("token", ["1e10000000", "1e2", "1E2", "0.25", ".5", "2/4e1", "1_000", "\u0663", "+-1", "1/"])
+    def test_qpoints_only_integers_and_fractions(self, tmp_path, token):
+        path = tmp_path / "q.qpoints"
+        path.write_text(f"qpoints v1\ndim 2\npoint 0 0\npoint 1 {token}\n", encoding="utf-8")
+        with deadline(5), pytest.raises(SpaceFileError) as exc:
+            load(str(path))
+        assert exc.value.line == 4 and exc.value.message == f"bad rational coordinate: Invalid literal for Fraction: {token!r}"
+
 
 class TestHeaders:
     @pytest.mark.parametrize("text, line, message", [
@@ -170,10 +178,35 @@ class TestHeaders:
             f"error: {path}:2: vertex count 300000000 exceeds the limit of {MAX_POINTS}"
         ]
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("exp.qpoints", "qpoints v1\ndim 1\npoint 0\npoint 1e10000000\n",
+         "4: bad rational coordinate: Invalid literal for Fraction: '1e10000000'"),
+        ("many.qpoints", "qpoints v1\ndim 1\n" + "".join(f"point {i}\n" for i in range(MAX_POINTS + 1)),
+         f"{MAX_POINTS + 3}: point count exceeds the limit of {MAX_POINTS}"),
+    ])
+    def test_bad_qpoints_exit_two_without_traceback(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        src = str(Path(I.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ispaces", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {path}:{message}"]
+
 
 _FORMATS = {"ispace": ("points", "triple", 3), "graph": ("vertices", "edge", 2), "qpoints": ("dim", "point", None)}
 _JUNK = st.sampled_from(["x", "", "1.5", "-1", "1/0", "3/-4", "+2", "1e2", "triple", "#"])
-_COORDS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "0.25", "4/2"])
+_COORDS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "+3", "4/2"])
+#: Tokens ``Fraction`` takes but the qpoints grammar does not; the last would
+#: keep ``Fraction`` busy for seconds.
+_NOT_COORDS = st.one_of(
+    st.sampled_from(["0.25", "-1.5", ".5", "2.", "1e2", "1E-3", "-2e+4", "1_0", "1e10000000"]),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-10**9, 10**9)),
+    st.builds("{}.{}".format, st.integers(-9, 9), st.integers(0, 99)),
+)
 
 
 @st.composite
@@ -197,7 +230,8 @@ def loader_files(draw):
             tokens = draw(st.lists(_JUNK | st.integers(-2, 6).map(str), max_size=5))
             lines.append(" ".join([draw(st.sampled_from(["triple", "edge", "point", "#", "?"])), *tokens]))
         elif arity is None:
-            lines.append(" ".join(["point", *draw(st.lists(_COORDS, min_size=size, max_size=size))]))
+            coord = draw(st.sampled_from([_COORDS] * 4 + [_NOT_COORDS]))
+            lines.append(" ".join(["point", *draw(st.lists(coord, min_size=size, max_size=size))]))
         else:
             ids = draw(st.lists(st.integers(0, size), min_size=arity, max_size=arity))
             lines.append(" ".join([body_keyword, *map(str, ids)]))
@@ -211,11 +245,15 @@ class TestLoaderFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "f.txt"
         path.write_text(text)
         try:
-            space = load(str(path))
+            with deadline(5):
+                space = load(str(path))
         except SpaceFileError:
             return
         # every loader builds a valid table, so no axiom check can fail
         assert I.axiom_violations(space.table) == []
+        # and a qpoints file holds only integer and p/q coordinates
+        bodies = [line.split("#", 1)[0].split() for line in text.splitlines()[2:]]
+        assert not any("." in t or "e" in t or "E" in t for body in bodies if body[:1] == ["point"] for t in body)
 
 
 class TestRoundTrip:
@@ -260,6 +298,36 @@ class TestCommands:
         assert "interval-convex: false" in out
         assert "C8: false" in out
         assert "point-transitive" not in out
+
+    @pytest.mark.parametrize("edges, estimate", [
+        ([(i, i + 1) for i in range(9)], "1073741824"),
+        ([(0, j) for j in range(1, 9)], "134217728"),
+    ])
+    def test_check_skips_semigroup_conditions_past_the_budget(self, capsys, tmp_path, edges, estimate):
+        # P_10 and K_{1,8}: 8^10 and 8^9 subset triples
+        path = tmp_path / "model.graph"
+        path.write_text(f"graph v1\nvertices {len(edges) + 1}\n" + "".join(f"edge {u} {v}\n" for u, v in edges))
+        with deadline(10):
+            code, out, _ = run_cli(capsys, "check", str(path), "--format", "structured")
+        doc = json.loads(out)
+        assert code == 0 and doc["flags"]["C4"] is None and doc["flags"]["C5"] is None
+        assert all(doc["flags"][f"C{i}"] is True for i in (1, 2, 3, 6, 7, 8, 9))
+        for name in ("C4", "C5"):
+            assert f"takes an estimated {estimate} steps, over the work budget" in doc["notes"][name]
+
+    def test_check_selected_notes_only(self, capsys, tmp_path):
+        space = next(s for s in I.enumerate_spaces(4) if not I.is_interval_transitive(s))
+        path = tmp_path / "nit.ispace"
+        save_ispace(space, str(path))
+        code, out, _ = run_cli(capsys, "check", str(path), "--properties", "C1,stiff", "--format", "structured")
+        doc = json.loads(out)
+        assert code == 0 and list(doc["flags"]) == ["stiff", "C1"] and doc["notes"] == {}
+        code, out, _ = run_cli(capsys, "check", str(path), "--properties", "D1", "--format", "structured")
+        assert "antisymmetry-conditions" in json.loads(out)["notes"]
+
+    def test_check_unknown_property(self, capsys, l3_file):
+        code, out, err = run_cli(capsys, "check", l3_file, "--properties", "stiff,nope")
+        assert code == 2 and out == "" and err.startswith("error: unknown property 'nope'")
 
     def test_check_structured_matches_human(self, capsys, k23_file):
         code, human, _ = run_cli(capsys, "check", k23_file)
@@ -307,7 +375,7 @@ class TestCommands:
 
     def test_enumerate_cap(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "5")
-        assert code == 2 and "cap" in err
+        assert code == 2 and "work budget" in err and "--allow-large" in err
 
     def test_verify_exhaustive(self, capsys):
         code, out, _ = run_cli(

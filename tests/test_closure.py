@@ -203,11 +203,11 @@ class TestCombinatorial:
     @settings(max_examples=25)
     def test_verify_combinatorial_prop(self, space):
         assert naive.combinatorial(space)
-        report = I.property_report(space, ["combinatorial"], include_conditions=False)
+        report = I.property_report(space, ["combinatorial"])
         assert report.flags == {"combinatorial": True} and report.witnesses == {}
 
     def test_entry_keeps_the_subset_cap(self):
-        big = I.linear_order_space(I.SUBSET_ENUMERATION_CAP + 1)
+        big = I.linear_order_space(17)
         with pytest.raises(I.CapExceededError):
             I.PROPERTIES["combinatorial"](big, False)
 
@@ -259,7 +259,7 @@ class TestClosureMemo:
         assert cs == ClosureSystem(space.n, tuple(m.mask for m in space.convex_sets()))
 
     def test_cap_checked_before_the_memo(self):
-        big = I.linear_order_space(I.SUBSET_ENUMERATION_CAP + 1)
+        big = I.linear_order_space(17)
         full = (1 << big.n) - 1
         big._convex = (full,)
         big._closure = ClosureSystem(big.n, (full,))

@@ -127,6 +127,42 @@ class TestTransitivityConditions:
         assert cv.all_equal()
 
 
+class TestWorkBudget:
+    """Each size rule at its boundary: steps <= WORK_BUDGET run, more are refused or skipped."""
+
+    def test_semigroup_conditions_run_to_eight_points(self):
+        # random spaces fail C4 at the first triples, so only the rule costs
+        eight = transitivity_conditions(I.random_space(8, seed=0))
+        assert eight.skipped == () and eight.values[3] is False
+        nine = I.random_space(9, seed=0)
+        assert transitivity_conditions(nine).skipped == ("C4", "C5")
+        assert transitivity_conditions(nine, semigroup_conditions=True).skipped == ()
+
+    def test_allow_large_forces_semigroup_conditions(self):
+        nine = I.random_space(9, seed=0)
+        cv = transitivity_conditions(nine, allow_large=True)
+        assert cv.skipped == () and cv.values[3] is False and cv.values[4] is False
+        assert cv.witnesses["C4"] == cv.witnesses["C5"]
+        assert transitivity_conditions(nine, semigroup_conditions=False, allow_large=True).skipped == ("C4", "C5")
+
+    def test_subsets_enumerated_to_sixteen_points(self):
+        # a dense space: every [a, c] is the whole universe, so only the
+        # empty set, the points and the universe are convex
+        assert len(I.random_space(16, seed=0, density=1.0)._convex_masks()) == 18
+        seventeen = I.random_space(17, seed=0, density=1.0)
+        with pytest.raises(I.CapExceededError, match=r"takes an estimated 37879808 steps, over the work budget of 33554432"):
+            seventeen._convex_masks()
+        assert len(seventeen._convex_masks(allow_large=True)) == 19
+
+    def test_report_notes_the_skip_estimate(self):
+        report = property_report(I.random_space(9, seed=0), ["C4", "C5", "stiff"])
+        assert list(report.flags) == ["stiff", "C4", "C5"]
+        assert report.flags["C4"] is None and report.flags["C5"] is None
+        for name in ("C4", "C5"):
+            assert report.notes[name].startswith("skipped: C4/C5 on 9 points takes an estimated 134217728 steps")
+        assert set(report.notes) == {"C4", "C5"}
+
+
 def _mask_witness(witness):
     return None if witness is None else tuple(
         part.mask if isinstance(part, I.PointSet) else part for part in witness
@@ -185,15 +221,11 @@ class TestSpaceMemo:
         assert fresh._convex_masks() == space._convex_masks()
 
     def test_caps_checked_before_memo(self):
-        big = I.linear_order_space(I.SUBSET_ENUMERATION_CAP + 1)
+        big = I.linear_order_space(17)
         big._convex = ()
         with pytest.raises(I.CapExceededError):
             big._convex_masks()
         assert big._convex_masks(allow_large=True) == ()
-        wide = I.linear_order_space(I.SUBSET_TRIPLE_CAP + 1)
-        wide._tab = []
-        with pytest.raises(I.CapExceededError):
-            wide._subset_table()
 
 
 class TestAntisymmetryConditions:
@@ -286,12 +318,33 @@ class TestWitnessSoundness:
 
 class TestPropertyReport:
     def test_selected_names_only(self, k23):
-        report = property_report(k23, ["stiff", "interval-convex"], include_conditions=False)
+        report = property_report(k23, ["stiff", "interval-convex"])
         assert set(report.flags) == {"stiff", "interval-convex"}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown property"):
             resolve_properties(["no-such-property"])
+
+    def test_condition_names_evaluate_only_their_family(self, monkeypatch):
+        # the first 4-point space that is not interval-transitive
+        space = next(s for s in I.enumerate_spaces(4) if interval_transitivity_witness(s) is not None)
+        full = property_report(space)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("family evaluated without one of its names requested")
+
+        with monkeypatch.context() as m:
+            m.setattr("ispaces.properties.antisymmetry_conditions", refuse)
+            report = property_report(space, ["C1", "stiff", "C8"])
+        assert list(report.flags) == ["stiff", "C1", "C8"]
+        assert report.flags == {k: full.flags[k] for k in ("stiff", "C1", "C8")}
+        assert report.witnesses == {k: w for k, w in full.witnesses.items() if k in ("stiff", "C1", "C8")}
+        assert report.notes == {}
+        with monkeypatch.context() as m:
+            m.setattr("ispaces.properties.transitivity_conditions", refuse)
+            report = property_report(space, ["D2"])
+        assert report.flags == {"D2": full.flags["D2"]}
+        assert "antisymmetry-conditions" in report.notes
 
     def test_hypothesis_note_recorded(self, k23):
         report = property_report(k23)
@@ -310,8 +363,8 @@ class TestPropertyReport:
             "combinatorial",
             "antimatroid",
         ]
-        report = property_report(I.linear_order_space(3), include_conditions=False)
-        assert list(report.flags) == list(I.PROPERTIES)
+        report = property_report(I.linear_order_space(3))
+        assert list(report.flags) == [*I.PROPERTIES, *I.TRANSITIVITY_CONDITIONS, *I.ANTISYMMETRY_CONDITIONS]
 
     def test_reports_up_to_four_points_unchanged(self):
         # flags, witnesses and notes of every space on n <= 4 points, in

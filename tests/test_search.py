@@ -18,7 +18,7 @@ from ispaces import (
 )
 
 from ispaces.cli import main
-from ispaces.search import _partition, _pool_size
+from ispaces.search import _partition, _pool_size, _search_plan
 
 import naive
 
@@ -118,6 +118,15 @@ class TestPopulations:
         with pytest.raises(CapExceededError):
             list(ExhaustivePopulation(5).spaces())
 
+    def test_exhaustive_within_budget_to_four_points(self):
+        # 2^12 spaces at n = 4 fit the budget, 2^30 at n = 5 do not; the
+        # separating search splits its sizes by the same rule
+        assert ExhaustivePopulation(4).encodings() == range(4096)
+        with pytest.raises(CapExceededError, match=r"n=5 takes an estimated 1073741824 steps"):
+            ExhaustivePopulation(5).encodings()
+        plan = _search_plan((5, 4), 5000, 0, None)
+        assert plan == [(ExhaustivePopulation(4), 4096), (SampledPopulation(5, 0, 904, None), 904)]
+
     def test_one_cap_check_names_the_override(self, monkeypatch, capsys):
         # the check runs before any encoding is built, for every entry point
         monkeypatch.setattr("ispaces.search.free_orbit_encoding", None)
@@ -127,7 +136,7 @@ class TestPopulations:
             lambda: next(ExhaustivePopulation(7).spaces()),
             lambda: next(enumerate_spaces(7)),
         ):
-            with pytest.raises(CapExceededError, match=r"cap n <= 4; pass allow_large=True \(--allow-large\)"):
+            with pytest.raises(CapExceededError, match=r"n=7 takes an estimated 2\^105 steps, over the work budget of 33554432; pass allow_large=True \(--allow-large\)"):
                 call()
         assert main(["enumerate", "--n", "7"]) == 2
         assert "--allow-large" in capsys.readouterr().err
