@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import Any
 
 from .core import (
-    WORK_BUDGET,
     BetweennessTable,
     CapExceededError,
     FiniteIntervalSpace,
@@ -221,11 +220,7 @@ def format_ispace(space: FiniteIntervalSpace) -> str:
     """
     enc = free_orbit_encoding(space.n)
     lines = ["ispace v1", f"points {space.n}"]
-    table_bits = space.table.bits
-    n = space.n
-    for a, b, c in enc.orbits:
-        if (table_bits >> ((a * n + b) * n + c)) & 1:
-            lines.append(f"triple {a} {b} {c}")
+    lines += [f"triple {a} {b} {c}" for a, b, c in enc.triples(enc.encode(space))]
     return "\n".join(lines) + "\n"
 
 
@@ -409,11 +404,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, dict]:
         "spaces": enc.space_count,
     }
     if args.list:
-        listing = []
-        for bits in encodings:
-            reps = [enc.orbits[k] for k in range(enc.orbit_count) if (bits >> k) & 1]
-            listing.append({"encoding": bits, "triples": [tuple(t) for t in reps]})
-        payload["list"] = listing
+        payload["list"] = [{"encoding": bits, "triples": enc.triples(bits)} for bits in encodings]
     return 0, payload
 
 
@@ -441,9 +432,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     else:
         population = SampledPopulation(args.n, args.seed, args.samples, _parse_density(args.density))
     if args.theorem == "transitivity":
-        report = verify_transitivity_theorem(
-            population, triple_budget=args.triple_budget, workers=args.workers
-        )
+        report = verify_transitivity_theorem(population, allow_large=args.allow_large, workers=args.workers)
     else:
         report = verify_antisymmetry_theorem(population, workers=args.workers)
     payload = {"command": "verify", **report.to_dict()}
@@ -561,12 +550,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", default=None, help="orbit density in [0,1], or 'sweep' (default)")
     p.add_argument("--workers", type=_worker_count, default=1)
-    p.add_argument("--triple-budget", type=int, default=WORK_BUDGET,
-                   help="run C4/C5 only while spaces * 8^n subset triples stay within this "
-                   "(default: the work budget, %(default)s); past it they are reported skipped")
     p.add_argument("--allow-large", action="store_true",
-                   help="lift the work budget on the 2^orbits spaces of --exhaustive (n > 4); "
-                   "C4/C5 still follow --triple-budget")
+                   help="lift the work budget: enumerate the 2^orbits spaces of --exhaustive past n=4 "
+                   "and run C4/C5 even when spaces * 8^n subset triples exceed it")
     add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -592,10 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload = args.handler(args)
-    except (SpaceFileError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
+    except (SpaceFileError, UsageError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,8 +1,9 @@
 """Closure systems over the convex sets of an interval space.
 
 A :class:`ClosureSystem` is a materialized Moore family: it contains the
-universe and is closed under nonempty intersection (verified at
-construction, whether the family comes from a space or is hand-built).
+universe and is closed under nonempty intersection (verified when a
+hand-built family is constructed; the convex sets of a space are a Moore
+family by definition, so :func:`convex_closure_system` skips the check).
 On top of it live the closure operator cl, the relative entailment
 relations, and the antiexchange and antimatroid predicates.
 
@@ -28,9 +29,10 @@ class ClosureSystem:
     """A Moore family on [0, n): the universe plus nonempty-intersection closure.
 
     ``closed`` holds the member bit masks in ascending mask order.  Both
-    invariants are verified at construction; a family violating them is
-    rejected rather than repaired.  The antiexchange witness is computed at
-    most once per instance and then shared by every predicate that needs it.
+    invariants are verified at construction (except through :meth:`_trusted`);
+    a family violating them is rejected rather than repaired.  The
+    antiexchange witness is computed at most once per instance and then
+    shared by every predicate that needs it.
     """
 
     n: int
@@ -61,6 +63,14 @@ class ClosureSystem:
     def of(cls, n: int, sets) -> "ClosureSystem":
         masks = sorted({PointSet.of(n, s).mask if not isinstance(s, PointSet) else s.mask for s in sets})
         return cls(n, tuple(masks))
+
+    @classmethod
+    def _trusted(cls, n: int, closed: tuple[int, ...]) -> "ClosureSystem":
+        """Construction fast path for families that are Moore by construction."""
+        system = cls.__new__(cls)
+        object.__setattr__(system, "n", n)
+        object.__setattr__(system, "closed", closed)
+        return system
 
     def sets(self) -> list[PointSet]:
         return [PointSet(self.n, m) for m in self.closed]
@@ -137,15 +147,17 @@ class ClosureSystem:
 def convex_closure_system(space: FiniteIntervalSpace, *, allow_large: bool = False) -> ClosureSystem:
     """The closure system of all convex sets of a space.
 
-    Materializes the convex family (the work budget applies) and runs
-    the full Moore verification on it, O(k^2) pairs for k convex sets, so a
-    convexity bug cannot produce a silently broken system.  The system is
-    memoized on the space, together with the witnesses computed on it; the
-    budget is checked on every call, before the memo is read.
+    Materializes the convex family (the work budget applies).  The Moore
+    check of O(k^2) pairs for k convex sets is skipped: the universe is
+    convex and an intersection of convex sets is convex by definition
+    (Edelman & Jamison, "The theory of convex geometries", 1985); the tests
+    run the checked constructor on these families.  The system is memoized
+    on the space, together with the witnesses computed on it; the budget is
+    checked on every call, before the memo is read.
     """
     convex = space._convex_masks(allow_large=allow_large)
     if space._closure is None:
-        space._closure = ClosureSystem(space.n, convex)
+        space._closure = ClosureSystem._trusted(space.n, convex)
     return space._closure
 
 
@@ -206,7 +218,7 @@ def entailment_reverse_witness(space: FiniteIntervalSpace, a_set: PointSet) -> t
         raise HypothesisNotMetError("space is not interval-transitive")
     if a_set.mask == 0:
         raise HypothesisNotMetError("base set must be nonempty")
-    if not space._is_convex_mask(a_set.mask):
+    if space._convexity_breach(a_set.mask) is not None:
         raise HypothesisNotMetError(f"base set {a_set} is not convex")
     cs = convex_closure_system(space)
     n = space.n

@@ -39,13 +39,13 @@ class CapExceededError(RuntimeError):
     """An operation's estimated work exceeds the work budget."""
 
 
-def over_budget(count: int, log2: int, budget: int = WORK_BUDGET) -> bool:
-    """Whether count * 2^log2 steps exceed ``budget``.
+def over_budget(count: int, log2: int) -> bool:
+    """Whether count * 2^log2 steps exceed `WORK_BUDGET`.
 
     The product is built only when it can fit, so an astronomically large
     estimate (2^orbits for an exhaustive population) is rejected at no cost.
     """
-    return (count > 0 and log2 >= budget.bit_length()) or count << log2 > budget
+    return (count > 0 and log2 >= WORK_BUDGET.bit_length()) or count << log2 > WORK_BUDGET
 
 
 def budget_message(what: str, count: int, log2: int) -> str:
@@ -488,10 +488,6 @@ class FiniteIntervalSpace:
     def points(self) -> range:
         return range(self.n)
 
-    @property
-    def _full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     # -- the ternary relation and intervals ---------------------------------
 
     def holds(self, a: int, x: int, c: int) -> bool:
@@ -534,7 +530,7 @@ class FiniteIntervalSpace:
     def is_convex(self, s: PointSet) -> bool:
         """Whether [S, S] is contained in S."""
         self._check_set(s)
-        return self._is_convex_mask(s.mask)
+        return self._convexity_breach(s.mask) is None
 
     def hull(self, a_set: PointSet) -> PointSet:
         """Convex hull: least fixpoint of S -> S | [S, S] starting at a_set."""
@@ -604,21 +600,27 @@ class FiniteIntervalSpace:
                 rest_c ^= low_c
         return out
 
-    def _is_convex_mask(self, sm: int) -> bool:
+    def _convexity_breach(self, sm: int) -> tuple[int, int, int] | None:
+        """Smallest (u, v, w) with u, v in S, w between them, w outside S.
+
+        Only pairs u < v are scanned: [u, v] = [v, u] by middle symmetry
+        and [u, u] = {u} by thinness, so the smallest breach has u < v.
+        """
         n = self.n
         ivl = self._ivl
-        rest_a = sm
-        while rest_a:
-            low_a = rest_a & -rest_a
-            base = (low_a.bit_length() - 1) * n
-            rest_a ^= low_a
-            rest_c = sm
-            while rest_c:
-                low_c = rest_c & -rest_c
-                if ivl[base + low_c.bit_length() - 1] & ~sm:
-                    return False
-                rest_c ^= low_c
-        return True
+        rest_u = sm
+        while rest_u:
+            low_u = rest_u & -rest_u
+            base = (low_u.bit_length() - 1) * n
+            rest_u ^= low_u
+            rest_v = rest_u
+            while rest_v:
+                low_v = rest_v & -rest_v
+                outside = ivl[base + low_v.bit_length() - 1] & ~sm
+                if outside:
+                    return (base // n, low_v.bit_length() - 1, (outside & -outside).bit_length() - 1)
+                rest_v ^= low_v
+        return None
 
     def _hull_mask(self, am: int) -> int:
         cur = am
@@ -632,7 +634,7 @@ class FiniteIntervalSpace:
         """Every convex subset mask, ascending (memoized; the budget is checked on every call)."""
         check_budget(f"enumerating the 2^{self.n} subsets", self.n * self.n, self.n, allow_large)
         if self._convex is None:
-            self._convex = tuple(m for m in range(1 << self.n) if self._is_convex_mask(m))
+            self._convex = tuple(m for m in range(1 << self.n) if self._convexity_breach(m) is None)
         return self._convex
 
     def _base_set_rows(self, am: int) -> list[int]:

@@ -40,30 +40,6 @@ ANTISYMMETRY_CONDITIONS = ("D1", "D2", "D3", "D4", "D5")
 
 
 # ---------------------------------------------------------------------------
-# Shared row-level helpers
-
-
-def _convexity_breach(space: FiniteIntervalSpace, sm: int) -> tuple[int, int, int] | None:
-    """Smallest (u, v, w) with u, v in S, w between them, w outside S."""
-    n = space.n
-    ivl = space._ivl
-    rest_u = sm
-    while rest_u:
-        low_u = rest_u & -rest_u
-        u = low_u.bit_length() - 1
-        rest_u ^= low_u
-        rest_v = sm
-        while rest_v:
-            low_v = rest_v & -rest_v
-            v = low_v.bit_length() - 1
-            rest_v ^= low_v
-            outside = ivl[u * n + v] & ~sm
-            if outside:
-                return (u, v, (outside & -outside).bit_length() - 1)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Named properties
 
 
@@ -155,7 +131,7 @@ def interval_convexity_witness(space: FiniteIntervalSpace) -> tuple[int, int, in
     ivl = space._ivl
     for a in range(n):
         for b in range(n):
-            breach = _convexity_breach(space, ivl[a * n + b])
+            breach = space._convexity_breach(ivl[a * n + b])
             if breach is not None:
                 return (a, b, *breach)
     return None
@@ -213,6 +189,21 @@ class ConditionVector:
             raise ValueError(f"unknown theorem {self.theorem!r}")
         if len(self.values) != len(self.names):
             raise ValueError(f"{self.theorem} needs {len(self.names)} values, got {len(self.values)}")
+
+    @classmethod
+    def of(
+        cls,
+        theorem: str,
+        witnesses: dict[str, tuple | None],
+        skipped: tuple[str, ...] = (),
+        hypothesis_met: bool = True,
+    ) -> "ConditionVector":
+        """The vector of one witness per condition name (None: the condition
+        holds); the names in ``skipped`` have no witness and the value None."""
+        names = TRANSITIVITY_CONDITIONS if theorem == "transitivity" else ANTISYMMETRY_CONDITIONS
+        values = tuple(None if name in skipped else witnesses[name] is None for name in names)
+        items = tuple((name, witnesses[name]) for name, value in zip(names, values) if value is False)
+        return cls(theorem, values, items, hypothesis_met)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -310,23 +301,20 @@ def _c6_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tu
     return None
 
 
-def _c7_witness(
-    space: FiniteIntervalSpace,
-    convex_masks: tuple[int, ...],
-    tab: list[tuple[int, ...]] | None,
-    convex: set[int] | None = None,
-) -> tuple | None:
-    # A set in the convex family has no breach, so only the others are scanned.
-    if convex is None:
-        convex = set(convex_masks)
-    for am in convex_masks:
-        for bm in convex_masks:
-            t = tab[am][bm] if tab is not None else space._set_interval_mask(am, bm)
-            if t in convex:
-                continue
-            breach = _convexity_breach(space, t)
-            if breach is not None:
-                return (PointSet(space.n, am), PointSet(space.n, bm), *breach)
+def _c7_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...], convex: set[int]) -> tuple | None:
+    """Smallest (A, B, u, v, w): a convexity breach of [A, B], A and B convex.
+
+    [A, B] = [B, A] by middle symmetry, so the smallest breaching pair has
+    A <= B and only those pairs are scanned; a member of the convex family
+    ``convex`` has no breach and is skipped.
+    """
+    for i, am in enumerate(convex_masks):
+        for bm in convex_masks[i:]:
+            t = space._set_interval_mask(am, bm)
+            if t not in convex:
+                breach = space._convexity_breach(t)
+                if breach is not None:
+                    return (PointSet(space.n, am), PointSet(space.n, bm), *breach)
     return None
 
 
@@ -344,7 +332,7 @@ def _c8_witness(space: FiniteIntervalSpace, triangles: list[int], convex: set[in
     """
     for index, t in enumerate(triangles):
         if t not in convex:
-            breach = _convexity_breach(space, t)
+            breach = space._convexity_breach(t)
             if breach is not None:
                 a, bc = divmod(index, space.n * space.n)
                 return (a, *divmod(bc, space.n), *breach)
@@ -383,46 +371,25 @@ def transitivity_conditions(
     ``semigroup_conditions=None`` they are evaluated exactly when those 8^n
     steps fit the work budget or ``allow_large`` is set, and reported as
     skipped (None) otherwise.  Pass True to force them or False to skip
-    regardless.  The full [A, B] table is built once and shared by the
-    subset-level conditions, and the sets [[a, b], {c}] once for C2/C3, C8
-    and C9.
+    regardless.  They scan the full [A, B] table; the sets [[a, b], {c}]
+    are built once for C2/C3, C8 and C9.
     """
     if semigroup_conditions is None:
         semigroup_conditions = allow_large or not over_budget(1, 3 * space.n)
     convex = space._convex_masks(allow_large=allow_large)
     convex_set = set(convex)
-    tab = space._subset_table() if semigroup_conditions else None
     triangles = _triangle_masks(space)
-
-    witnesses: list[tuple[str, tuple]] = []
-    values: list[bool | None] = []
-
-    w1 = interval_transitivity_witness(space)
-    w2, w3 = _c2_c3_witnesses(space, triangles)
-    if tab is not None:
-        w4 = _associativity_witness(space, tab)
-        w5 = w4 if w4 is not None else _commutativity_witness(space, tab)
-    w6 = _c6_witness(space, convex)
-    w7 = _c7_witness(space, convex, tab, convex_set)
-    w8 = _c8_witness(space, triangles, convex_set)
-    w9 = _c9_witness(space, triangles)
-
-    for name, witness in zip(("C1", "C2", "C3"), (w1, w2, w3)):
-        values.append(witness is None)
-        if witness is not None:
-            witnesses.append((name, witness))
-    if tab is None:
-        values.extend([None, None])
-    else:
-        for name, witness in zip(("C4", "C5"), (w4, w5)):
-            values.append(witness is None)
-            if witness is not None:
-                witnesses.append((name, witness))
-    for name, witness in zip(("C6", "C7", "C8", "C9"), (w6, w7, w8, w9)):
-        values.append(witness is None)
-        if witness is not None:
-            witnesses.append((name, witness))
-    return ConditionVector("transitivity", tuple(values), tuple(witnesses))
+    witnesses = {"C1": interval_transitivity_witness(space)}
+    witnesses["C2"], witnesses["C3"] = _c2_c3_witnesses(space, triangles)
+    if semigroup_conditions:
+        tab = space._subset_table()
+        w4 = witnesses["C4"] = _associativity_witness(space, tab)
+        witnesses["C5"] = w4 if w4 is not None else _commutativity_witness(space, tab)
+    witnesses["C6"] = _c6_witness(space, convex)
+    witnesses["C7"] = _c7_witness(space, convex, convex_set)
+    witnesses["C8"] = _c8_witness(space, triangles, convex_set)
+    witnesses["C9"] = _c9_witness(space, triangles)
+    return ConditionVector.of("transitivity", witnesses, () if semigroup_conditions else ("C4", "C5"))
 
 
 def _d3_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
@@ -461,20 +428,14 @@ def antisymmetry_conditions(
         )
     convex = space._convex_masks(allow_large=allow_large)
     cs = convex_closure_system(space, allow_large=allow_large)
-
-    w1 = interval_antisymmetry_witness(space)
-    w2 = stiffness_witness(space)
-    w3 = _d3_witness(space, convex)
-    w4 = antiexchange_witness(cs)
-    w5 = antimatroid_witness(cs)
-
-    witnesses = []
-    values = []
-    for name, witness in zip(ANTISYMMETRY_CONDITIONS, (w1, w2, w3, w4, w5)):
-        values.append(witness is None)
-        if witness is not None:
-            witnesses.append((name, witness))
-    return ConditionVector("antisymmetry", tuple(values), tuple(witnesses), hypothesis_met)
+    witnesses = {
+        "D1": interval_antisymmetry_witness(space),
+        "D2": stiffness_witness(space),
+        "D3": _d3_witness(space, convex),
+        "D4": antiexchange_witness(cs),
+        "D5": antimatroid_witness(cs),
+    }
+    return ConditionVector.of("antisymmetry", witnesses, hypothesis_met=hypothesis_met)
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +533,10 @@ def _combinatorial_witness(space: FiniteIntervalSpace, allow_large: bool) -> Non
     """Always None: on a finite family the union of a chain of closed sets is
     its largest member, so it is closed (see :func:`antimatroid_witness`).
 
-    The closure system is still built, so this entry is held to the same
+    The convex sets are still enumerated, so this entry is held to the same
     work budget as the other closure entries.
     """
-    convex_closure_system(space, allow_large=allow_large)
+    space._convex_masks(allow_large=allow_large)
     return None
 
 

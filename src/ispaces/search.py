@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
@@ -28,7 +27,6 @@ from typing import Iterable, Iterator, Union
 
 from . import sliced
 from .core import (
-    WORK_BUDGET,
     BetweennessTable,
     FiniteIntervalSpace,
     _forced_bits,
@@ -100,6 +98,10 @@ class FreeOrbitEncoding:
             table_bits |= self._masks[low.bit_length() - 1]
             rest ^= low
         return FiniteIntervalSpace._trusted(BetweennessTable(self.n, table_bits))
+
+    def triples(self, bits: int) -> list[tuple[int, int, int]]:
+        """The orbit representatives <a, b, c> (a < c) set in an encoding, in orbit order."""
+        return [self.orbits[k] for k in bits_of(bits)]
 
     def encode(self, space: FiniteIntervalSpace) -> int:
         if space.n != self.n:
@@ -271,23 +273,6 @@ class CensusReport:
             ],
         }
 
-    def render(self) -> str:
-        lines = [
-            f"theorem: {self.theorem}",
-            f"population: {self.population}",
-            f"spaces: {self.total}",
-        ]
-        if self.theorem == "antisymmetry":
-            lines.append(f"hypothesis_excluded: {self.hypothesis_excluded}")
-        if self.skipped:
-            lines.append(f"skipped: {','.join(self.skipped)}")
-        lines.append("condition_counts: " + " ".join(f"{k}={v}" for k, v in self.condition_counts))
-        lines.append("vector_counts: " + " ".join(f"{k}={v}" for k, v in self.vector_counts))
-        lines.append(f"violations: {self.violation_count}")
-        for v in self.violations[:20]:
-            lines.append(f"  index={v.index} encoding={v.encoding} values={_pattern(v.values)}")
-        return "\n".join(lines)
-
 
 def _pattern(values: tuple[bool | None, ...]) -> str:
     return "".join("-" if v is None else ("T" if v else "F") for v in values)
@@ -370,6 +355,9 @@ def _run_chunks(task, args_list: list[tuple], workers: int) -> list:
     size = _pool_size(workers, len(args_list))
     if size == 1:
         return [task(a) for a in args_list]
+    # Imported here, so a single-worker run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(task, args_list))
 
@@ -409,15 +397,16 @@ def _verify(theorem: str, population: Population, semigroup: bool, workers: int)
 def verify_transitivity_theorem(
     population: Population,
     *,
-    triple_budget: int = WORK_BUDGET,
+    allow_large: bool = False,
     workers: int = 1,
 ) -> CensusReport:
     """Census C1..C9 over a population; equivalence violations must be absent.
 
-    C4/C5 are evaluated in full when population-size * (2^n)^3 fits the
-    triple budget, and reported as skipped otherwise.
+    C4/C5 are evaluated in full when population-size * (2^n)^3 subset
+    triples fit the work budget or ``allow_large`` is set, and reported as
+    skipped otherwise.
     """
-    semigroup = not over_budget(population.size(), 3 * population.n, triple_budget)
+    semigroup = allow_large or not over_budget(population.size(), 3 * population.n)
     return _verify("transitivity", population, semigroup, workers)
 
 

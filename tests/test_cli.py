@@ -315,6 +315,15 @@ class TestCommands:
         for name in ("C4", "C5"):
             assert f"takes an estimated {estimate} steps, over the work budget" in doc["notes"][name]
 
+    def test_check_convex_closure_system_without_moore_check(self, capsys, tmp_path):
+        # no free triples: all 2^14 subsets are convex, and the k^2 Moore
+        # check on them would take seconds
+        path = tmp_path / "free14.ispace"
+        path.write_text("ispace v1\npoints 14\n")
+        with deadline(5):
+            code, out, _ = run_cli(capsys, "check", str(path), "--properties", "interval-convex,antiexchange")
+        assert code == 0 and "interval-convex: true" in out and "antiexchange: true" in out
+
     def test_check_selected_notes_only(self, capsys, tmp_path):
         space = next(s for s in I.enumerate_spaces(4) if not I.is_interval_transitive(s))
         path = tmp_path / "nit.ispace"
@@ -383,6 +392,23 @@ class TestCommands:
         )
         assert code == 0
         assert "spaces: 8" in out and "violations: 0" in out
+
+    def test_verify_allow_large_forces_semigroup_conditions(self, capsys):
+        # 1025 * 8^5 subset triples are just over the work budget
+        args = ("verify", "--theorem", "transitivity", "--n", "5", "--samples", "1025", "--seed", "7",
+                "--format", "structured")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and json.loads(out)["skipped"] == ["C4", "C5"]
+        code, out, _ = run_cli(capsys, *args, "--allow-large")
+        doc = json.loads(out)
+        assert code == 0 and doc["skipped"] == [] and doc["violations"] == 0
+        assert sum(doc["vector_counts"].values()) == 1025
+
+    def test_verify_triple_budget_removed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--theorem", "transitivity", "--n", "3", "--exhaustive", "--triple-budget", "0"
+        )
+        assert code == 2 and out == "" and "--triple-budget" in err
 
     def test_verify_sampled_with_workers(self, capsys):
         args = ("verify", "--theorem", "antisymmetry", "--n", "4", "--samples", "40", "--seed", "7")

@@ -62,6 +62,18 @@ class TestClosureSystemConstruction:
         cs = convex_closure_system(space)
         assert cs.is_closed(PointSet.full(space.n))
 
+    def test_convex_families_pass_the_moore_check_up_to_four_points(self):
+        # convex_closure_system skips the check; the checked constructor
+        # must accept every family it builds, unchanged
+        for n in range(1, 5):
+            for space in I.enumerate_spaces(n):
+                assert ClosureSystem(n, space._convex_masks()) == convex_closure_system(space)
+
+    @given(space_strategy(min_n=5, max_n=6))
+    @settings(max_examples=30)
+    def test_convex_families_pass_the_moore_check(self, space):
+        assert ClosureSystem(space.n, space._convex_masks()) == convex_closure_system(space)
+
 
 class TestClosureOperator:
     def test_examples(self, l3):

@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ispaces as I
 from ispaces import BetweennessTable, HypothesisNotMetError, validate
@@ -179,8 +179,6 @@ def _check_fast_paths(space):
     assert _mask_witness(witnesses.get("C5")) == w5
     w7 = naive.convex_pairs_witness(space, tab)
     assert _mask_witness(witnesses.get("C7")) == w7
-    # without the table, C7 takes the set-interval route
-    assert _mask_witness(_c7_witness(space, space._convex_masks(), None)) == w7
 
 
 class TestFastPathOracles:
@@ -193,6 +191,16 @@ class TestFastPathOracles:
     @settings(max_examples=8)
     def test_sampled_five_points(self, space):
         _check_fast_paths(space)
+
+    @given(space_strategy(min_n=6, max_n=6))
+    @example(I.linear_order_space(6))
+    @example(I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 5)))
+    @settings(max_examples=20)
+    def test_c7_sampled_six_points(self, space):
+        # C7 scans only the pairs A <= B; the oracle scans every pair
+        convex = space._convex_masks()
+        w7 = naive.convex_pairs_witness(space, naive.subset_interval_table(space))
+        assert _mask_witness(_c7_witness(space, convex, set(convex))) == w7
 
 
 class TestTriangleWitnesses:

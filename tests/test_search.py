@@ -152,10 +152,14 @@ class TestVerifyTheorems:
         assert dict(report.vector_counts) == {"TTTTTTTTT": 8}
 
     def test_budget_skips_semigroup(self):
-        report = verify_transitivity_theorem(ExhaustivePopulation(3), triple_budget=0)
+        # 1025 * 8^5 subset triples are just over the work budget, 1024 * 8^5 fit it
+        report = verify_transitivity_theorem(SampledPopulation(5, 7, 1025))
         assert report.skipped == ("C4", "C5")
         assert report.violation_count == 0
-        assert dict(report.vector_counts) == {"TTT--TTTT": 8}
+        assert all(pattern[3:5] == "--" for pattern in dict(report.vector_counts))
+        report = verify_transitivity_theorem(SampledPopulation(5, 7, 1024))
+        assert report.skipped == () and report.violation_count == 0
+        assert "-" not in "".join(dict(report.vector_counts))
 
     def test_antisymmetry_exhaustive_n3(self):
         report = verify_antisymmetry_theorem(ExhaustivePopulation(3))
@@ -190,7 +194,7 @@ class TestVerifyTheorems:
     def test_interval_transitive_counts_frozen(self):
         # regression values from the first verified exhaustive runs
         n3 = verify_transitivity_theorem(ExhaustivePopulation(3))
-        n4 = verify_transitivity_theorem(ExhaustivePopulation(4), triple_budget=0)
+        n4 = verify_transitivity_theorem(ExhaustivePopulation(4))
         assert dict(n3.condition_counts)["C1"] == 8
         assert dict(n4.condition_counts)["C1"] == 400
 
