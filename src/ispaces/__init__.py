@@ -20,10 +20,7 @@ from .closure import (
     antiexchange_witness,
     antimatroid_witness,
     convex_closure_system,
-    entailment_is_reverse_of_between,
     entailment_reverse_witness,
-    is_antiexchange,
-    is_antimatroid,
 )
 from .models import (
     Graph,
@@ -46,18 +43,9 @@ from .properties import (
     antisymmetry_conditions,
     base_interval_antisymmetry_prop_witness,
     base_interval_transitivity_prop_witness,
-    check_base_interval_antisymmetry_prop,
-    check_base_interval_transitivity_prop,
-    check_stiff_implies_convex_antisymmetry,
     interval_antisymmetry_witness,
     interval_convexity_witness,
     interval_transitivity_witness,
-    is_interval_antisymmetric,
-    is_interval_convex,
-    is_interval_transitive,
-    is_point_antisymmetric,
-    is_point_transitive,
-    is_stiff,
     point_antisymmetry_witness,
     point_transitivity_witness,
     property_report,

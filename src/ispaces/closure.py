@@ -170,11 +170,6 @@ def antiexchange_witness(cs: ClosureSystem) -> tuple[PointSet, int, int] | None:
     return cs._antiexchange_witness
 
 
-def is_antiexchange(cs: ClosureSystem) -> bool:
-    """Whether every relative entailment relation is antisymmetric off its base."""
-    return antiexchange_witness(cs) is None
-
-
 def antimatroid_witness(cs: ClosureSystem) -> tuple | None:
     """Why the system is not an antimatroid, or None when it is.
 
@@ -190,11 +185,6 @@ def antimatroid_witness(cs: ClosureSystem) -> tuple | None:
     if witness is not None:
         return witness
     return None if cs.has_empty() else ("empty-set-not-closed",)
-
-
-def is_antimatroid(cs: ClosureSystem) -> bool:
-    """Antiexchange, the empty set closed, and (always, when finite) combinatorial."""
-    return antimatroid_witness(cs) is None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +219,3 @@ def entailment_reverse_witness(space: FiniteIntervalSpace, a_set: PointSet) -> t
             if ((entailed_by[c] >> b) & 1) != ((rows[b] >> c) & 1):
                 return (b, c)
     return None
-
-
-def entailment_is_reverse_of_between(space: FiniteIntervalSpace, a_set: PointSet) -> bool:
-    return entailment_reverse_witness(space, a_set) is None

@@ -72,6 +72,15 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _subset_unions(size: int, singles: list[int] | tuple[int, ...]) -> list[int]:
+    """out[M] = the union (OR) of singles[p] over the points p of mask M."""
+    out = [0] * size
+    for m in range(1, size):
+        low = m & -m
+        out[m] = out[m ^ low] | singles[low.bit_length() - 1]
+    return out
+
+
 def _check_point(n: int, i: int, name: str = "point") -> None:
     if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
         raise ValueError(f"{name} id {i!r} out of range [0, {n})")
@@ -400,9 +409,6 @@ class BinaryRelation:
         """Lexicographically smallest (x, y, z) with R(x,y), R(y,z), not R(x,z)."""
         return _transitive_rows_witness(self.rows)
 
-    def is_transitive(self) -> bool:
-        return self.transitivity_witness() is None
-
     def antisymmetry_witness(self, within: PointSet | None = None) -> tuple[int, int] | None:
         """Smallest (x, y), x < y, both in ``within``, with R(x,y) and R(y,x).
 
@@ -411,11 +417,8 @@ class BinaryRelation:
         scope = (1 << self.n) - 1 if within is None else within.mask
         return _antisymmetric_rows_witness(self.rows, scope)
 
-    def is_antisymmetric(self, within: PointSet | None = None) -> bool:
-        return self.antisymmetry_witness(within) is None
-
     def is_partial_order(self) -> bool:
-        return self.is_reflexive() and self.is_transitive() and self.is_antisymmetric()
+        return self.is_reflexive() and self.transitivity_witness() is None and self.antisymmetry_witness() is None
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +431,13 @@ class FiniteIntervalSpace:
     Construction validates the three axioms and raises
     :class:`ValidationError` otherwise.  Instances are immutable; the only
     internal state beyond the table is pure memos, filled on first use: the
-    set-interval lookup table, the convex masks, the closure system of the
-    convex sets (:func:`ispaces.closure.convex_closure_system`), and the
+    convex masks, the closure system of the convex sets
+    (:func:`ispaces.closure.convex_closure_system`), and the
     interval-transitivity witness (boxed in a 1-tuple, since None is a valid
     witness).
     """
 
-    __slots__ = ("table", "n", "_ivl", "_fwd", "_tab", "_convex", "_closure", "_it_witness")
+    __slots__ = ("table", "n", "_ivl", "_fwd", "_convex", "_closure", "_it_witness")
 
     def __init__(self, table: BetweennessTable):
         violations = axiom_violations(table)
@@ -467,7 +470,6 @@ class FiniteIntervalSpace:
                     rest ^= low
         self._ivl = tuple(ivl)
         self._fwd = tuple(fwd)
-        self._tab: list[tuple[int, ...]] | None = None
         self._convex: tuple[int, ...] | None = None
         self._closure: "ClosureSystem | None" = None
         self._it_witness: tuple[tuple[int, ...] | None] | None = None
@@ -484,9 +486,6 @@ class FiniteIntervalSpace:
 
     def __repr__(self) -> str:
         return f"FiniteIntervalSpace(n={self.n}, triples={self.table.bits.bit_count()})"
-
-    def points(self) -> range:
-        return range(self.n)
 
     # -- the ternary relation and intervals ---------------------------------
 
@@ -651,31 +650,11 @@ class FiniteIntervalSpace:
         return rows
 
     def _subset_table(self) -> list[tuple[int, ...]]:
-        """Full [A, C] lookup table over all 2^n x 2^n subset pairs (memoized).
-
-        Rows are tuples so that scans can gather from them at C level
-        (``operator.itemgetter``).  The caller budgets the work: C4/C5 scan
-        the table over 8^n subset triples.
-        """
-        if self._tab is not None:
-            return self._tab
+        """[A, C] for all 2^n x 2^n subset pairs, in rows of tuples that scans gather
+        from at C level (``operator.itemgetter``).  C4/C5 budget its 8^n scan."""
         n = self.n
         size = 1 << n
         ivl = self._ivl
-        # cols[c][A] = union of [a, c] over a in A, by subset dynamic programming.
-        cols = []
-        for c in range(n):
-            col = [0] * size
-            for a_mask in range(1, size):
-                low = a_mask & -a_mask
-                col[a_mask] = col[a_mask ^ low] | ivl[(low.bit_length() - 1) * n + c]
-            cols.append(col)
-        tab = []
-        for a_mask in range(size):
-            row = [0] * size
-            for c_mask in range(1, size):
-                low = c_mask & -c_mask
-                row[c_mask] = row[c_mask ^ low] | cols[low.bit_length() - 1][a_mask]
-            tab.append(tuple(row))
-        self._tab = tab
-        return tab
+        # cols[c][A] = [A, {c}]; row A of the table is then [A, C] over C.
+        cols = [_subset_unions(size, ivl[c::n]) for c in range(n)]
+        return [tuple(_subset_unions(size, [col[am] for col in cols])) for am in range(size)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import BetweennessTable, FiniteIntervalSpace, bits_of, validate
+from .core import BetweennessTable, FiniteIntervalSpace, _join_rows, bits_of, validate
 
 Rational = Union[int, Fraction]
 RationalPoint = tuple[Fraction, ...]
@@ -55,7 +55,9 @@ def vector_space_on_points(points: Iterable[Sequence[Rational]]) -> FiniteInterv
 
     Point ids follow list order.  Duplicate points are rejected: two ids
     naming one geometric point would make the sample's thinness vacuous in
-    the wrong way.
+    the wrong way.  Row <a, a, .> is full; for x != a, row <a, x, .> holds
+    x and the points beyond it on the ray from a, found by grouping the other
+    points by direction: O(n^2) exact steps, not n^3 :func:`rational_between` tests.
     """
     pts = [rational_point(p) for p in points]
     if not pts:
@@ -69,10 +71,22 @@ def vector_space_on_points(points: Iterable[Sequence[Rational]]) -> FiniteInterv
         if p in seen:
             raise ValueError(f"duplicate point at ids {seen[p]} and {i}: {p}")
         seen[p] = i
-    table = BetweennessTable.from_function(
-        len(pts), lambda a, x, c: rational_between(pts[a], pts[x], pts[c])
-    )
-    return validate(table)
+    n = len(pts)
+    rows = [0] * (n * n)
+    for a, pa in enumerate(pts):
+        rows[a * n + a] = (1 << n) - 1
+        rays: dict[RationalPoint, list[tuple[Fraction, int]]] = {}  # direction -> [(distance, x)]
+        for x, px in enumerate(pts):
+            if x != a:
+                d = [xc - ac for ac, xc in zip(pa, px)]
+                scale = abs(next(c for c in d if c))
+                rays.setdefault(tuple(c / scale for c in d), []).append((scale, x))
+        for ray in rays.values():
+            beyond = 0
+            for _, x in sorted(ray, reverse=True):
+                beyond |= 1 << x
+                rows[a * n + x] = beyond
+    return validate(BetweennessTable(n, _join_rows(n, rows)))
 
 
 # ---------------------------------------------------------------------------

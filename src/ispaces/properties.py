@@ -38,6 +38,9 @@ from .closure import (
 TRANSITIVITY_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
 ANTISYMMETRY_CONDITIONS = ("D1", "D2", "D3", "D4", "D5")
 
+#: The equivalent conditions of each theorem, in report order.
+CONDITIONS = {"transitivity": TRANSITIVITY_CONDITIONS, "antisymmetry": ANTISYMMETRY_CONDITIONS}
+
 
 # ---------------------------------------------------------------------------
 # Named properties
@@ -55,10 +58,6 @@ def point_transitivity_witness(space: FiniteIntervalSpace) -> tuple[int, int, in
     return None
 
 
-def is_point_transitive(space: FiniteIntervalSpace) -> bool:
-    return point_transitivity_witness(space) is None
-
-
 def point_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int, int] | None:
     """Smallest (a, x, y), x < y, with <a,x,y> and <a,y,x>."""
     n = space.n
@@ -70,10 +69,6 @@ def point_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int, in
         if w is not None:
             return (a, *w)
     return None
-
-
-def is_point_antisymmetric(space: FiniteIntervalSpace) -> bool:
-    return point_antisymmetry_witness(space) is None
 
 
 def interval_transitivity_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int, int] | None:
@@ -99,10 +94,6 @@ def _interval_transitivity_scan(space: FiniteIntervalSpace) -> tuple[int, int, i
     return None
 
 
-def is_interval_transitive(space: FiniteIntervalSpace) -> bool:
-    return interval_transitivity_witness(space) is None
-
-
 def interval_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] | None:
     """Smallest (a, b, x, y): x, y outside [a, b], related both ways by its base order."""
     n = space.n
@@ -121,10 +112,6 @@ def interval_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int,
     return None
 
 
-def is_interval_antisymmetric(space: FiniteIntervalSpace) -> bool:
-    return interval_antisymmetry_witness(space) is None
-
-
 def interval_convexity_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int, int] | None:
     """Smallest (a, b, u, v, w) where [a, b] fails to contain [u, v] for u, v in it."""
     n = space.n
@@ -135,10 +122,6 @@ def interval_convexity_witness(space: FiniteIntervalSpace) -> tuple[int, int, in
             if breach is not None:
                 return (a, b, *breach)
     return None
-
-
-def is_interval_convex(space: FiniteIntervalSpace) -> bool:
-    return interval_convexity_witness(space) is None
 
 
 def stiffness_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] | None:
@@ -158,10 +141,6 @@ def stiffness_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] |
                 if extra:
                     return (a, b, c, (extra & -extra).bit_length() - 1)
     return None
-
-
-def is_stiff(space: FiniteIntervalSpace) -> bool:
-    return stiffness_witness(space) is None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +164,7 @@ class ConditionVector:
     hypothesis_met: bool = True
 
     def __post_init__(self) -> None:
-        if self.theorem not in ("transitivity", "antisymmetry"):
+        if self.theorem not in CONDITIONS:
             raise ValueError(f"unknown theorem {self.theorem!r}")
         if len(self.values) != len(self.names):
             raise ValueError(f"{self.theorem} needs {len(self.names)} values, got {len(self.values)}")
@@ -200,14 +179,14 @@ class ConditionVector:
     ) -> "ConditionVector":
         """The vector of one witness per condition name (None: the condition
         holds); the names in ``skipped`` have no witness and the value None."""
-        names = TRANSITIVITY_CONDITIONS if theorem == "transitivity" else ANTISYMMETRY_CONDITIONS
+        names = CONDITIONS.get(theorem, ())
         values = tuple(None if name in skipped else witnesses[name] is None for name in names)
         items = tuple((name, witnesses[name]) for name, value in zip(names, values) if value is False)
         return cls(theorem, values, items, hypothesis_met)
 
     @property
     def names(self) -> tuple[str, ...]:
-        return TRANSITIVITY_CONDITIONS if self.theorem == "transitivity" else ANTISYMMETRY_CONDITIONS
+        return CONDITIONS[self.theorem]
 
     @property
     def witnesses(self) -> dict[str, tuple]:
@@ -305,16 +284,14 @@ def _c7_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...], conve
     """Smallest (A, B, u, v, w): a convexity breach of [A, B], A and B convex.
 
     [A, B] = [B, A] by middle symmetry, so the smallest breaching pair has
-    A <= B and only those pairs are scanned; a member of the convex family
-    ``convex`` has no breach and is skipped.
+    A <= B and only those pairs are scanned.  ``convex`` is the convex
+    family, every mask without a breach, so a mask outside it has one.
     """
     for i, am in enumerate(convex_masks):
         for bm in convex_masks[i:]:
             t = space._set_interval_mask(am, bm)
             if t not in convex:
-                breach = space._convexity_breach(t)
-                if breach is not None:
-                    return (PointSet(space.n, am), PointSet(space.n, bm), *breach)
+                return (PointSet(space.n, am), PointSet(space.n, bm), *space._convexity_breach(t))
     return None
 
 
@@ -328,14 +305,12 @@ def _triangle_masks(space: FiniteIntervalSpace) -> list[int]:
 def _c8_witness(space: FiniteIntervalSpace, triangles: list[int], convex: set[int]) -> tuple | None:
     """Smallest (a, b, c, u, v, w): a convexity breach of [[a,b],{c}].
 
-    A member of the convex family ``convex`` has no breach and is skipped.
+    ``convex`` is the convex family, so a mask outside it has a breach.
     """
     for index, t in enumerate(triangles):
         if t not in convex:
-            breach = space._convexity_breach(t)
-            if breach is not None:
-                a, bc = divmod(index, space.n * space.n)
-                return (a, *divmod(bc, space.n), *breach)
+            a, bc = divmod(index, space.n * space.n)
+            return (a, *divmod(bc, space.n), *space._convexity_breach(t))
     return None
 
 
@@ -461,10 +436,6 @@ def base_interval_transitivity_prop_witness(space: FiniteIntervalSpace) -> tuple
     return None
 
 
-def check_base_interval_transitivity_prop(space: FiniteIntervalSpace) -> bool:
-    return base_interval_transitivity_prop_witness(space) is None
-
-
 def base_interval_antisymmetry_prop_witness(space: FiniteIntervalSpace) -> tuple | None:
     """Smallest (a, d, b, c) breaking: in a point-transitive space, if the base
     order of [a,d] is antisymmetric outside [a,d], then <a,b,c>, b != c and
@@ -494,20 +465,12 @@ def base_interval_antisymmetry_prop_witness(space: FiniteIntervalSpace) -> tuple
     return None
 
 
-def check_base_interval_antisymmetry_prop(space: FiniteIntervalSpace) -> bool:
-    return base_interval_antisymmetry_prop_witness(space) is None
-
-
 def stiff_convex_antisymmetry_witness(space: FiniteIntervalSpace, *, allow_large: bool = False) -> tuple | None:
     """Smallest (A, x, y) breaking: stiff implies every convex base order is
     antisymmetric off its base set.  Vacuously None when not stiff."""
     if stiffness_witness(space) is not None:
         return None
     return _d3_witness(space, space._convex_masks(allow_large=allow_large))
-
-
-def check_stiff_implies_convex_antisymmetry(space: FiniteIntervalSpace, *, allow_large: bool = False) -> bool:
-    return stiff_convex_antisymmetry_witness(space, allow_large=allow_large) is None
 
 
 # ---------------------------------------------------------------------------

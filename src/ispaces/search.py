@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence
 
 from . import sliced
 from .core import (
@@ -36,10 +36,8 @@ from .core import (
     over_budget,
 )
 from .properties import (
-    ANTISYMMETRY_CONDITIONS,
-    TRANSITIVITY_CONDITIONS,
+    CONDITIONS,
     PROPERTIES,
-    ConditionVector,
     antisymmetry_conditions,
     interval_transitivity_witness,
     resolve_properties,
@@ -151,8 +149,21 @@ def random_space(n: int, seed: int, density: float = 0.5) -> FiniteIntervalSpace
 # Populations
 
 
+class Population:
+    """Indexed spaces on n points; subclasses give ``size``, ``describe`` and ``encodings``."""
+
+    n: int
+
+    def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
+        """(index, space) for spaces start..stop-1."""
+        encodings = self.encodings(start, stop)
+        enc = free_orbit_encoding(self.n)
+        for index, bits in enumerate(encodings, start):
+            yield index, enc.decode(bits)
+
+
 @dataclass(frozen=True)
-class ExhaustivePopulation:
+class ExhaustivePopulation(Population):
     """Every valid space on n points, indexed by encoding."""
 
     n: int
@@ -173,15 +184,9 @@ class ExhaustivePopulation:
         check_budget(f"exhaustive enumeration at n={self.n}", 1, _orbit_count(self.n), self.allow_large)
         return range(start, self.size() if stop is None else stop)
 
-    def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
-        encodings = self.encodings(start, stop)
-        enc = free_orbit_encoding(self.n)
-        for bits in encodings:
-            yield bits, enc.decode(bits)
-
 
 @dataclass(frozen=True)
-class SampledPopulation:
+class SampledPopulation(Population):
     """``count`` seeded random spaces on n points.
 
     Sample i is drawn from seed + i at density ``density``; with
@@ -204,17 +209,10 @@ class SampledPopulation:
         density = "sweep" if self.density is None else f"{self.density:g}"
         return f"sampled n={self.n} seed={self.seed} count={self.count} density={density}"
 
-    def encodings(self, start: int, stop: int) -> list[int]:
-        """Orbit encodings of samples start..stop-1."""
-        return [random_encoding(self.n, self.seed + i, self.density_at(i)) for i in range(start, stop)]
-
-    def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
-        stop = self.count if stop is None else stop
-        for i in range(start, stop):
-            yield i, random_space(self.n, self.seed + i, self.density_at(i))
-
-
-Population = Union[ExhaustivePopulation, SampledPopulation]
+    def encodings(self, start: int = 0, stop: int | None = None) -> Iterator[int]:
+        """Orbit encodings of samples start..stop-1, each drawn when it is read."""
+        for i in range(start, self.count if stop is None else stop):
+            yield random_encoding(self.n, self.seed + i, self.density_at(i))
 
 
 # ---------------------------------------------------------------------------
@@ -278,61 +276,63 @@ def _pattern(values: tuple[bool | None, ...]) -> str:
     return "".join("-" if v is None else ("T" if v else "F") for v in values)
 
 
-def _sliced(theorem: str, population: Population) -> bool:
+def _sliced(theorem: str, n: int) -> bool:
     """Whether the census evaluates its conditions bit-sliced, a batch at a time."""
-    return theorem == "transitivity" and population.n <= sliced.MAX_N
+    return theorem == "transitivity" and n <= sliced.MAX_N
 
 
-def _sliced_chunk(population: Population, start: int, stop: int, semigroup: bool) -> dict:
-    enc = free_orbit_encoding(population.n)
-    counts: Counter = Counter()
-    vectors: Counter = Counter()
-    violations: list[EquivalenceViolation] = []
-    for lo in range(start, stop, sliced.BATCH):
-        encodings = population.encodings(lo, min(lo + sliced.BATCH, stop))
-        values = sliced.transitivity_slices(enc.n, sliced.triple_slices(enc, encodings), semigroup)
-        for name, s in zip(TRANSITIVITY_CONDITIONS, values):
-            if s:
-                counts[name] += s.bit_count()
-        # A space agrees when every evaluated condition is true or every one
-        # is false; the others are violations, read out one by one.
-        decided = [s for s in values if s is not None]
-        full = (1 << len(encodings)) - 1
-        agree_true = reduce(and_, decided)
-        agree_false = full & ~reduce(or_, decided)
-        for agreed, value in ((agree_true, True), (agree_false, False)):
-            if agreed:
-                vectors[_pattern(tuple(None if s is None else value for s in values))] += agreed.bit_count()
-        for j in bits_of(full & ~(agree_true | agree_false)):
-            vector = tuple(None if s is None else bool(s >> j & 1) for s in values)
-            vectors[_pattern(vector)] += 1
-            violations.append(EquivalenceViolation(lo + j, encodings[j], vector))
-    return {"counts": counts, "vectors": vectors, "violations": violations, "excluded": 0}
+def _condition_slices(theorem: str, n: int, encodings: list[int], skipped: tuple[str, ...]) -> tuple[Sequence[int | None], int]:
+    """A batch's condition slices (bit j of entry k: condition k in space j;
+    None: skipped), sliced or one decoded space at a time, and the mask of the
+    spaces evaluated: the antisymmetry census leaves out those that are not
+    interval-transitive."""
+    enc = free_orbit_encoding(n)
+    if _sliced(theorem, n):
+        slices = sliced.triple_slices(enc, encodings)
+        return sliced.transitivity_slices(n, slices, not skipped), (1 << len(encodings)) - 1
+    values: list[int | None] = [None if name in skipped else 0 for name in CONDITIONS[theorem]]
+    evaluated = 0
+    for j, bits in enumerate(encodings):
+        space = enc.decode(bits)
+        if theorem == "transitivity":
+            cv = transitivity_conditions(space, semigroup_conditions=not skipped)
+        elif interval_transitivity_witness(space) is None:
+            cv = antisymmetry_conditions(space)
+        else:
+            continue
+        evaluated |= 1 << j
+        for k, value in enumerate(cv.values):
+            if value:
+                values[k] |= 1 << j
+    return values, evaluated
 
 
 def _census_chunk(args: tuple) -> dict:
-    theorem, population, start, stop, semigroup = args
-    if _sliced(theorem, population):
-        return _sliced_chunk(population, start, stop, semigroup)
-    enc = free_orbit_encoding(population.n)
+    """The census tallies over spaces start..stop-1, read off one batch of slices at a time."""
+    theorem, population, start, stop, skipped = args
     counts: Counter = Counter()
     vectors: Counter = Counter()
     violations: list[EquivalenceViolation] = []
     excluded = 0
-    for index, space in population.spaces(start, stop):
-        if theorem == "transitivity":
-            cv: ConditionVector = transitivity_conditions(space, semigroup_conditions=semigroup)
-        else:
-            if interval_transitivity_witness(space) is not None:
-                excluded += 1
-                continue
-            cv = antisymmetry_conditions(space)
-        for name, value in zip(cv.names, cv.values):
-            if value:
-                counts[name] += 1
-        vectors[_pattern(cv.values)] += 1
-        if not cv.all_equal():
-            violations.append(EquivalenceViolation(index, enc.encode(space), cv.values))
+    for lo in range(start, stop, sliced.BATCH):
+        encodings = list(population.encodings(lo, min(lo + sliced.BATCH, stop)))
+        values, evaluated = _condition_slices(theorem, population.n, encodings, skipped)
+        excluded += len(encodings) - evaluated.bit_count()
+        for name, s in zip(CONDITIONS[theorem], values):
+            if s:
+                counts[name] += s.bit_count()
+        # An evaluated space agrees when every evaluated condition is true or
+        # every one is false; the others are violations, read out one by one.
+        decided = [s for s in values if s is not None]
+        agree_true = evaluated & reduce(and_, decided)
+        agree_false = evaluated & ~reduce(or_, decided)
+        for agreed, value in ((agree_true, True), (agree_false, False)):
+            if agreed:
+                vectors[_pattern(tuple(None if s is None else value for s in values))] += agreed.bit_count()
+        for j in bits_of(evaluated & ~(agree_true | agree_false)):
+            vector = tuple(None if s is None else bool(s >> j & 1) for s in values)
+            vectors[_pattern(vector)] += 1
+            violations.append(EquivalenceViolation(lo + j, encodings[j], vector))
     return {"counts": counts, "vectors": vectors, "violations": violations, "excluded": excluded}
 
 
@@ -364,10 +364,11 @@ def _run_chunks(task, args_list: list[tuple], workers: int) -> list:
 
 def _verify(theorem: str, population: Population, semigroup: bool, workers: int) -> CensusReport:
     total = population.size()
-    min_chunk = sliced.BATCH if _sliced(theorem, population) else 1
+    min_chunk = sliced.BATCH if _sliced(theorem, population.n) else 1
+    skipped = ("C4", "C5") if theorem == "transitivity" and not semigroup else ()
     chunk_results = _run_chunks(
         _census_chunk,
-        [(theorem, population, s, e, semigroup) for s, e in _partition(total, workers, min_chunk)],
+        [(theorem, population, s, e, skipped) for s, e in _partition(total, workers, min_chunk)],
         workers,
     )
     counts: Counter = Counter()
@@ -379,8 +380,6 @@ def _verify(theorem: str, population: Population, semigroup: bool, workers: int)
         vectors.update(r["vectors"])
         violations.extend(r["violations"])
         excluded += r["excluded"]
-    names = TRANSITIVITY_CONDITIONS if theorem == "transitivity" else ANTISYMMETRY_CONDITIONS
-    skipped = ("C4", "C5") if theorem == "transitivity" and not semigroup else ()
     return CensusReport(
         theorem=theorem,
         n=population.n,
@@ -388,7 +387,7 @@ def _verify(theorem: str, population: Population, semigroup: bool, workers: int)
         total=total,
         hypothesis_excluded=excluded,
         skipped=skipped,
-        condition_counts=tuple((name, counts.get(name, 0)) for name in names),
+        condition_counts=tuple((name, counts.get(name, 0)) for name in CONDITIONS[theorem]),
         vector_counts=tuple(sorted(vectors.items())),
         violations=tuple(sorted(violations, key=lambda v: v.index)),
     )

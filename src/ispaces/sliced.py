@@ -24,7 +24,7 @@ from __future__ import annotations
 from operator import or_
 from typing import Sequence
 
-from .core import _forced_bits, _triple_index, bits_of
+from .core import _forced_bits, _subset_unions, _triple_index, bits_of
 
 #: Spaces per batch.  A batch costs about the same whatever its size, so
 #: batches are as large as the exhaustive n = 4 population.
@@ -160,15 +160,6 @@ def _set_table(n: int, ivl: list[SliceSet]) -> list[list[SliceSet]]:
                 row[bm] = _union(rest[bm], single[bm])
         tab.append(row)
     return tab
-
-
-def _subset_unions(size: int, singles: list[int]) -> list[int]:
-    """out[M] = the union (OR) of singles[p] over the points p of mask M."""
-    out = [0] * size
-    for m in range(1, size):
-        low = m & -m
-        out[m] = out[m ^ low] | singles[low.bit_length() - 1]
-    return out
 
 
 def _semigroup_breaches(n: int, ivl: list[SliceSet], tab: list[list[SliceSet]], width: int) -> tuple[int, int]:

@@ -124,17 +124,17 @@ def test_criterion_4_propositions():
     failures = []
 
     def run(space):
-        if not I.check_base_interval_transitivity_prop(space):
+        if I.base_interval_transitivity_prop_witness(space) is not None:
             failures.append(("base-interval-transitivity", space))
-        if not I.check_base_interval_antisymmetry_prop(space):
+        if I.base_interval_antisymmetry_prop_witness(space) is not None:
             failures.append(("base-interval-antisymmetry", space))
-        if not I.check_stiff_implies_convex_antisymmetry(space):
+        if I.stiff_convex_antisymmetry_witness(space) is not None:
             failures.append(("stiff-convex-antisymmetry", space))
         if naive.chain_walk(convex_closure_system(space).closed) is not None:
             failures.append(("combinatorial", space))
-        if I.is_interval_transitive(space):
+        if I.interval_transitivity_witness(space) is None:
             for a_set in space.convex_sets():
-                if len(a_set) and not I.entailment_is_reverse_of_between(space, a_set):
+                if len(a_set) and I.entailment_reverse_witness(space, a_set) is not None:
                     failures.append(("entailment-reverse", space))
 
     total = 0
@@ -223,8 +223,8 @@ def test_criterion_7_vector_space_claims():
                               for _ in range(dim)))
             space = I.vector_space_on_points(sorted(pts))
             total += 1
-            if not (I.is_point_transitive(space) and I.is_point_antisymmetric(space)
-                    and I.is_stiff(space)):
+            if not (I.point_transitivity_witness(space) is None and I.point_antisymmetry_witness(space) is None
+                    and I.stiffness_witness(space) is None):
                 bad += 1
     elapsed = time.perf_counter() - start
     _gate(7, "vector-space samples", bad == 0 and total == 200,

@@ -164,6 +164,23 @@ class TestHeaders:
         with deadline(30):
             assert load(str(path)).n == MAX_POINTS
 
+    def test_collinear_points_at_bound_load(self, tmp_path):
+        # 256 points on one line, listed out of order: the loader builds the
+        # table ray by ray, not by n^3 betweenness tests
+        coords = [(i * 97) % MAX_POINTS for i in range(MAX_POINTS)]
+        path = tmp_path / "line.qpoints"
+        path.write_text("qpoints v1\ndim 2\n" + "".join(f"point {k} {-2 * k}\n" for k in coords))
+        ends = f"{coords.index(0)},{coords.index(MAX_POINTS - 1)}"
+        src = str(Path(I.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with deadline(30):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ispaces", "hull", str(path), "--set", ends, "--format", "structured"],
+                capture_output=True, text=True, env=env,
+            )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["result"] == list(range(MAX_POINTS))
+
     def test_over_large_file_exits_two_without_traceback(self, tmp_path):
         path = tmp_path / "big.graph"
         path.write_text("graph v1\nvertices 300000000\nedge 0 1\n")
@@ -325,7 +342,7 @@ class TestCommands:
         assert code == 0 and "interval-convex: true" in out and "antiexchange: true" in out
 
     def test_check_selected_notes_only(self, capsys, tmp_path):
-        space = next(s for s in I.enumerate_spaces(4) if not I.is_interval_transitive(s))
+        space = next(s for s in I.enumerate_spaces(4) if I.interval_transitivity_witness(s) is not None)
         path = tmp_path / "nit.ispace"
         save_ispace(space, str(path))
         code, out, _ = run_cli(capsys, "check", str(path), "--properties", "C1,stiff", "--format", "structured")
@@ -487,7 +504,7 @@ class TestCommands:
         path.write_text(doc["ispace"])
         space = load(str(path))
         assert I.free_orbit_encoding(doc["n"]).encode(space) == doc["encoding"]
-        assert I.is_stiff(space) and not I.is_interval_convex(space)
+        assert I.stiffness_witness(space) is None and I.interval_convexity_witness(space) is not None
 
     def test_search_not_found(self, capsys):
         code, out, _ = run_cli(

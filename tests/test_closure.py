@@ -151,50 +151,50 @@ class TestEntailment:
 
 class TestEntailmentReverse:
     def test_chain_examples(self, l3):
-        assert I.entailment_is_reverse_of_between(l3, PointSet.of(3, [0]))
-        assert I.entailment_is_reverse_of_between(l3, PointSet.full(3))
+        assert I.entailment_reverse_witness(l3, PointSet.of(3, [0])) is None
+        assert I.entailment_reverse_witness(l3, PointSet.full(3)) is None
 
     def test_exhaustive_small(self):
         for n in (1, 2, 3):
             for space in I.enumerate_spaces(n):
-                if not I.is_interval_transitive(space):
+                if I.interval_transitivity_witness(space) is not None:
                     continue
                 for a_set in space.convex_sets():
                     if len(a_set) == 0:
                         continue
-                    assert I.entailment_is_reverse_of_between(space, a_set)
+                    assert I.entailment_reverse_witness(space, a_set) is None
 
     def test_hypotheses_enforced(self, k23, l3):
         with pytest.raises(HypothesisNotMetError, match="interval-transitive"):
-            I.entailment_is_reverse_of_between(k23, PointSet.of(5, [0]))
+            I.entailment_reverse_witness(k23, PointSet.of(5, [0]))
         with pytest.raises(HypothesisNotMetError, match="convex"):
-            I.entailment_is_reverse_of_between(l3, PointSet.of(3, [0, 2]))
+            I.entailment_reverse_witness(l3, PointSet.of(3, [0, 2]))
         # the empty base genuinely breaks the claim: c |-_{} c always holds,
         # <{}, c, c> never does, so emptiness is part of the hypothesis
         with pytest.raises(HypothesisNotMetError, match="nonempty"):
-            I.entailment_is_reverse_of_between(l3, PointSet.empty(3))
+            I.entailment_reverse_witness(l3, PointSet.empty(3))
 
 
 class TestAntiexchange:
     def test_chain_true(self, l3):
-        assert I.is_antiexchange(convex_closure_system(l3))
+        assert I.antiexchange_witness(convex_closure_system(l3)) is None
 
     def test_non_stiff_space_false(self, non_stiff_3):
         # interval-transitive but not stiff, so the convex system cannot be
         # antiexchange; confirmed extensionally
-        assert I.is_interval_transitive(non_stiff_3)
+        assert I.interval_transitivity_witness(non_stiff_3) is None
         cs = convex_closure_system(non_stiff_3)
         witness = antiexchange_witness(cs)
         assert witness is not None
         assert naive.witness_falsifies(non_stiff_3, "antiexchange", witness)
 
     def test_single_point_vacuous(self):
-        assert I.is_antiexchange(convex_closure_system(I.linear_order_space(1)))
+        assert I.antiexchange_witness(convex_closure_system(I.linear_order_space(1))) is None
 
     @given(space_strategy(max_n=4))
     @settings(max_examples=40)
     def test_against_naive(self, space):
-        assert I.is_antiexchange(convex_closure_system(space)) == naive.antiexchange(space)
+        assert (I.antiexchange_witness(convex_closure_system(space)) is None) == naive.antiexchange(space)
 
 
 class TestCombinatorial:
@@ -261,7 +261,7 @@ class TestClosureMemo:
         cs = ClosureSystem(non_stiff_3.n, convex_closure_system(non_stiff_3).closed)
         witness = antiexchange_witness(cs)
         assert antimatroid_witness(cs) is witness
-        assert not I.is_antiexchange(cs) and not I.is_antimatroid(cs)
+        assert I.antiexchange_witness(cs) is not None and I.antimatroid_witness(cs) is not None
 
     @given(space_strategy(max_n=4))
     @settings(max_examples=30)
@@ -282,7 +282,7 @@ class TestClosureMemo:
 
 class TestAntimatroid:
     def test_chain_true(self, l3):
-        assert I.is_antimatroid(convex_closure_system(l3))
+        assert I.antimatroid_witness(convex_closure_system(l3)) is None
 
     def test_non_stiff_space_false(self, non_stiff_3):
         cs = convex_closure_system(non_stiff_3)
@@ -291,9 +291,9 @@ class TestAntimatroid:
 
     def test_empty_membership_is_data(self):
         without_empty = ClosureSystem.of(2, [[0], [0, 1]])
-        assert I.is_antiexchange(without_empty) and not without_empty.has_empty()
+        assert I.antiexchange_witness(without_empty) is None and not without_empty.has_empty()
         assert antimatroid_witness(without_empty) == ("empty-set-not-closed",)
-        assert not I.is_antimatroid(without_empty)
+        assert I.antimatroid_witness(without_empty) is not None
 
     @given(space_strategy(max_n=4))
     @settings(max_examples=30)
@@ -317,7 +317,7 @@ class TestTheoremBridges:
     @given(space_strategy(max_n=4))
     @settings(max_examples=40)
     def test_d3_d4_d5_agree_under_hypothesis(self, space):
-        if not I.is_interval_transitive(space):
+        if I.interval_transitivity_witness(space) is not None:
             return
         dv = I.antisymmetry_conditions(space)
         flags = dv.flags()

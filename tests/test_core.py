@@ -337,13 +337,9 @@ class TestRestrict:
         if sm == 0:
             sm = 1
         sub = space.restrict(PointSet(space.n, sm))
-        for held, check in (
-            (I.is_point_transitive(space), I.is_point_transitive),
-            (I.is_point_antisymmetric(space), I.is_point_antisymmetric),
-            (I.is_stiff(space), I.is_stiff),
-        ):
-            if held:
-                assert check(sub)
+        for witness in (I.point_transitivity_witness, I.point_antisymmetry_witness, I.stiffness_witness):
+            if witness(space) is None:
+                assert witness(sub) is None
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,24 @@ def rational_points(dim, count):
     return st.lists(point, min_size=count, max_size=count, unique=True)
 
 
+def collinear_points(dim):
+    """One to nine distinct points o + t*d on one line, in any order."""
+    origin = st.tuples(*[coord] * dim)
+    step = st.tuples(*[coord] * dim).filter(any)
+    ts = st.lists(st.fractions(-4, 4, max_denominator=3), min_size=1, max_size=9, unique=True)
+    return st.builds(
+        lambda o, d, t: [tuple(oc + ti * dc for oc, dc in zip(o, d)) for ti in t], origin, step, ts
+    )
+
+
+def point_sets(dim):
+    """One to nine distinct points: arbitrary, or all on one line."""
+    return st.one_of(
+        st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=9, unique=True),
+        collinear_points(dim),
+    )
+
+
 class TestRationalBetween:
     def test_midpoint(self):
         assert rational_between((0, 0), (1, 2), (2, 4))
@@ -73,13 +91,22 @@ class TestVectorSpaces:
         with pytest.raises(ValueError):
             vector_space_on_points([])
 
+    @given(st.integers(1, 3).flatmap(point_sets))
+    @settings(max_examples=150)
+    def test_table_equals_rational_between(self, pts):
+        # the row-by-ray build against the n^3 reference tests
+        reference = I.BetweennessTable.from_function(
+            len(pts), lambda a, x, c: rational_between(pts[a], pts[x], pts[c])
+        )
+        assert vector_space_on_points(pts).table == reference
+
     @given(st.one_of(rational_points(2, 5), rational_points(3, 5)))
     @settings(max_examples=40)
     def test_universal_vector_space_properties(self, pts):
         space = vector_space_on_points(pts)
-        assert I.is_point_transitive(space)
-        assert I.is_point_antisymmetric(space)
-        assert I.is_stiff(space)
+        assert I.point_transitivity_witness(space) is None
+        assert I.point_antisymmetry_witness(space) is None
+        assert I.stiffness_witness(space) is None
 
 
 class TestGraph:
@@ -112,7 +139,7 @@ class TestGeodesicSpaces:
         assert I.geodesic_space_from_graph(I.path_graph(4)).table == I.linear_order_space(4).table
 
     def test_k23_not_interval_convex(self, k23):
-        assert not I.is_interval_convex(k23)
+        assert I.interval_convexity_witness(k23) is not None
 
     def test_complete_graph_trivial_intervals(self):
         k3 = I.geodesic_space_from_graph(I.complete_graph(3))

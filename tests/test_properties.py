@@ -38,16 +38,16 @@ class TestNamedProperties:
         assert all(v is True for v in report.flags.values())
 
     def test_chain_properties(self, l3):
-        assert I.is_point_transitive(l3)
-        assert I.is_point_antisymmetric(l3)
-        assert I.is_interval_transitive(l3)
-        assert I.is_interval_antisymmetric(l3)
-        assert I.is_interval_convex(l3)
-        assert I.is_stiff(l3)
+        assert I.point_transitivity_witness(l3) is None
+        assert I.point_antisymmetry_witness(l3) is None
+        assert I.interval_transitivity_witness(l3) is None
+        assert I.interval_antisymmetry_witness(l3) is None
+        assert I.interval_convexity_witness(l3) is None
+        assert I.stiffness_witness(l3) is None
 
     def test_non_stiff_example(self, non_stiff_3):
         assert I.stiffness_witness(non_stiff_3) == (0, 1, 2, 0)
-        assert not I.is_stiff(non_stiff_3)
+        assert I.stiffness_witness(non_stiff_3) is not None
 
     def test_k23_interval_convexity_witness(self, k23):
         witness = I.interval_convexity_witness(k23)
@@ -55,24 +55,24 @@ class TestNamedProperties:
         assert naive.witness_falsifies(k23, "interval-convex", witness)
 
     def test_k23_interval_transitivity_fails(self, k23):
-        assert not I.is_interval_transitive(k23)
+        assert I.interval_transitivity_witness(k23) is not None
         assert naive.witness_falsifies(k23, "C1", I.interval_transitivity_witness(k23))
 
     @given(space_strategy(max_n=4))
     @settings(max_examples=80)
     def test_checkers_match_naive(self, space):
-        assert I.is_point_transitive(space) == naive.point_transitive(space)
-        assert I.is_point_antisymmetric(space) == naive.point_antisymmetric(space)
-        assert I.is_interval_transitive(space) == naive.interval_transitive(space)
-        assert I.is_interval_antisymmetric(space) == naive.interval_antisymmetric(space)
-        assert I.is_interval_convex(space) == naive.interval_convex(space)
-        assert I.is_stiff(space) == naive.stiff(space)
+        assert (I.point_transitivity_witness(space) is None) == naive.point_transitive(space)
+        assert (I.point_antisymmetry_witness(space) is None) == naive.point_antisymmetric(space)
+        assert (I.interval_transitivity_witness(space) is None) == naive.interval_transitive(space)
+        assert (I.interval_antisymmetry_witness(space) is None) == naive.interval_antisymmetric(space)
+        assert (I.interval_convexity_witness(space) is None) == naive.interval_convex(space)
+        assert (I.stiffness_witness(space) is None) == naive.stiff(space)
 
     @given(space_strategy(max_n=5))
     @settings(max_examples=60)
     def test_interval_transitive_implies_point_transitive(self, space):
-        if I.is_interval_transitive(space):
-            assert I.is_point_transitive(space)
+        if I.interval_transitivity_witness(space) is None:
+            assert I.point_transitivity_witness(space) is None
 
 
 class TestTransitivityConditions:
@@ -261,7 +261,7 @@ class TestAntisymmetryConditions:
         first = None
         for n in (3, 4):
             for index, space in enumerate(I.enumerate_spaces(n)):
-                if I.is_interval_transitive(space):
+                if I.interval_transitivity_witness(space) is None:
                     continue
                 dv = antisymmetry_conditions(space, allow_non_interval_transitive=True)
                 if not dv.all_equal():
@@ -276,7 +276,7 @@ class TestRationalSamples:
     def test_qualifying_samples_satisfy_all_antisymmetry_conditions(self, triangle):
         collinear = I.vector_space_on_points([(i,) for i in range(5)])
         for space in (triangle, collinear):
-            assert I.is_interval_transitive(space)
+            assert I.interval_transitivity_witness(space) is None
             assert I.antisymmetry_conditions(space).values == (True,) * 5
 
     def test_witness_conditions_not_inherited_by_samples(self):
@@ -284,27 +284,27 @@ class TestRationalSamples:
         # need not: the 3x3 grid lacks the witnesses interval-transitivity
         # asks for, so results are reported per sample, never extrapolated
         grid = I.vector_space_on_points([(x, y) for x in range(3) for y in range(3)])
-        assert I.is_point_transitive(grid) and I.is_stiff(grid)
-        assert not I.is_interval_transitive(grid)
+        assert I.point_transitivity_witness(grid) is None and I.stiffness_witness(grid) is None
+        assert I.interval_transitivity_witness(grid) is not None
 
 
 class TestPropositions:
     def test_exhaustive_small(self):
         for n in (1, 2, 3):
             for space in I.enumerate_spaces(n):
-                assert I.check_base_interval_transitivity_prop(space)
-                assert I.check_base_interval_antisymmetry_prop(space)
-                assert I.check_stiff_implies_convex_antisymmetry(space)
+                assert I.base_interval_transitivity_prop_witness(space) is None
+                assert I.base_interval_antisymmetry_prop_witness(space) is None
+                assert I.stiff_convex_antisymmetry_witness(space) is None
 
     @given(space_strategy(min_n=4, max_n=5))
     @settings(max_examples=60)
     def test_sampled(self, space):
-        assert I.check_base_interval_transitivity_prop(space)
-        assert I.check_base_interval_antisymmetry_prop(space)
-        assert I.check_stiff_implies_convex_antisymmetry(space)
+        assert I.base_interval_transitivity_prop_witness(space) is None
+        assert I.base_interval_antisymmetry_prop_witness(space) is None
+        assert I.stiff_convex_antisymmetry_witness(space) is None
 
     def test_vacuous_when_not_point_transitive(self):
-        space = next(s for s in I.enumerate_spaces(4) if not I.is_point_transitive(s))
+        space = next(s for s in I.enumerate_spaces(4) if I.point_transitivity_witness(s) is not None)
         assert I.base_interval_antisymmetry_prop_witness(space) is None
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,10 @@ from ispaces import (
     verify_transitivity_theorem,
 )
 
+from ispaces import search
 from ispaces.cli import main
-from ispaces.search import _partition, _pool_size, _search_plan
+from ispaces.properties import ANTISYMMETRY_CONDITIONS
+from ispaces.search import EquivalenceViolation, _partition, _pool_size, _search_plan
 
 import naive
 
@@ -213,6 +216,53 @@ class TestVerifyTheorems:
             anti = verify_antisymmetry_theorem(pop)
             assert anti.violation_count == 0
             assert anti.hypothesis_excluded < count  # some samples qualify
+
+
+def _plain_antisymmetry_census(population):
+    """Excluded count, condition counts and vector counts by a plain loop over spaces."""
+    counts = Counter()
+    vectors = Counter()
+    excluded = 0
+    for _, space in population.spaces():
+        if I.interval_transitivity_witness(space) is not None:
+            excluded += 1
+            continue
+        values = I.antisymmetry_conditions(space).values
+        counts.update(name for name, v in zip(ANTISYMMETRY_CONDITIONS, values) if v)
+        vectors["".join("T" if v else "F" for v in values)] += 1
+    return excluded, tuple((name, counts[name]) for name in ANTISYMMETRY_CONDITIONS), tuple(sorted(vectors.items()))
+
+
+class TestAntisymmetryCensus:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "population", [ExhaustivePopulation(4), SampledPopulation(5, 11, 600)], ids=lambda p: p.describe()
+    )
+    def test_equals_plain_loop(self, population, workers):
+        report = verify_antisymmetry_theorem(population, workers=workers)
+        assert (report.hypothesis_excluded, report.condition_counts, report.vector_counts) == (
+            _plain_antisymmetry_census(population)
+        )
+
+    def test_flipped_condition_is_reported_as_violation(self, monkeypatch):
+        population = SampledPopulation(5, 11, 600)
+        target = next(s for _, s in population.spaces() if I.interval_transitivity_witness(s) is None)
+        real = search.antisymmetry_conditions
+        values = list(real(target).values)
+        values[2] = not values[2]  # D3
+        flipped = tuple(values)
+
+        def flip_d3(space):
+            cv = real(space)
+            return I.ConditionVector("antisymmetry", flipped) if space == target else cv
+
+        monkeypatch.setattr(search, "antisymmetry_conditions", flip_d3)
+        report = verify_antisymmetry_theorem(population)
+        enc = free_orbit_encoding(5)
+        expected = tuple(
+            EquivalenceViolation(i, enc.encode(s), flipped) for i, s in population.spaces() if s == target
+        )
+        assert expected and report.violations == expected
 
 
 class TestFindSeparating:
