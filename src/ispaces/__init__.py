@@ -20,7 +20,6 @@ from .closure import (
     antiexchange_witness,
     antimatroid_witness,
     convex_closure_system,
-    entailment_reverse_witness,
 )
 from .models import (
     Graph,
@@ -43,6 +42,7 @@ from .properties import (
     antisymmetry_conditions,
     base_interval_antisymmetry_prop_witness,
     base_interval_transitivity_prop_witness,
+    entailment_reverse_witness,
     interval_antisymmetry_witness,
     interval_convexity_witness,
     interval_transitivity_witness,

@@ -214,14 +214,14 @@ def load(path: str) -> FiniteIntervalSpace:
 
 
 def format_ispace(space: FiniteIntervalSpace) -> str:
-    """Canonical ispace text: free orbit representatives only.
+    """Canonical ispace text: free orbit representatives only, the true
+    triples <a, b, c> with a < c and b outside {a, c}, in orbit order.
 
     Reloading the result reproduces the table bit-for-bit, since the loader
     restores the forced triples and symmetric partners.
     """
-    enc = free_orbit_encoding(space.n)
     lines = ["ispace v1", f"points {space.n}"]
-    lines += [f"triple {a} {b} {c}" for a, b, c in enc.triples(enc.encode(space))]
+    lines += [f"triple {a} {b} {c}" for a, b, c in space.table.triples() if a < c and b != a and b != c]
     return "\n".join(lines) + "\n"
 
 
@@ -372,6 +372,7 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
         base_set = parse_point_set(args.set, space.n)
         relation = space.base_set_order(base_set)
         base = {"set": base_set}
+    reflexive = relation.is_reflexive()
     trans_w = relation.transitivity_witness()
     anti_w = relation.antisymmetry_witness()
     payload = {
@@ -381,10 +382,10 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
         **base,
         "rows": ["".join("1" if (relation.rows[x] >> y) & 1 else "0" for y in range(space.n))
                  for x in range(space.n)],
-        "reflexive": relation.is_reflexive(),
+        "reflexive": reflexive,
         "transitive": trans_w is None,
         "antisymmetric": anti_w is None,
-        "partial_order": relation.is_partial_order(),
+        "partial_order": reflexive and trans_w is None and anti_w is None,
         "witnesses": {
             **({"transitive": trans_w} if trans_w is not None else {}),
             **({"antisymmetric": anti_w} if anti_w is not None else {}),

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteIntervalSpace, PointSet, bits_of
+from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness
 
 
 class HypothesisNotMetError(ValueError):
@@ -123,24 +123,16 @@ class ClosureSystem:
 
     @cached_property
     def _antiexchange_witness(self) -> tuple[PointSet, int, int] | None:
+        """Antiexchange is antisymmetry of entailment: row x of A is
+        cl(A + {x}), the points x entails relative to A, for x outside A."""
         full = (1 << self.n) - 1
         for a_mask in self.closed:
             outside = full & ~a_mask
-            if outside == 0:
-                continue
-            cl_with = {x: self._cl_mask(a_mask | (1 << x)) for x in bits_of(outside)}
-            rest = outside
-            while rest:
-                low = rest & -rest
-                x = low.bit_length() - 1
-                rest ^= low
-                cands = cl_with[x] & outside & ~((1 << (x + 1)) - 1)
-                while cands:
-                    lo = cands & -cands
-                    y = lo.bit_length() - 1
-                    cands ^= lo
-                    if (cl_with[y] >> x) & 1:
-                        return (PointSet(self.n, a_mask), x, y)
+            if outside:
+                rows = [self._cl_mask(a_mask | (1 << x)) if outside >> x & 1 else 0 for x in range(self.n)]
+                w = _antisymmetric_rows_witness(rows, outside)
+                if w is not None:
+                    return (PointSet(self.n, a_mask), *w)
         return None
 
 
@@ -185,37 +177,3 @@ def antimatroid_witness(cs: ClosureSystem) -> tuple | None:
     if witness is not None:
         return witness
     return None if cs.has_empty() else ("empty-set-not-closed",)
-
-
-# ---------------------------------------------------------------------------
-# Space-level bridges
-
-
-def entailment_reverse_witness(space: FiniteIntervalSpace, a_set: PointSet) -> tuple[int, int] | None:
-    """Smallest (b, c) where c |-_A b disagrees with <A, b, c>, or None.
-
-    Hypotheses: the space is interval-transitive and A is nonempty and
-    convex; under them the entailment relation relative to A is exactly the
-    reverse of the base-set relation of A.  Nonemptiness matters: c |-_{}
-    c always holds (cl({c}) contains c) while <{}, c, c> never does.
-    Entailment is evaluated through the convex closure system, the other
-    side through the space's own operators.
-    """
-    from .properties import interval_transitivity_witness
-
-    space._check_set(a_set)
-    if interval_transitivity_witness(space) is not None:
-        raise HypothesisNotMetError("space is not interval-transitive")
-    if a_set.mask == 0:
-        raise HypothesisNotMetError("base set must be nonempty")
-    if space._convexity_breach(a_set.mask) is not None:
-        raise HypothesisNotMetError(f"base set {a_set} is not convex")
-    cs = convex_closure_system(space)
-    n = space.n
-    rows = space._base_set_rows(a_set.mask)  # rows[b] bit c: <A, b, c>
-    entailed_by = [cs._cl_mask(a_set.mask | (1 << c)) for c in range(n)]
-    for b in range(n):
-        for c in range(n):
-            if ((entailed_by[c] >> b) & 1) != ((rows[b] >> c) & 1):
-                return (b, c)
-    return None

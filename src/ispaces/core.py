@@ -649,6 +649,16 @@ class FiniteIntervalSpace:
                 rows[x] |= fwd[base + x]
         return rows
 
+    def _order_transitivity_breach(self, am: int) -> tuple[int, int, int] | None:
+        """Smallest (x, y, z) with <S, x, y> and <S, y, z> but not <S, x, z>:
+        the base order of S breaks transitivity."""
+        return _transitive_rows_witness(self._base_set_rows(am))
+
+    def _order_antisymmetry_breach(self, am: int) -> tuple[int, int] | None:
+        """Smallest (x, y), x < y both outside S, that the base order of S relates both ways."""
+        outside = ~am & ((1 << self.n) - 1)
+        return _antisymmetric_rows_witness(self._base_set_rows(am), outside) if outside else None
+
     def _subset_table(self) -> list[tuple[int, ...]]:
         """[A, C] for all 2^n x 2^n subset pairs, in rows of tuples that scans gather
         from at C level (``operator.itemgetter``).  C4/C5 budget its 8^n scan."""

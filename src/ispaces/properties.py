@@ -8,10 +8,14 @@ condition vectors bundle the nine formulations equivalent to
 interval-transitivity (C1..C9) and the five equivalent to
 interval-antisymmetry (D1..D5).  Every condition is evaluated from its own
 defining formula, not derived from the others, so the equivalences can be
-verified extensionally over enumerated or sampled spaces.
+verified extensionally over enumerated or sampled spaces.  The one exception
+is C5, which the axioms reduce to C4 (:func:`transitivity_conditions`).
 
 Scan order is ascending point ids (and ascending bit masks for subset
 quantifiers) everywhere, which makes reported witnesses deterministic.
+Interval scans skip b < a: [a, b] = [b, a] by middle symmetry, so the
+smallest failing pair has a <= b (a < b for convexity, as [a, a] = {a}).
+Base orders are tested by the space's two ``_order_*_breach`` kernels.
 """
 
 from __future__ import annotations
@@ -20,14 +24,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .core import (
-    FiniteIntervalSpace,
-    PointSet,
-    _antisymmetric_rows_witness,
-    _transitive_rows_witness,
-    budget_message,
-    over_budget,
-)
+from .core import FiniteIntervalSpace, PointSet, budget_message, over_budget
 from .closure import (
     HypothesisNotMetError,
     antiexchange_witness,
@@ -48,24 +45,20 @@ CONDITIONS = {"transitivity": TRANSITIVITY_CONDITIONS, "antisymmetry": ANTISYMME
 
 def point_transitivity_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] | None:
     """Smallest (a, x, y, z) with <a,x,y> and <a,y,z> but not <a,x,z>."""
-    n = space.n
-    fwd = space._fwd
-    for a in range(n):
-        base = a * n
-        w = _transitive_rows_witness(fwd[base:base + n])
+    for a in range(space.n):
+        w = space._order_transitivity_breach(1 << a)
         if w is not None:
             return (a, *w)
     return None
 
 
 def point_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int, int] | None:
-    """Smallest (a, x, y), x < y, with <a,x,y> and <a,y,x>."""
-    n = space.n
-    fwd = space._fwd
-    full = (1 << n) - 1
-    for a in range(n):
-        base = a * n
-        w = _antisymmetric_rows_witness(fwd[base:base + n], full)
+    """Smallest (a, x, y), x < y, with <a,x,y> and <a,y,x>.
+
+    Scanning outside {a} is enough: by thinness a is in no two-way pair.
+    """
+    for a in range(space.n):
+        w = space._order_antisymmetry_breach(1 << a)
         if w is not None:
             return (a, *w)
     return None
@@ -86,9 +79,8 @@ def _interval_transitivity_scan(space: FiniteIntervalSpace) -> tuple[int, int, i
     n = space.n
     ivl = space._ivl
     for a in range(n):
-        for b in range(n):
-            rows = space._base_set_rows(ivl[a * n + b])
-            w = _transitive_rows_witness(rows)
+        for b in range(a, n):
+            w = space._order_transitivity_breach(ivl[a * n + b])
             if w is not None:
                 return (a, b, *w)
     return None
@@ -98,15 +90,9 @@ def interval_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int,
     """Smallest (a, b, x, y): x, y outside [a, b], related both ways by its base order."""
     n = space.n
     ivl = space._ivl
-    full = (1 << n) - 1
     for a in range(n):
-        for b in range(n):
-            im = ivl[a * n + b]
-            outside = full & ~im
-            if outside == 0:
-                continue
-            rows = space._base_set_rows(im)
-            w = _antisymmetric_rows_witness(rows, outside)
+        for b in range(a, n):
+            w = space._order_antisymmetry_breach(ivl[a * n + b])
             if w is not None:
                 return (a, b, *w)
     return None
@@ -117,7 +103,7 @@ def interval_convexity_witness(space: FiniteIntervalSpace) -> tuple[int, int, in
     n = space.n
     ivl = space._ivl
     for a in range(n):
-        for b in range(n):
+        for b in range(a + 1, n):
             breach = space._convexity_breach(ivl[a * n + b])
             if breach is not None:
                 return (a, b, *breach)
@@ -254,27 +240,13 @@ def _associativity_witness(space: FiniteIntervalSpace, tab: list[tuple[int, ...]
     return None
 
 
-def _commutativity_witness(space: FiniteIntervalSpace, tab: list[tuple[int, ...]]) -> tuple | None:
-    size = len(tab)
-    n = space.n
-    for am in range(size):
-        row_a = tab[am]
-        for bm in range(am + 1, size):
-            diff = row_a[bm] ^ tab[bm][am]
-            if diff:
-                x = (diff & -diff).bit_length() - 1
-                return (PointSet(n, am), PointSet(n, bm), x)
-    return None
-
-
 def _c6_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
     """Interval-convexity breaches scan first, then base-order transitivity per convex set."""
     w = interval_convexity_witness(space)
     if w is not None:
         return w
     for am in convex_masks:
-        rows = space._base_set_rows(am)
-        tw = _transitive_rows_witness(rows)
+        tw = space._order_transitivity_breach(am)
         if tw is not None:
             return (PointSet(space.n, am), *tw)
     return None
@@ -346,8 +318,13 @@ def transitivity_conditions(
     ``semigroup_conditions=None`` they are evaluated exactly when those 8^n
     steps fit the work budget or ``allow_large`` is set, and reported as
     skipped (None) otherwise.  Pass True to force them or False to skip
-    regardless.  They scan the full [A, B] table; the sets [[a, b], {c}]
+    regardless.  C4 scans the full [A, B] table; the sets [[a, b], {c}]
     are built once for C2/C3, C8 and C9.
+
+    C5 (associative and commutative) takes C4's value and witness: [A, B] is
+    the union of [a, b] over a in A and b in B, and [a, b] = [b, a] by middle
+    symmetry, so [A, B] = [B, A] on every interval space and a commutativity
+    scan could only return None.
     """
     if semigroup_conditions is None:
         semigroup_conditions = allow_large or not over_budget(1, 3 * space.n)
@@ -357,9 +334,7 @@ def transitivity_conditions(
     witnesses = {"C1": interval_transitivity_witness(space)}
     witnesses["C2"], witnesses["C3"] = _c2_c3_witnesses(space, triangles)
     if semigroup_conditions:
-        tab = space._subset_table()
-        w4 = witnesses["C4"] = _associativity_witness(space, tab)
-        witnesses["C5"] = w4 if w4 is not None else _commutativity_witness(space, tab)
+        witnesses["C4"] = witnesses["C5"] = _associativity_witness(space, space._subset_table())
     witnesses["C6"] = _c6_witness(space, convex)
     witnesses["C7"] = _c7_witness(space, convex, convex_set)
     witnesses["C8"] = _c8_witness(space, triangles, convex_set)
@@ -369,13 +344,8 @@ def transitivity_conditions(
 
 def _d3_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
     """Smallest (A, x, y): A convex, x < y outside A, base order of A relates both ways."""
-    full = (1 << space.n) - 1
     for am in convex_masks:
-        outside = full & ~am
-        if outside == 0:
-            continue
-        rows = space._base_set_rows(am)
-        w = _antisymmetric_rows_witness(rows, outside)
+        w = space._order_antisymmetry_breach(am)
         if w is not None:
             return (PointSet(space.n, am), *w)
     return None
@@ -425,8 +395,7 @@ def base_interval_transitivity_prop_witness(space: FiniteIntervalSpace) -> tuple
     triangles = _triangle_masks(space)
     for a in range(n):
         for b in range(n):
-            rows = space._base_set_rows(ivl[a * n + b])
-            if _transitive_rows_witness(rows) is not None:
+            if space._order_transitivity_breach(ivl[a * n + b]) is not None:
                 continue
             for c in range(n):
                 # [{a},[b,c]] is [[b,c],{a}] by middle symmetry
@@ -445,12 +414,9 @@ def base_interval_antisymmetry_prop_witness(space: FiniteIntervalSpace) -> tuple
     n = space.n
     ivl = space._ivl
     fwd = space._fwd
-    full = (1 << n) - 1
     for a in range(n):
         for d in range(n):
-            im = ivl[a * n + d]
-            rows = space._base_set_rows(im)
-            if _antisymmetric_rows_witness(rows, full & ~im) is not None:
+            if space._order_antisymmetry_breach(ivl[a * n + d]) is not None:
                 continue
             for b in range(n):
                 row_ab = fwd[a * n + b]
@@ -471,6 +437,34 @@ def stiff_convex_antisymmetry_witness(space: FiniteIntervalSpace, *, allow_large
     if stiffness_witness(space) is not None:
         return None
     return _d3_witness(space, space._convex_masks(allow_large=allow_large))
+
+
+def entailment_reverse_witness(space: FiniteIntervalSpace, a_set: PointSet) -> tuple[int, int] | None:
+    """Smallest (b, c) where c |-_A b disagrees with <A, b, c>, or None.
+
+    Hypotheses: the space is interval-transitive and A is nonempty and
+    convex; under them the entailment relation relative to A is exactly the
+    reverse of the base-set relation of A.  Nonemptiness matters: c |-_{}
+    c always holds (cl({c}) contains c) while <{}, c, c> never does.
+    Entailment is evaluated through the convex closure system, the other
+    side through the space's own operators.
+    """
+    space._check_set(a_set)
+    if interval_transitivity_witness(space) is not None:
+        raise HypothesisNotMetError("space is not interval-transitive")
+    if a_set.mask == 0:
+        raise HypothesisNotMetError("base set must be nonempty")
+    if space._convexity_breach(a_set.mask) is not None:
+        raise HypothesisNotMetError(f"base set {a_set} is not convex")
+    cs = convex_closure_system(space)
+    n = space.n
+    rows = space._base_set_rows(a_set.mask)  # rows[b] bit c: <A, b, c>
+    entailed_by = [cs._cl_mask(a_set.mask | (1 << c)) for c in range(n)]
+    for b in range(n):
+        for c in range(n):
+            if ((entailed_by[c] >> b) & 1) != ((rows[b] >> c) & 1):
+                return (b, c)
+    return None
 
 
 # ---------------------------------------------------------------------------

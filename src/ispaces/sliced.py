@@ -16,7 +16,9 @@ Each of C1..C9 is written out from its own defining formula, mirroring
 derived from another.  That scalar path stays the reference and the only
 source of witnesses.  Every space of a batch is valid, so the evaluation
 uses two axioms to halve scans: [u, v] = [v, u] (middle symmetry) and
-[u, u] = {u} (thinness).
+[u, u] = {u} (thinness).  So C1 and C6 scan the intervals [a, b] with
+a <= b, C7 the set pairs A <= B, and C5 takes C4's value, as in
+:func:`ispaces.properties.transitivity_conditions`.
 """
 
 from __future__ import annotations
@@ -162,8 +164,8 @@ def _set_table(n: int, ivl: list[SliceSet]) -> list[list[SliceSet]]:
     return tab
 
 
-def _semigroup_breaches(n: int, ivl: list[SliceSet], tab: list[list[SliceSet]], width: int) -> tuple[int, int]:
-    """Spaces where [.,.] on subsets is not associative, and where it is not commutative.
+def _nonassociative(n: int, ivl: list[SliceSet], tab: list[list[SliceSet]], width: int) -> int:
+    """Spaces where [.,.] on subsets is not associative.
 
     For each B, [A, [B, C]] is built by a union over the lowest point of A
     and [[A, B], C] by a union over the lowest point of C.  The unions and
@@ -190,12 +192,7 @@ def _semigroup_breaches(n: int, ivl: list[SliceSet], tab: list[list[SliceSet]], 
     mask = (1 << width) - 1
     for i in pts:
         nonassoc |= diff >> (i * width) & mask
-    noncomm = 0
-    for am in range(size):
-        for bm in range(am + 1, size):
-            for x, y in zip(tab[am][bm], tab[bm][am]):
-                noncomm |= x ^ y
-    return nonassoc, noncomm
+    return nonassoc
 
 
 def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple[int | None, ...]:
@@ -214,9 +211,10 @@ def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple
         return tuple(full if mask >> x & 1 else 0 for x in pts)
 
     # Each fail_k collects the spaces where C(k) fails.
+    intervals = [ivl[a * n + b] for a in pts for b in range(a, n)]
     # C1: the base order of every [a, b] is transitive.
     fail1 = 0
-    for ab in ivl:
+    for ab in intervals:
         fail1 |= _intransitive(n, fwd, ab)
 
     # C2: [{a}, [b, c]] <= [[a, b], {c}];  C3: the two are equal.
@@ -246,7 +244,7 @@ def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple
 
     # C6: every [a, b] is convex, and the base order of every convex set is transitive.
     fail6 = 0
-    for ab in ivl:
+    for ab in intervals:
         fail6 |= _breach(n, ivl, ab)
     for sm, conv in enumerate(convex):
         if conv:
@@ -258,16 +256,12 @@ def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple
     for am, conv_a in enumerate(convex):
         if conv_a:
             row = tab[am]
-            for bm, conv_b in enumerate(convex):
-                both = conv_a & conv_b
+            for bm in range(am, len(convex)):
+                both = conv_a & convex[bm]
                 if both:
                     fail7 |= both & _breach(n, ivl, row[bm])
 
     # C4: [.,.] on subsets is associative;  C5: associative and commutative.
-    c4 = c5 = None
-    if semigroup:
-        nonassoc, noncomm = _semigroup_breaches(n, ivl, tab, full.bit_length())
-        c4 = full & ~nonassoc
-        c5 = full & ~(nonassoc | noncomm)
+    c4 = full & ~_nonassociative(n, ivl, tab, full.bit_length()) if semigroup else None
     c1, c2, c3, c6, c7, c8, c9 = (full & ~f for f in (fail1, fail2, fail3, fail6, fail7, fail8, fail9))
-    return (c1, c2, c3, c4, c5, c6, c7, c8, c9)
+    return (c1, c2, c3, c4, c4, c6, c7, c8, c9)

@@ -128,6 +128,85 @@ def stiff(space):
     )
 
 
+# -- smallest witnesses, by lexicographic scans over all ordered tuples -------
+
+
+def _first(candidates, breaks):
+    return next((t for t in candidates if breaks(*t)), None)
+
+
+def _intervals(space):
+    return {(a, b): interval(space, a, b) for a, b in product(points(space), repeat=2)}
+
+
+def point_transitivity_witness(space):
+    h = space.holds
+    return _first(
+        product(points(space), repeat=4),
+        lambda a, x, y, z: h(a, x, y) and h(a, y, z) and not h(a, x, z),
+    )
+
+
+def point_antisymmetry_witness(space):
+    h = space.holds
+    return _first(product(points(space), repeat=3), lambda a, x, y: x < y and h(a, x, y) and h(a, y, x))
+
+
+def interval_transitivity_witness(space):
+    intervals = _intervals(space)
+
+    def breaks(a, b, x, y, z):
+        base = intervals[a, b]
+        return (
+            base_holds(space, base, x, y) and base_holds(space, base, y, z)
+            and not base_holds(space, base, x, z)
+        )
+
+    return _first(product(points(space), repeat=5), breaks)
+
+
+def interval_antisymmetry_witness(space):
+    intervals = _intervals(space)
+
+    def breaks(a, b, x, y):
+        base = intervals[a, b]
+        return (
+            x < y and x not in base and y not in base
+            and base_holds(space, base, x, y) and base_holds(space, base, y, x)
+        )
+
+    return _first(product(points(space), repeat=4), breaks)
+
+
+def interval_convexity_witness(space):
+    intervals = _intervals(space)
+
+    def breaks(a, b, u, v, w):
+        base = intervals[a, b]
+        return u in base and v in base and space.holds(u, w, v) and w not in base
+
+    return _first(product(points(space), repeat=5), breaks)
+
+
+def moore_antiexchange_witness(n, closed):
+    """Smallest (A mask, x, y) of a Moore family given by its closed masks
+    (ascending): x < y outside closed A, each in the closure of A with the
+    other, where cl(S) is the intersection of the closed supersets of S."""
+
+    def cl(mask):
+        out = (1 << n) - 1
+        for m in closed:
+            if mask & ~m == 0:
+                out &= m
+        return out
+
+    def breaks(a, x, y):
+        outside = not (a >> x) & 1 and not (a >> y) & 1
+        return x < y and outside and (cl(a | 1 << x) >> y) & 1 and (cl(a | 1 << y) >> x) & 1
+
+    return _first(product(closed, range(n), range(n)), breaks)
+
+
 # -- the nine transitivity conditions ----------------------------------------
 
 

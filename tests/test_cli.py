@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,20 @@ class TestRoundTrip:
 
     def test_format_is_minimal(self, l3):
         assert format_ispace(l3) == "ispace v1\npoints 3\ntriple 0 1 2\n"
+
+    def test_large_space_formats_in_bounded_memory(self, tmp_path):
+        # the orbit encoding of 64 points would hold n^3-bit masks per orbit
+        space = I.geodesic_space_from_graph(I.path_graph(64))
+        tracemalloc.start()
+        try:
+            text = format_ispace(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20
+        path = tmp_path / "p64.ispace"
+        path.write_text(text)
+        assert load(str(path)) == space
 
 
 class TestParsePointSet:

@@ -245,6 +245,17 @@ class TestChainWalk:
         assert naive.chain_walk(cs.closed) is None
 
 
+class TestAntiexchangeOracle:
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=80)
+    def test_hand_built_moore_families(self, n, data):
+        # families derived from spaces never reach non-convex Moore families
+        raw = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12))
+        closed = _moore_closure(n, raw)
+        w = antiexchange_witness(ClosureSystem(n, closed))
+        assert (None if w is None else (w[0].mask, *w[1:])) == naive.moore_antiexchange_witness(n, closed)
+
+
 class TestClosureMemo:
     @given(space_strategy(max_n=5))
     @settings(max_examples=40)

@@ -308,6 +308,34 @@ class TestPropositions:
         assert I.base_interval_antisymmetry_prop_witness(space) is None
 
 
+def _sparse_spaces(min_n, max_n):
+    """Seeded samples, mostly sparse: some properties hold, so witnesses sit past the first pairs."""
+    return st.builds(
+        I.random_space, st.integers(min_n, max_n), st.integers(0, 10 ** 6), st.sampled_from([0.05, 0.1, 0.2, 0.5])
+    )
+
+
+class TestSmallestWitnesses:
+    """The library's scans (unordered interval pairs, base-order kernels)
+    against plain lexicographic scans over every ordered tuple."""
+
+    NAMES = (
+        "point_transitivity_witness",
+        "point_antisymmetry_witness",
+        "interval_transitivity_witness",
+        "interval_antisymmetry_witness",
+        "interval_convexity_witness",
+    )
+
+    @given(_sparse_spaces(5, 6))
+    @example(I.linear_order_space(6))
+    @example(I.geodesic_space_from_graph(I.complete_bipartite_graph(2, 3)))
+    @settings(max_examples=40)
+    def test_against_plain_scan(self, space):
+        for name in self.NAMES:
+            assert getattr(I, name)(space) == getattr(naive, name)(space), name
+
+
 class TestWitnessSoundness:
     @given(space_strategy(max_n=4))
     @settings(max_examples=60)
