@@ -10,9 +10,11 @@ theorems, and search for spaces separating named properties.
 
 All sampling is partition-stable: sample i is drawn from seed + i, never
 from a shared generator, so censuses are identical for every worker count.
-For n <= ``sliced.MAX_N`` the transitivity census evaluates C1..C9 on whole
-batches of encodings at once (:mod:`ispaces.sliced`); every other census
-decodes and checks one space at a time.
+For n <= ``sliced.MAX_N`` both censuses evaluate their conditions on whole
+batches of encodings at once (:mod:`ispaces.sliced`): C1..C9, or the
+interval-transitivity filter and D1..D5.  Past that size a census decodes
+and checks one space at a time, and that scalar path is the tests' oracle
+for the sliced one.
 """
 
 from __future__ import annotations
@@ -73,10 +75,9 @@ class FreeOrbitEncoding:
             if a != b and b != c and a < c
         )
         self._base = _forced_bits(n)
-        self._masks = tuple(
-            (1 << _triple_index(n, a, b, c)) | (1 << _triple_index(n, c, b, a))
-            for a, b, c in self.orbits
-        )
+        # The two triple indices of each orbit: an n^3-bit mask per orbit
+        # would hold n^6 bits in all.
+        self._pairs = tuple((_triple_index(n, a, b, c), _triple_index(n, c, b, a)) for a, b, c in self.orbits)
 
     @property
     def orbit_count(self) -> int:
@@ -93,7 +94,8 @@ class FreeOrbitEncoding:
         rest = bits
         while rest:
             low = rest & -rest
-            table_bits |= self._masks[low.bit_length() - 1]
+            i, j = self._pairs[low.bit_length() - 1]
+            table_bits |= (1 << i) | (1 << j)
             rest ^= low
         return FiniteIntervalSpace._trusted(BetweennessTable(self.n, table_bits))
 
@@ -134,7 +136,7 @@ def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = random.Random(seed)
     bits = 0
-    for k in range(free_orbit_encoding(n).orbit_count):
+    for k in range(_orbit_count(n)):
         if rng.random() < density:
             bits |= 1 << k
     return bits
@@ -276,9 +278,9 @@ def _pattern(values: tuple[bool | None, ...]) -> str:
     return "".join("-" if v is None else ("T" if v else "F") for v in values)
 
 
-def _sliced(theorem: str, n: int) -> bool:
-    """Whether the census evaluates its conditions bit-sliced, a batch at a time."""
-    return theorem == "transitivity" and n <= sliced.MAX_N
+def _sliced(n: int) -> bool:
+    """Whether a census on n points evaluates its conditions bit-sliced, a batch at a time."""
+    return n <= sliced.MAX_N
 
 
 def _condition_slices(theorem: str, n: int, encodings: list[int], skipped: tuple[str, ...]) -> tuple[Sequence[int | None], int]:
@@ -287,9 +289,11 @@ def _condition_slices(theorem: str, n: int, encodings: list[int], skipped: tuple
     spaces evaluated: the antisymmetry census leaves out those that are not
     interval-transitive."""
     enc = free_orbit_encoding(n)
-    if _sliced(theorem, n):
+    if _sliced(n):
         slices = sliced.triple_slices(enc, encodings)
-        return sliced.transitivity_slices(n, slices, not skipped), (1 << len(encodings)) - 1
+        if theorem == "transitivity":
+            return sliced.transitivity_slices(n, slices, not skipped), (1 << len(encodings)) - 1
+        return sliced.antisymmetry_slices(n, slices)
     values: list[int | None] = [None if name in skipped else 0 for name in CONDITIONS[theorem]]
     evaluated = 0
     for j, bits in enumerate(encodings):
@@ -364,7 +368,7 @@ def _run_chunks(task, args_list: list[tuple], workers: int) -> list:
 
 def _verify(theorem: str, population: Population, semigroup: bool, workers: int) -> CensusReport:
     total = population.size()
-    min_chunk = sliced.BATCH if _sliced(theorem, population.n) else 1
+    min_chunk = sliced.BATCH if _sliced(population.n) else 1
     skipped = ("C4", "C5") if theorem == "transitivity" and not semigroup else ()
     chunk_results = _run_chunks(
         _census_chunk,

@@ -1,4 +1,4 @@
-"""Bit-sliced evaluation of C1..C9 over a batch of spaces at once.
+"""Bit-sliced evaluation of C1..C9, and of D1..D5, over a batch of spaces at once.
 
 A batch holds up to :data:`BATCH` valid spaces on n points.  The *slice* of
 the triple <a, x, c> is one int whose bit i is that triple's value in space
@@ -11,14 +11,17 @@ Sets whose membership differs between spaces are *slice-sets*: tuples of n
 slices, entry x holding "x is a member" per space.  A fixed point set is
 the slice-set that is all ones at its members.
 
-Each of C1..C9 is written out from its own defining formula, mirroring
-:func:`ispaces.properties.transitivity_conditions`, so no condition is
+Each of C1..C9 and D1..D5 is written out from its own defining formula,
+mirroring :func:`ispaces.properties.transitivity_conditions` and
+:func:`ispaces.properties.antisymmetry_conditions`, so no condition is
 derived from another.  That scalar path stays the reference and the only
 source of witnesses.  Every space of a batch is valid, so the evaluation
 uses two axioms to halve scans: [u, v] = [v, u] (middle symmetry) and
-[u, u] = {u} (thinness).  So C1 and C6 scan the intervals [a, b] with
+[u, u] = {u} (thinness).  So C1, C6 and D1 scan the intervals [a, b] with
 a <= b, C7 the set pairs A <= B, and C5 takes C4's value, as in
-:func:`ispaces.properties.transitivity_conditions`.
+:func:`ispaces.properties.transitivity_conditions`.  D4 takes cl(A + {x})
+from the sliced hull, where the scalar path intersects the closed
+supersets.
 """
 
 from __future__ import annotations
@@ -90,19 +93,8 @@ def _breach(n: int, ivl: list[SliceSet], s: SliceSet) -> int:
     return out
 
 
-def _intransitive(n: int, fwd: list[SliceSet], s: SliceSet) -> int:
-    """Spaces where the base order of S, R(x, y) iff <p, x, y> for some p in S,
-    is not transitive."""
-    rows = []
-    for x in range(n):
-        row = [0] * n
-        for p in range(n):
-            sp = s[p]
-            if sp:
-                px = fwd[p * n + x]
-                for y in range(n):
-                    row[y] |= sp & px[y]
-        rows.append(row)
+def _intransitive(n: int, rows: list[list[int]]) -> int:
+    """Spaces where the base order ``rows`` is not transitive."""
     out = 0
     for x in range(n):
         row_x = rows[x]
@@ -113,6 +105,19 @@ def _intransitive(n: int, fwd: list[SliceSet], s: SliceSet) -> int:
                 row_y = rows[y]
                 for z in range(n):
                     out |= rxy & row_y[z] & missing[z]
+    return out
+
+
+def _two_way(n: int, rows: list[list[int]], s: SliceSet) -> int:
+    """Spaces where the base order ``rows`` relates some x < y outside S both ways."""
+    out = 0
+    outside = [~m for m in s]
+    for x in range(n - 1):
+        row_x = rows[x]
+        for y in range(x + 1, n):
+            both = row_x[y] & rows[y][x]
+            if both:
+                out |= both & outside[x] & outside[y]
     return out
 
 
@@ -195,27 +200,59 @@ def _nonassociative(n: int, ivl: list[SliceSet], tab: list[list[SliceSet]], widt
     return nonassoc
 
 
+class _Batch:
+    """The views of a batch's triple slices that both kernels read.
+
+    ``fwd[a*n + x][c]`` and ``ivl[a*n + c][x]`` are two views of <a, x, c>;
+    ``intervals`` holds [a, b] for a <= b; ``convex[M]`` is the slice of
+    the spaces where the point set M is convex.
+    """
+
+    def __init__(self, n: int, slices: Sequence[int]):
+        pts = range(n)
+        self.n = n
+        self.full = slices[0]  # <0, 0, 0> holds in every space
+        self.fwd = [tuple(slices[i:i + n]) for i in range(0, n ** 3, n)]
+        self.ivl = ivl = [tuple(slices[(a * n + x) * n + c] for x in pts) for a in pts for c in pts]
+        self.intervals = [ivl[a * n + b] for a in pts for b in range(a, n)]
+        self.convex = [self.full & ~_breach(n, ivl, self.const(sm)) for sm in range(1 << n)]
+
+    def const(self, mask: int) -> SliceSet:
+        """The fixed point set ``mask`` as a slice-set."""
+        return tuple(self.full if mask >> x & 1 else 0 for x in range(self.n))
+
+    def rows(self, s: SliceSet) -> list[list[int]]:
+        """The base order of S as n rows of slices: rows[x][y] holds
+        R(x, y) iff <p, x, y> for some p in S."""
+        n, fwd = self.n, self.fwd
+        rows = []
+        for x in range(n):
+            row = [0] * n
+            for p in range(n):
+                sp = s[p]
+                if sp:
+                    px = fwd[p * n + x]
+                    for y in range(n):
+                        row[y] |= sp & px[y]
+            rows.append(row)
+        return rows
+
+
 def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple[int | None, ...]:
     """C1..C9 over a batch: bit i of entry k is condition C(k+1) in space i.
 
     ``slices`` are the batch's :func:`triple_slices`.  C4 and C5 are None
     when ``semigroup`` is False (skipped, never guessed).
     """
-    full = slices[0]  # <0, 0, 0> holds in every space
+    batch = _Batch(n, slices)
+    full, ivl, convex = batch.full, batch.ivl, batch.convex
     pts = range(n)
-    # fwd[a*n + x][c] and ivl[a*n + c][x] are two views of <a, x, c>.
-    fwd = [tuple(slices[i:i + n]) for i in range(0, n ** 3, n)]
-    ivl = [tuple(slices[(a * n + x) * n + c] for x in pts) for a in pts for c in pts]
-
-    def const(mask: int) -> SliceSet:
-        return tuple(full if mask >> x & 1 else 0 for x in pts)
 
     # Each fail_k collects the spaces where C(k) fails.
-    intervals = [ivl[a * n + b] for a in pts for b in range(a, n)]
     # C1: the base order of every [a, b] is transitive.
     fail1 = 0
-    for ab in intervals:
-        fail1 |= _intransitive(n, fwd, ab)
+    for ab in batch.intervals:
+        fail1 |= _intransitive(n, batch.rows(ab))
 
     # C2: [{a}, [b, c]] <= [[a, b], {c}];  C3: the two are equal.
     # C8: [[a, b], {c}] is convex;  C9: it equals the hull of {a, b, c}.
@@ -235,20 +272,17 @@ def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple
                 mask = (1 << a) | (1 << b) | (1 << c)
                 hull = hulls.get(mask)
                 if hull is None:
-                    hull = hulls[mask] = _hull(n, ivl, const(mask))
+                    hull = hulls[mask] = _hull(n, ivl, batch.const(mask))
                 for x, y in zip(hull, tri):
                     fail9 |= x ^ y
 
-    # convex[M]: the spaces where the point set M is convex.
-    convex = [full & ~_breach(n, ivl, const(sm)) for sm in range(1 << n)]
-
     # C6: every [a, b] is convex, and the base order of every convex set is transitive.
     fail6 = 0
-    for ab in intervals:
+    for ab in batch.intervals:
         fail6 |= _breach(n, ivl, ab)
     for sm, conv in enumerate(convex):
         if conv:
-            fail6 |= conv & _intransitive(n, fwd, const(sm))
+            fail6 |= conv & _intransitive(n, batch.rows(batch.const(sm)))
 
     # C7: [A, B] is convex for all convex A and B.
     tab = _set_table(n, ivl)
@@ -265,3 +299,62 @@ def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple
     c4 = full & ~_nonassociative(n, ivl, tab, full.bit_length()) if semigroup else None
     c1, c2, c3, c6, c7, c8, c9 = (full & ~f for f in (fail1, fail2, fail3, fail6, fail7, fail8, fail9))
     return (c1, c2, c3, c4, c4, c6, c7, c8, c9)
+
+
+def antisymmetry_slices(n: int, slices: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """D1..D5 over a batch, and the mask of the spaces they are evaluated on.
+
+    ``slices`` are the batch's :func:`triple_slices`.  The mask is sliced C1
+    (interval-transitivity, the theorem's hypothesis); bit i of entry k is
+    condition D(k+1) in space i, and is clear wherever the mask is.
+    """
+    batch = _Batch(n, slices)
+    full, fwd, convex = batch.full, batch.fwd, batch.convex
+    pts = range(n)
+
+    # The hypothesis and D1 read the same base orders: those of every [a, b].
+    intransitive = fail1 = 0
+    for ab in batch.intervals:
+        rows = batch.rows(ab)
+        intransitive |= _intransitive(n, rows)
+        # D1: the base order of [a, b] relates no x < y outside it both ways.
+        fail1 |= _two_way(n, rows, ab)
+    evaluated = full & ~intransitive
+
+    # D2 (stiffness): <a, b, c>, b != c and <b, c, d> imply <a, b, d>.
+    fail2 = 0
+    for a in pts:
+        for b in pts:
+            row_ab = fwd[a * n + b]
+            missing = [~m for m in row_ab]
+            for c in pts:
+                abc = row_ab[c]
+                if c != b and abc:
+                    row_bc = fwd[b * n + c]
+                    for d in pts:
+                        fail2 |= abc & row_bc[d] & missing[d]
+
+    # D3: the base order of every convex M relates no x < y outside M both ways.
+    fail3 = 0
+    for sm, conv in enumerate(convex):
+        if conv:
+            const = batch.const(sm)
+            fail3 |= conv & _two_way(n, batch.rows(const), const)
+
+    # D4 (antiexchange): for closed A and x < y outside A, y in cl(A + {x})
+    # and x in cl(A + {y}) never both hold.  cl is the hull here, not the
+    # intersection of closed supersets the scalar path takes.
+    hulls = [_hull(n, batch.ivl, batch.const(m)) for m in range(1 << n)]
+    fail4 = 0
+    for am, closed in enumerate(convex):
+        if closed:
+            for x in pts:
+                if not am >> x & 1:
+                    hull_x = hulls[am | 1 << x]
+                    for y in range(x + 1, n):
+                        if not am >> y & 1:
+                            fail4 |= closed & hull_x[y] & hulls[am | 1 << y][x]
+
+    # D5 (antimatroid): antiexchange, and the empty set is closed.
+    d1, d2, d3, d4 = (evaluated & ~f for f in (fail1, fail2, fail3, fail4))
+    return (d1, d2, d3, d4, d4 & convex[0]), evaluated

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -21,7 +22,14 @@ from ispaces import (
 from ispaces import search
 from ispaces.cli import main
 from ispaces.properties import ANTISYMMETRY_CONDITIONS
-from ispaces.search import EquivalenceViolation, _partition, _pool_size, _search_plan
+from ispaces.search import (
+    EquivalenceViolation,
+    FreeOrbitEncoding,
+    _partition,
+    _pool_size,
+    _search_plan,
+    random_encoding,
+)
 
 import naive
 
@@ -53,6 +61,18 @@ class TestFreeOrbitEncoding:
     def test_encode_checks_universe(self, l3):
         with pytest.raises(ValueError):
             free_orbit_encoding(4).encode(l3)
+
+    def test_large_sample_decodes_in_bounded_memory(self):
+        # an n^3-bit mask per orbit would hold n^6 bits: about 240 MB at n = 40
+        tracemalloc.start()
+        try:
+            enc = FreeOrbitEncoding(40)
+            space = enc.decode(random_encoding(40, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert space.n == 40 and enc.encode(space) == random_encoding(40, 0)
 
     def test_encoding_of_known_space(self, l3):
         # L3 has exactly the <0,1,2> orbit set: first orbit in lex order
@@ -245,7 +265,9 @@ class TestAntisymmetryCensus:
         )
 
     def test_flipped_condition_is_reported_as_violation(self, monkeypatch):
-        population = SampledPopulation(5, 11, 600)
+        # n = 6 is past sliced.MAX_N, so the census calls the scalar conditions
+        # per space; tests/test_sliced.py flips a bit on the sliced path
+        population = SampledPopulation(6, 11, 200)
         target = next(s for _, s in population.spaces() if I.interval_transitivity_witness(s) is None)
         real = search.antisymmetry_conditions
         values = list(real(target).values)
@@ -258,7 +280,7 @@ class TestAntisymmetryCensus:
 
         monkeypatch.setattr(search, "antisymmetry_conditions", flip_d3)
         report = verify_antisymmetry_theorem(population)
-        enc = free_orbit_encoding(5)
+        enc = free_orbit_encoding(6)
         expected = tuple(
             EquivalenceViolation(i, enc.encode(s), flipped) for i, s in population.spaces() if s == target
         )

@@ -1,4 +1,4 @@
-"""The bit-sliced census path against the scalar per-space path."""
+"""The bit-sliced census paths against the scalar per-space path."""
 
 import json
 from collections import Counter
@@ -11,10 +11,13 @@ from ispaces import (
     CapExceededError,
     ExhaustivePopulation,
     SampledPopulation,
+    antisymmetry_conditions,
     free_orbit_encoding,
+    interval_transitivity_witness,
     random_space,
     sliced,
     transitivity_conditions,
+    verify_antisymmetry_theorem,
     verify_transitivity_theorem,
 )
 from ispaces import search
@@ -38,6 +41,23 @@ def _sliced_values(n, encodings, semigroup):
         tuple(None if s is None else bool(s >> i & 1) for s in slices)
         for i in range(len(encodings))
     ]
+
+
+def _scalar_antisymmetry(n, encodings):
+    """Per space: None off the hypothesis, else the scalar D1..D5."""
+    enc = free_orbit_encoding(n)
+    out = []
+    for e in encodings:
+        space = enc.decode(e)
+        out.append(antisymmetry_conditions(space).values if interval_transitivity_witness(space) is None else None)
+    return out
+
+
+def _sliced_antisymmetry(n, encodings):
+    values, evaluated = sliced.antisymmetry_slices(n, sliced.triple_slices(free_orbit_encoding(n), encodings))
+    # off the hypothesis every D bit must be clear, or the census would count it
+    assert not any(s & ~evaluated for s in values)
+    return [tuple(bool(s >> i & 1) for s in values) if evaluated >> i & 1 else None for i in range(len(encodings))]
 
 
 @lru_cache(maxsize=None)
@@ -93,6 +113,26 @@ class TestSlices:
         assert _sliced_values(5, encodings, semigroup) == _scalar_values(5, encodings, semigroup)
 
 
+class TestAntisymmetrySlices:
+    def test_every_space_up_to_four_points(self):
+        for n in range(1, 5):
+            encodings = range(free_orbit_encoding(n).space_count)
+            assert _sliced_antisymmetry(n, encodings) == _scalar_antisymmetry(n, encodings)
+
+    @given(st.lists(st.integers(0, free_orbit_encoding(5).space_count - 1), min_size=1, max_size=64))
+    @settings(max_examples=25)
+    def test_five_point_batches(self, encodings):
+        assert _sliced_antisymmetry(5, encodings) == _scalar_antisymmetry(5, encodings)
+
+    def test_five_point_batch_meeting_the_hypothesis(self):
+        # uniform draws rarely meet interval-transitivity; the density sweep
+        # gives a batch where about one space in seven does
+        encodings = list(SampledPopulation(5, seed=3, count=700).encodings())
+        got = _sliced_antisymmetry(5, encodings)
+        assert sum(v is not None for v in got) > 50
+        assert got == _scalar_antisymmetry(5, encodings)
+
+
 class TestSlicedCensus:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -132,6 +172,26 @@ class TestSlicedCensus:
         assert random_space(4, 7 + flipped, population.density_at(flipped)) == (
             free_orbit_encoding(4).decode(encoding)
         )
+
+    def test_flipped_antisymmetry_bit_is_reported_as_violation(self, monkeypatch):
+        population = SampledPopulation(5, seed=11, count=600)
+        real = sliced.antisymmetry_slices
+        enc = free_orbit_encoding(5)
+        flipped = next(i for i, e in enumerate(population.encodings())
+                       if interval_transitivity_witness(enc.decode(e)) is None)
+
+        def one_flip(n, slices):
+            values, evaluated = real(n, slices)
+            values = list(values)
+            values[2] ^= 1 << flipped  # D3 of the first interval-transitive sample
+            return tuple(values), evaluated
+
+        monkeypatch.setattr(sliced, "antisymmetry_slices", one_flip)
+        report = verify_antisymmetry_theorem(population)
+        encoding = random_encoding(5, 11 + flipped, population.density_at(flipped))
+        values = list(antisymmetry_conditions(enc.decode(encoding)).values)
+        values[2] = not values[2]
+        assert report.violations == (EquivalenceViolation(flipped, encoding, tuple(values)),)
 
     def test_exhaustive_cap_checked_before_any_batch(self, monkeypatch):
         def refuse(*args):
