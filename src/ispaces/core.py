@@ -659,12 +659,25 @@ class FiniteIntervalSpace:
         outside = ~am & ((1 << self.n) - 1)
         return _antisymmetric_rows_witness(self._base_set_rows(am), outside) if outside else None
 
-    def _subset_table(self) -> list[tuple[int, ...]]:
-        """[A, C] for all 2^n x 2^n subset pairs, in rows of tuples that scans gather
-        from at C level (``operator.itemgetter``).  C4/C5 budget its 8^n scan."""
+    def _subset_table(self) -> list[bytes] | list[tuple[int, ...]]:
+        """[A, C] for all 2^n x 2^n subset pairs: row A holds [A, C] at index C.
+
+        Each row is built as one int with a fixed number of bytes per entry,
+        so row A is row A - {a} OR row {a}, a the lowest point of A.  When a
+        mask fits in a byte (n <= 8) the rows are ``bytes``, which C4 gathers
+        with ``bytes.translate``; wider masks come back as tuples of ints.
+        C4/C5 budget its 8^n scan."""
         n = self.n
         size = 1 << n
+        width = (n + 7) // 8
         ivl = self._ivl
-        # cols[c][A] = [A, {c}]; row A of the table is then [A, C] over C.
-        cols = [_subset_unions(size, ivl[c::n]) for c in range(n)]
-        return [tuple(_subset_unions(size, [col[am] for col in cols])) for am in range(size)]
+
+        def packed(masks: list[int]) -> int:
+            return int.from_bytes(b"".join(m.to_bytes(width, "little") for m in masks), "little")
+
+        # singles[a] packs [{a}, C] over C, the union of [a, c] over c in C.
+        singles = [packed(_subset_unions(size, ivl[a * n:a * n + n])) for a in range(n)]
+        rows = [row.to_bytes(size * width, "little") for row in _subset_unions(size, singles)]
+        if width == 1:
+            return rows
+        return [tuple(int.from_bytes(row[i:i + width], "little") for i in range(0, size * width, width)) for row in rows]

@@ -220,10 +220,39 @@ def _c2_c3_witnesses(space: FiniteIntervalSpace, triangles: list[int]) -> tuple[
     return (w2, w3)
 
 
-def _associativity_witness(space: FiniteIntervalSpace, tab: list[tuple[int, ...]]) -> tuple | None:
-    """Smallest (A, B, C, x) with x in exactly one of [[A,B],C] and [A,[B,C]]."""
+def _associativity_witness(space: FiniteIntervalSpace) -> tuple | None:
+    """Smallest (A, B, C, x) with x in exactly one of [[A,B],C] and [A,[B,C]].
+
+    Every subset triple is scanned.  :meth:`FiniteIntervalSpace._subset_table`
+    returns ``bytes`` rows when masks fit in a byte (n <= 8), scanned a whole
+    A-block at a time; wider masks have no byte gather and keep the row scan.
+    """
+    tab = space._subset_table()
+    w = (_byte_associativity if isinstance(tab[0], bytes) else _row_associativity)(tab)
+    return None if w is None else (*(PointSet(space.n, m) for m in w[:3]), w[3])
+
+
+def _byte_associativity(rows: list[bytes]) -> tuple[int, int, int, int] | None:
+    """C4 over ``bytes`` rows: for each A, [A, [B, C]] and [[A, B], C] for
+    every (B, C) at offset B * 2^n + C, compared in one step."""
+    size = len(rows)
+    flat = b"".join(rows)
+    padding = bytes(256 - size)
+    for am, row_a in enumerate(rows):
+        right = flat.translate(row_a + padding)
+        left = b"".join(map(rows.__getitem__, row_a))
+        if left != right:
+            # Little-endian, the lowest set bit of the XOR is the lowest
+            # differing offset and, within its byte, the lowest point x.
+            diff = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
+            low = (diff & -diff).bit_length() - 1
+            return (am, *divmod(low >> 3, size), low & 7)
+    return None
+
+
+def _row_associativity(tab: list[tuple[int, ...]]) -> tuple[int, int, int, int] | None:
+    """C4 over rows of int masks, one (A, B) row pair per step."""
     size = len(tab)
-    n = space.n
     for am in range(size):
         row_a = tab[am]
         for bm in range(size):
@@ -235,8 +264,7 @@ def _associativity_witness(space: FiniteIntervalSpace, tab: list[tuple[int, ...]
                 for cm in range(size):
                     diff = left_row[cm] ^ right_row[cm]
                     if diff:
-                        x = (diff & -diff).bit_length() - 1
-                        return (PointSet(n, am), PointSet(n, bm), PointSet(n, cm), x)
+                        return (am, bm, cm, (diff & -diff).bit_length() - 1)
     return None
 
 
@@ -334,7 +362,7 @@ def transitivity_conditions(
     witnesses = {"C1": interval_transitivity_witness(space)}
     witnesses["C2"], witnesses["C3"] = _c2_c3_witnesses(space, triangles)
     if semigroup_conditions:
-        witnesses["C4"] = witnesses["C5"] = _associativity_witness(space, space._subset_table())
+        witnesses["C4"] = witnesses["C5"] = _associativity_witness(space)
     witnesses["C6"] = _c6_witness(space, convex)
     witnesses["C7"] = _c7_witness(space, convex, convex_set)
     witnesses["C8"] = _c8_witness(space, triangles, convex_set)
@@ -541,9 +569,12 @@ def property_report(
     own order.  Each condition family is evaluated only when one of its
     names is requested; the D conditions are evaluated even when the space
     is not interval-transitive, with a note recording the hypothesis breach.
+    An empty ``names`` is an error, not an empty report.
     """
     conditions = TRANSITIVITY_CONDITIONS + ANTISYMMETRY_CONDITIONS
     names = [*PROPERTIES, *conditions] if names is None else list(names)
+    if not names:
+        raise ValueError("no property names given")
     report = PropertyReport(n=space.n)
     for name in resolve_properties(t for t in names if t not in conditions):
         witness = PROPERTIES[name](space, allow_large)

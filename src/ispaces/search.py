@@ -483,13 +483,17 @@ def find_separating(
     drawn from seed + i; density=None sweeps the 0.00..1.00 grid like
     :class:`SampledPopulation`.  Property names are the keys of
     ``properties.PROPERTIES``; a space has a property when its witness is
-    None.  Returns None when no candidate within the budget separates the
-    properties; the answer is identical for every worker count.
+    None.  ``ns`` must list at least one size.  Returns None when no
+    candidate within the budget separates the properties; the answer is
+    identical for every worker count.
     """
     want = resolve_properties(want)
     want_not = resolve_properties(want_not)
     if max_spaces < 0:
         raise ValueError("max_spaces must be nonnegative")
+    ns = tuple(ns)
+    if not ns:
+        raise ValueError("ns must list at least one size")
     for population, count in _search_plan(ns, max_spaces, seed, density):
         args_list = [
             (population, s, e, tuple(want), tuple(want_not))

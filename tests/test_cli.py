@@ -540,6 +540,16 @@ class TestCommands:
         code, _, err = run_cli(capsys, "search", "--ns", "0,3", "--max-spaces", "5")
         assert code == 2 and "at least one point" in err
 
+    @pytest.mark.parametrize("ns", ["", ","])
+    def test_search_rejects_empty_sizes(self, capsys, ns):
+        code, out, err = run_cli(capsys, "search", "--want", "stiff", "--ns", ns, "--max-spaces", "5")
+        assert code == 2 and out == "" and err == "error: ns must list at least one size\n"
+
+    @pytest.mark.parametrize("names", ["", ",", " , "])
+    def test_check_rejects_empty_property_list(self, capsys, l3_file, names):
+        code, out, err = run_cli(capsys, "check", l3_file, "--properties", names)
+        assert code == 2 and out == "" and err == "error: no property names given\n"
+
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 

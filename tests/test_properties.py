@@ -8,8 +8,10 @@ import ispaces as I
 from ispaces import BetweennessTable, HypothesisNotMetError, validate
 from ispaces.cli import _jsonify
 from ispaces.properties import (
+    _byte_associativity,
     _c7_witness,
     _interval_transitivity_scan,
+    _row_associativity,
     antisymmetry_conditions,
     interval_transitivity_witness,
     property_report,
@@ -142,7 +144,7 @@ class TestWorkBudget:
         nine = I.random_space(9, seed=0)
         cv = transitivity_conditions(nine, allow_large=True)
         assert cv.skipped == () and cv.values[3] is False and cv.values[4] is False
-        assert cv.witnesses["C4"] == cv.witnesses["C5"]
+        assert cv.witnesses["C4"] == cv.witnesses["C5"] == (I.PointSet.of(9, [0]), I.PointSet.of(9, [0]), I.PointSet.of(9, [1]), 3)
         assert transitivity_conditions(nine, semigroup_conditions=False, allow_large=True).skipped == ("C4", "C5")
 
     def test_subsets_enumerated_to_sixteen_points(self):
@@ -170,7 +172,7 @@ def _mask_witness(witness):
 
 
 def _check_fast_paths(space):
-    """C4/C5 (row gather) and C7 (skip of convex [A, B]) against plain scans."""
+    """C4/C5 (byte scan) and C7 (skip of convex [A, B]) against plain scans."""
     tab = naive.subset_interval_table(space)
     assert [list(row) for row in space._subset_table()] == tab
     w4, w5 = naive.semigroup_witnesses(space, tab)
@@ -201,6 +203,48 @@ class TestFastPathOracles:
         convex = space._convex_masks()
         w7 = naive.convex_pairs_witness(space, naive.subset_interval_table(space))
         assert _mask_witness(_c7_witness(space, convex, set(convex))) == w7
+
+
+def _cycle(n):
+    return I.geodesic_space_from_graph(I.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+
+
+class TestAssociativityScans:
+    """The n <= 8 byte scan of C4 against the row scan that wider masks keep."""
+
+    @given(space_strategy(min_n=6, max_n=7))
+    @example(_cycle(8))
+    @example(I.linear_order_space(8))
+    @example(I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 7)))
+    @example(I.random_space(6, seed=0, density=0.05))
+    @settings(max_examples=12, deadline=None)
+    def test_byte_scan_matches_row_scan(self, space):
+        tab = [tuple(row) for row in naive.subset_interval_table(space)]
+        assert _byte_associativity(space._subset_table()) == _row_associativity(tab)
+
+    @pytest.mark.parametrize("space", [
+        _cycle(8), I.linear_order_space(8), I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 7)),
+    ])
+    def test_models_are_associative(self, space):
+        assert _byte_associativity(space._subset_table()) is None
+
+    def test_witness_past_the_first_block(self):
+        # A = {2}, B = C = {4}: the mismatch is not in the B = {0} or C = {0} slots
+        space = I.random_space(6, seed=0, density=0.05)
+        assert _byte_associativity(space._subset_table()) == (0b100, 0b10000, 0b10000, 5)
+
+    @given(space_strategy(min_n=6, max_n=6))
+    @settings(max_examples=5, deadline=None)
+    def test_byte_table_matches_naive_table(self, space):
+        rows = space._subset_table()
+        assert all(type(row) is bytes for row in rows)
+        assert [list(row) for row in rows] == naive.subset_interval_table(space)
+
+    def test_wide_table_matches_naive_table(self):
+        nine = I.random_space(9, seed=0)
+        rows = nine._subset_table()
+        assert all(type(row) is tuple for row in rows)
+        assert [list(row) for row in rows] == naive.subset_interval_table(nine)
 
 
 class TestTriangleWitnesses:
