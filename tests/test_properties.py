@@ -200,8 +200,12 @@ class TestFastPathOracles:
     @settings(max_examples=20)
     def test_c7_sampled_six_points(self, space):
         # C7 scans only the pairs A <= B; the oracle scans every pair
+        tab = naive.subset_interval_table(space)
+        rows = space._subset_table()
+        assert all(type(row) is bytes for row in rows)
+        assert [list(row) for row in rows] == tab
         convex = space._convex_masks()
-        w7 = naive.convex_pairs_witness(space, naive.subset_interval_table(space))
+        w7 = naive.convex_pairs_witness(space, tab)
         assert _mask_witness(_c7_witness(space, convex, set(convex))) == w7
 
 
@@ -212,33 +216,20 @@ def _cycle(n):
 class TestAssociativityScans:
     """The n <= 8 byte scan of C4 against the row scan that wider masks keep."""
 
-    @given(space_strategy(min_n=6, max_n=7))
-    @example(_cycle(8))
-    @example(I.linear_order_space(8))
-    @example(I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 7)))
-    @example(I.random_space(6, seed=0, density=0.05))
+    # pinned is ... for drawn spaces; the examples pin C4's witness as well
+    @given(space_strategy(min_n=6, max_n=7), st.just(...))
+    @example(_cycle(8), None)
+    @example(I.linear_order_space(8), None)
+    @example(I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 7)), None)
+    # A = {2}, B = C = {4}: the mismatch is not in the B = {0} or C = {0} slots
+    @example(I.random_space(6, seed=0, density=0.05), (0b100, 0b10000, 0b10000, 5))
     @settings(max_examples=12, deadline=None)
-    def test_byte_scan_matches_row_scan(self, space):
+    def test_byte_scan_matches_row_scan(self, space, pinned):
         tab = [tuple(row) for row in naive.subset_interval_table(space)]
-        assert _byte_associativity(space._subset_table()) == _row_associativity(tab)
-
-    @pytest.mark.parametrize("space", [
-        _cycle(8), I.linear_order_space(8), I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 7)),
-    ])
-    def test_models_are_associative(self, space):
-        assert _byte_associativity(space._subset_table()) is None
-
-    def test_witness_past_the_first_block(self):
-        # A = {2}, B = C = {4}: the mismatch is not in the B = {0} or C = {0} slots
-        space = I.random_space(6, seed=0, density=0.05)
-        assert _byte_associativity(space._subset_table()) == (0b100, 0b10000, 0b10000, 5)
-
-    @given(space_strategy(min_n=6, max_n=6))
-    @settings(max_examples=5, deadline=None)
-    def test_byte_table_matches_naive_table(self, space):
-        rows = space._subset_table()
-        assert all(type(row) is bytes for row in rows)
-        assert [list(row) for row in rows] == naive.subset_interval_table(space)
+        witness = _byte_associativity(space._subset_table())
+        assert witness == _row_associativity(tab)
+        if pinned is not ...:
+            assert witness == pinned
 
     def test_wide_table_matches_naive_table(self):
         nine = I.random_space(9, seed=0)

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Benchmark a change against its parent commit and write BENCH_<label>.json.
 
-    python3 tools/bench_pairs.py --label NAME [--parent REV] [--seconds S]
-        [--pairs WORKLOAD=COUNT ...]
+    python3 tools/bench_pairs.py --label NAME [--parent REV]
 
 Run from anywhere inside the repository.  The parent side is REV (default
-HEAD), exported with ``git archive``; the change side is the working tree
-as it stands, its tracked and unignored files copied.  Both go into fresh
+HEAD, for a change not yet committed), exported with ``git archive``; the
+change side is the working tree as it stands, its tracked and unignored
+files copied.  The script stops with exit status 2 if the working tree does
+not differ from REV, as after committing the change with REV left at HEAD.  Both go into fresh
 directories under one temporary directory, so neither side runs with files
 the other lacks, such as bytecode caches or benchmark scratch output.
-For each workload the script runs
-``benchmark/run.py --trace 0`` COUNT times on each side, in alternating
-pairs: pair i uses seed i + 1, and the side that runs first alternates, so
+The script runs ``benchmark/run.py --trace 0`` for ``run_seconds`` of
+``BENCHMARK.json`` on each side in alternating pairs, 10 pairs on
+``check-models`` (enough to judge a gain claim) and 3 on each census:
+pair i uses seed i + 1, and the side that runs first alternates, so
 slow drift on the machine falls on both sides alike.  Each side builds from
 its own ``src/``.
 
@@ -39,11 +41,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_PAIRS = ("check-models=10", "census-transitivity=3", "census-antisymmetry=3")
+PAIRS = {"check-models": 10, "census-transitivity": 3, "census-antisymmetry": 3}
 
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def differs(rev: str) -> bool:
+    """Whether the working tree's tracked or unignored files differ from ``rev``."""
+    tracked = subprocess.run(["git", "diff", "--quiet", rev, "--"], cwd=ROOT).returncode != 0
+    return tracked or bool(git("ls-files", "--others", "--exclude-standard"))
 
 
 def export(rev: str, dest: Path) -> None:
@@ -100,26 +108,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side (default HEAD)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run.py --seconds for every run (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--pairs", nargs="+", default=list(DEFAULT_PAIRS), metavar="WORKLOAD=COUNT")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    plan = []
-    for item in args.pairs:
-        workload, _, count = item.partition("=")
-        if not count.isdigit() or int(count) < 1:
-            parser.error(f"bad --pairs entry {item!r}: expected WORKLOAD=COUNT, COUNT >= 1")
-        plan.append((workload, int(count)))
     parent = git("rev-parse", "--short", args.parent).decode().strip()
+    if not differs(parent):
+        parser.error(f"the working tree does not differ from {args.parent}; pass the change's parent as --parent")
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export(parent, checkouts["parent"])
         copy_working_tree(checkouts["change"])
-        for workload, count in plan:
+        for workload, count in PAIRS.items():
             for pair in range(count):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order):
