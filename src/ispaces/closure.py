@@ -14,17 +14,16 @@ which the test suite exploits as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness
+from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness, record
 
 
 class HypothesisNotMetError(ValueError):
     """An operation's stated hypothesis fails and no override was requested."""
 
 
-@dataclass(frozen=True)
+@record
 class ClosureSystem:
     """A Moore family on [0, n): the universe plus nonempty-intersection closure.
 

@@ -23,9 +23,9 @@ running for minutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator
 
 #: Counted steps one operation may take unless ``allow_large=True``
 #: (``--allow-large``).  Each size rule counts its own steps: 2^n * n^2 to
@@ -87,10 +87,92 @@ def _check_point(n: int, i: int, name: str = "point") -> None:
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+
+
+def _bind(name: str, fields: tuple[str, ...], defaults: dict[str, Any], args: tuple, kwargs: dict) -> tuple:
+    """Field values, in field order, of a constructor call that passes
+    keywords or leaves fields to their defaults."""
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+    given = dict(zip(fields, args))
+    for key, value in kwargs.items():
+        if key not in fields:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        if key in given:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        given[key] = value
+    missing = [f for f in fields if f not in given and f not in defaults]
+    if missing:
+        raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+    return tuple(given[f] if f in given else defaults[f] for f in fields)
+
+
+def record(cls: type | None = None, *, frozen: bool = True) -> Any:
+    """Class decorator for a value class over its annotated fields, with the
+    behaviour of ``dataclasses.dataclass(frozen=frozen)``.
+
+    It adds ``__init__`` (positional or keyword arguments, class attributes
+    as defaults, then ``__post_init__`` when the class has one), field-wise
+    ``__eq__``, a ``Name(field=value, ...)`` ``__repr__`` and
+    ``__match_args__``.  A frozen class also gets a ``__hash__`` over its
+    fields and refuses assignment and deletion; a mutable one is unhashable.
+    A method the class defines itself is kept.  Instances keep their
+    ``__dict__``, so they pickle, take ``functools.cached_property`` and can
+    be filled by ``object.__setattr__``.  The methods are closures: the
+    ``dataclasses`` module would add its import and one ``exec`` of
+    generated source per class to the start-up of every process.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    fields = tuple(cls.__annotations__)
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    values = attrgetter(*fields)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        if kwargs or len(args) != len(fields):
+            args = _bind(cls.__name__, fields, defaults, args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    added: dict[str, Any] = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__, "__match_args__": fields}
+    if frozen:
+        added.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
+    else:
+        added["__hash__"] = None
+    for name, member in added.items():
+        # A class that defines __eq__ gets __hash__ = None, which is not its own.
+        if cls.__dict__.get(name) is None:
+            if callable(member):
+                member.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, member)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Point sets
 
 
-@dataclass(frozen=True)
+@record
 class PointSet:
     """An extensional subset of the point universe [0, n), bit-indexed.
 
@@ -211,7 +293,7 @@ def _forced_bits(n: int) -> int:
     return _join_rows(n, _forced_rows(n))
 
 
-@dataclass(frozen=True)
+@record
 class BetweennessTable:
     """A total ternary relation on [0, n): bit (a*n + x)*n + c holds <a, x, c>.
 
@@ -290,7 +372,7 @@ class Axiom(Enum):
     THINNESS = "thinness"
 
 
-@dataclass(frozen=True)
+@record
 class AxiomViolation:
     """A triple witnessing that a table breaks one named axiom."""
 
@@ -390,7 +472,7 @@ def _antisymmetric_rows_witness(rows: list[int] | tuple[int, ...], scope: int) -
     return None
 
 
-@dataclass(frozen=True)
+@record
 class BinaryRelation:
     """A total binary relation on [0, n); ``rows[x]`` bit y holds R(x, y)."""
 

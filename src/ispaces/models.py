@@ -14,11 +14,10 @@ decided by rounding noise.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import BetweennessTable, FiniteIntervalSpace, _join_rows, bits_of, validate
+from .core import BetweennessTable, FiniteIntervalSpace, _join_rows, bits_of, record, validate
 
 Rational = Union[int, Fraction]
 RationalPoint = tuple[Fraction, ...]
@@ -93,7 +92,7 @@ def vector_space_on_points(points: Iterable[Sequence[Rational]]) -> FiniteInterv
 # Graphs and geodesic betweenness
 
 
-@dataclass(frozen=True)
+@record
 class Graph:
     """A simple connected undirected graph on vertices [0, n).
 

@@ -20,11 +20,10 @@ Base orders are tested by the space's two ``_order_*_breach`` kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .core import FiniteIntervalSpace, PointSet, budget_message, over_budget
+from .core import FiniteIntervalSpace, PointSet, budget_message, over_budget, record
 from .closure import (
     HypothesisNotMetError,
     antiexchange_witness,
@@ -133,7 +132,7 @@ def stiffness_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] |
 # Condition vectors
 
 
-@dataclass(frozen=True)
+@record
 class ConditionVector:
     """Values of one theorem's equivalent conditions on one space.
 
@@ -223,9 +222,10 @@ def _c2_c3_witnesses(space: FiniteIntervalSpace, triangles: list[int]) -> tuple[
 def _associativity_witness(space: FiniteIntervalSpace) -> tuple | None:
     """Smallest (A, B, C, x) with x in exactly one of [[A,B],C] and [A,[B,C]].
 
-    Every subset triple is scanned.  :meth:`FiniteIntervalSpace._subset_table`
-    returns ``bytes`` rows when masks fit in a byte (n <= 8), scanned a whole
-    A-block at a time; wider masks have no byte gather and keep the row scan.
+    Every subset triple with A nonempty is scanned.
+    :meth:`FiniteIntervalSpace._subset_table` returns ``bytes`` rows when
+    masks fit in a byte (n <= 8), scanned a whole A-block at a time; wider
+    masks have no byte gather and keep the row scan.
     """
     tab = space._subset_table()
     w = (_byte_associativity if isinstance(tab[0], bytes) else _row_associativity)(tab)
@@ -238,7 +238,8 @@ def _byte_associativity(rows: list[bytes]) -> tuple[int, int, int, int] | None:
     size = len(rows)
     flat = b"".join(rows)
     padding = bytes(256 - size)
-    for am, row_a in enumerate(rows):
+    # [∅, X] = ∅, so both sides of the A = ∅ block are empty: it starts at A = 1.
+    for am, row_a in enumerate(rows[1:], 1):
         right = flat.translate(row_a + padding)
         left = b"".join(map(rows.__getitem__, row_a))
         if left != right:
@@ -253,7 +254,8 @@ def _byte_associativity(rows: list[bytes]) -> tuple[int, int, int, int] | None:
 def _row_associativity(tab: list[tuple[int, ...]]) -> tuple[int, int, int, int] | None:
     """C4 over rows of int masks, one (A, B) row pair per step."""
     size = len(tab)
-    for am in range(size):
+    # [∅, X] = ∅, so both sides of the A = ∅ block are empty: it starts at A = 1.
+    for am in range(1, size):
         row_a = tab[am]
         for bm in range(size):
             left_row = tab[row_a[bm]]
@@ -499,7 +501,7 @@ def entailment_reverse_witness(space: FiniteIntervalSpace, a_set: PointSet) -> t
 # Aggregated reports and the named-predicate registry
 
 
-@dataclass
+@record(frozen=False)
 class PropertyReport:
     """Named flags plus witnesses for one space.
 
@@ -509,9 +511,15 @@ class PropertyReport:
     """
 
     n: int
-    flags: dict[str, bool | None] = field(default_factory=dict)
-    witnesses: dict[str, tuple] = field(default_factory=dict)
-    notes: dict[str, str] = field(default_factory=dict)
+    flags: dict[str, bool | None]
+    witnesses: dict[str, tuple]
+    notes: dict[str, str]
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.flags = {}
+        self.witnesses = {}
+        self.notes = {}
 
 
 def _combinatorial_witness(space: FiniteIntervalSpace, allow_large: bool) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
@@ -36,6 +35,7 @@ from .core import (
     bits_of,
     check_budget,
     over_budget,
+    record,
 )
 from .properties import (
     CONDITIONS,
@@ -164,7 +164,7 @@ class Population:
             yield index, enc.decode(bits)
 
 
-@dataclass(frozen=True)
+@record
 class ExhaustivePopulation(Population):
     """Every valid space on n points, indexed by encoding."""
 
@@ -187,7 +187,7 @@ class ExhaustivePopulation(Population):
         return range(start, self.size() if stop is None else stop)
 
 
-@dataclass(frozen=True)
+@record
 class SampledPopulation(Population):
     """``count`` seeded random spaces on n points.
 
@@ -221,7 +221,7 @@ class SampledPopulation(Population):
 # Censuses
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceViolation:
     """A space whose supposedly equivalent condition values disagree."""
 
@@ -230,7 +230,7 @@ class EquivalenceViolation:
     values: tuple[bool | None, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CensusReport:
     """Aggregated condition census over a population.
 

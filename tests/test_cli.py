@@ -215,6 +215,17 @@ class TestHeaders:
         assert proc.stderr.splitlines() == [f"error: {path}:{message}"]
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Every command pays its module imports at start-up; the value classes are
+    # built by core.record, so neither module is needed.
+    src = str(Path(I.__file__).resolve().parents[1])
+    code = "import ispaces.cli, sys; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 _FORMATS = {"ispace": ("points", "triple", 3), "graph": ("vertices", "edge", 2), "qpoints": ("dim", "point", None)}
 _JUNK = st.sampled_from(["x", "", "1.5", "-1", "1/0", "3/-4", "+2", "1e2", "triple", "#"])
 _COORDS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "+3", "4/2"])

@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,11 @@ from ispaces import (
     axiom_violations,
     validate,
 )
+from ispaces.closure import ClosureSystem
+from ispaces.core import AxiomViolation, BinaryRelation, record
+from ispaces.models import Graph
+from ispaces.properties import ConditionVector, PropertyReport
+from ispaces.search import CensusReport, EquivalenceViolation, ExhaustivePopulation, SampledPopulation
 
 import naive
 from conftest import deadline, space_strategy, space_with_masks
@@ -373,3 +381,115 @@ class TestPointSet:
     def test_space_rejects_foreign_universe(self, l3):
         with pytest.raises(ValueError):
             l3.hull(PointSet.of(4, [0]))
+
+
+# ---------------------------------------------------------------------------
+# value classes (core.record)
+
+
+def _census_report():
+    return CensusReport("transitivity", 1, "exhaustive n=1", 1, 0, (), (("C1", 1),), (("TTTTTTTTT", 1),), ())
+
+
+# (make, a different instance of the same class, the literal repr); make is
+# called twice, so equality is checked between separately built instances.
+RECORDS = [
+    (lambda: PointSet(3, 5), PointSet(3, 4), "PointSet.of(3, [0, 2])"),
+    (lambda: BetweennessTable(1, 1), BetweennessTable(1, 0), "BetweennessTable(n=1, bits=1)"),
+    (lambda: AxiomViolation(Axiom.THINNESS, (0, 1, 0)), AxiomViolation(Axiom.THINNESS, (1, 0, 1)),
+     "AxiomViolation(axiom=<Axiom.THINNESS: 'thinness'>, witness=(0, 1, 0))"),
+    (lambda: BinaryRelation(2, (3, 2)), BinaryRelation(2, (1, 2)), "BinaryRelation(n=2, rows=(3, 2))"),
+    (lambda: ClosureSystem(2, (1, 3)), ClosureSystem(2, (3,)), "ClosureSystem(n=2, closed=(1, 3))"),
+    (lambda: Graph(2, (2, 1)), Graph(1, (0,)), "Graph(n=2, adj=(2, 1))"),
+    (lambda: ConditionVector("antisymmetry", (True,) * 5), ConditionVector("antisymmetry", (False,) * 5),
+     "ConditionVector(theorem='antisymmetry', values=(True, True, True, True, True), "
+     "witness_items=(), hypothesis_met=True)"),
+    (lambda: PropertyReport(2), PropertyReport(3), "PropertyReport(n=2, flags={}, witnesses={}, notes={})"),
+    (lambda: ExhaustivePopulation(3), ExhaustivePopulation(3, True), "ExhaustivePopulation(n=3, allow_large=False)"),
+    (lambda: SampledPopulation(5, 0, 10), SampledPopulation(5, 0, 10, 0.5),
+     "SampledPopulation(n=5, seed=0, count=10, density=None)"),
+    (lambda: EquivalenceViolation(1, 2, (True, False)), EquivalenceViolation(1, 2, (False, True)),
+     "EquivalenceViolation(index=1, encoding=2, values=(True, False))"),
+    (_census_report, CensusReport("transitivity", 1, "exhaustive n=1", 2, 0, (), (), (), ()),
+     "CensusReport(theorem='transitivity', n=1, population='exhaustive n=1', total=1, "
+     "hypothesis_excluded=0, skipped=(), condition_counts=(('C1', 1),), "
+     "vector_counts=(('TTTTTTTTT', 1),), violations=())"),
+]
+
+
+def _fields(obj):
+    return {f: getattr(obj, f) for f in type(obj).__match_args__}
+
+
+@pytest.mark.parametrize("make, other, text", RECORDS, ids=[r[1].__class__.__name__ for r in RECORDS])
+class TestRecords:
+    def test_repr(self, make, other, text):
+        assert repr(make()) == text
+
+    def test_equality_and_hash_by_field(self, make, other, text):
+        obj = make()
+        assert obj == make() and not obj != make()
+        assert obj != other
+        if not isinstance(obj, PropertyReport):  # its __init__ takes only n
+            assert type(obj)(**_fields(obj)) == obj
+        assert type(obj).__match_args__ == tuple(type(obj).__annotations__)
+        if isinstance(obj, PropertyReport):
+            with pytest.raises(TypeError):
+                hash(obj)
+        else:
+            assert hash(obj) == hash(make()) == hash(tuple(_fields(obj).values()))
+
+    def test_not_equal_to_another_class_with_the_same_fields(self, make, other, text):
+        obj = make()
+        twin_class = record(type("Twin", (), {"__annotations__": dict(type(obj).__annotations__)}))
+        twin = twin_class(**_fields(obj))
+        assert _fields(twin) == _fields(obj)
+        assert obj != twin and twin != obj
+        assert obj.__eq__(twin) is NotImplemented
+
+    def test_frozen_unless_report(self, make, other, text):
+        obj = make()
+        name = type(obj).__match_args__[0]
+        if isinstance(obj, PropertyReport):
+            obj.n = 5
+            assert obj.n == 5
+            return
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert repr(obj) == text
+
+    def test_pickle_round_trip(self, make, other, text):
+        obj = make()
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj) and back == obj and repr(back) == text
+
+
+class TestRecordConstruction:
+    def test_post_init_errors_unchanged(self):
+        with pytest.raises(ValueError, match="^universe size must be nonnegative$"):
+            PointSet(-1)
+        with pytest.raises(ValueError, match="^betweenness table needs at least one point$"):
+            BetweennessTable(0, 0)
+
+    def test_keywords_and_defaults(self):
+        assert PointSet(3) == PointSet(n=3) == PointSet(3, mask=0) == PointSet(mask=0, n=3)
+        assert SampledPopulation(5, 0, count=10, density=None) == SampledPopulation(5, 0, 10)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((1,), {}, "missing required arguments: 'bits'"),
+        ((1, 1, 1), {}, "takes 2 arguments but 3 were given"),
+        ((1, 1), {"n": 1}, "got multiple values for argument 'n'"),
+        ((1, 1), {"rows": 1}, "got an unexpected keyword argument 'rows'"),
+    ])
+    def test_bad_arguments_raise_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=re.escape(f"BetweennessTable() {message}")):
+            BetweennessTable(*args, **kwargs)
+
+    def test_trusted_closure_system_fills_fields_and_memos(self):
+        system = ClosureSystem._trusted(2, (1, 3))
+        assert system == ClosureSystem(2, (1, 3)) and system._members == frozenset({1, 3})
+        assert pickle.loads(pickle.dumps(system)) == system
