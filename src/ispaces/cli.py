@@ -311,6 +311,12 @@ def _emit(payload: dict, fmt: str) -> None:
 # Command handlers
 
 
+def _encoding(bits: int) -> int | str:
+    """An orbit encoding as reported: wider than 64 bits it is hex, since
+    ``str`` refuses an int of more than 4,300 digits."""
+    return bits if bits.bit_length() <= 64 else hex(bits)
+
+
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     space = load(args.file)
     names = None
@@ -403,10 +409,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, dict]:
         "command": "enumerate",
         "n": args.n,
         "free_orbits": enc.orbit_count,
-        "spaces": enc.space_count,
+        "spaces": enc.space_count if enc.orbit_count < 64 else f"2^{enc.orbit_count}",
     }
     if args.list:
-        payload["list"] = [{"encoding": bits, "triples": enc.triples(bits)} for bits in encodings]
+        payload["list"] = [{"encoding": _encoding(bits), "triples": enc.triples(bits)} for bits in encodings]
     return 0, payload
 
 
@@ -469,7 +475,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
     }
     if space is not None:
         payload["n"] = space.n
-        payload["encoding"] = free_orbit_encoding(space.n).encode(space)
+        payload["encoding"] = _encoding(free_orbit_encoding(space.n).encode(space))
         payload["ispace"] = format_ispace(space)
     return 0, payload
 

@@ -29,9 +29,10 @@ from typing import Any, Callable, Iterable, Iterator
 
 #: Counted steps one operation may take unless ``allow_large=True``
 #: (``--allow-large``).  Each size rule counts its own steps: 2^n * n^2 to
-#: enumerate the subsets of n points (n <= 16), 2^orbits for an exhaustive
-#: population (n <= 4), and count * 8^n subset triples for C4/C5 (n <= 8 for
-#: one space).
+#: enumerate the subsets of n points (n <= 16) and 2^orbits for an
+#: exhaustive population (n <= 4).  The rule of count * 8^n subset triples
+#: for C4/C5 (n <= 8 for one space) only decides whether they are reported:
+#: they take C3's value, so they cost nothing more.
 WORK_BUDGET = 1 << 25
 
 
@@ -70,15 +71,6 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _subset_unions(size: int, singles: list[int] | tuple[int, ...]) -> list[int]:
-    """out[M] = the union (OR) of singles[p] over the points p of mask M."""
-    out = [0] * size
-    for m in range(1, size):
-        low = m & -m
-        out[m] = out[m ^ low] | singles[low.bit_length() - 1]
-    return out
 
 
 def _check_point(n: int, i: int, name: str = "point") -> None:
@@ -740,26 +732,3 @@ class FiniteIntervalSpace:
         """Smallest (x, y), x < y both outside S, that the base order of S relates both ways."""
         outside = ~am & ((1 << self.n) - 1)
         return _antisymmetric_rows_witness(self._base_set_rows(am), outside) if outside else None
-
-    def _subset_table(self) -> list[bytes] | list[tuple[int, ...]]:
-        """[A, C] for all 2^n x 2^n subset pairs: row A holds [A, C] at index C.
-
-        Each row is built as one int with a fixed number of bytes per entry,
-        so row A is row A - {a} OR row {a}, a the lowest point of A.  When a
-        mask fits in a byte (n <= 8) the rows are ``bytes``, which C4 gathers
-        with ``bytes.translate``; wider masks come back as tuples of ints.
-        C4/C5 budget its 8^n scan."""
-        n = self.n
-        size = 1 << n
-        width = (n + 7) // 8
-        ivl = self._ivl
-
-        def packed(masks: list[int]) -> int:
-            return int.from_bytes(b"".join(m.to_bytes(width, "little") for m in masks), "little")
-
-        # singles[a] packs [{a}, C] over C, the union of [a, c] over c in C.
-        singles = [packed(_subset_unions(size, ivl[a * n:a * n + n])) for a in range(n)]
-        rows = [row.to_bytes(size * width, "little") for row in _subset_unions(size, singles)]
-        if width == 1:
-            return rows
-        return [tuple(int.from_bytes(row[i:i + width], "little") for i in range(0, size * width, width)) for row in rows]

@@ -8,8 +8,10 @@ condition vectors bundle the nine formulations equivalent to
 interval-transitivity (C1..C9) and the five equivalent to
 interval-antisymmetry (D1..D5).  Every condition is evaluated from its own
 defining formula, not derived from the others, so the equivalences can be
-verified extensionally over enumerated or sampled spaces.  The one exception
-is C5, which the axioms reduce to C4 (:func:`transitivity_conditions`).
+verified extensionally over enumerated or sampled spaces.  The exceptions
+are C4 and C5, which the definition of [A, B] and the axioms reduce to C3
+(:func:`transitivity_conditions`), and D5, which takes D4's value on a convex
+system (:func:`antisymmetry_conditions`).
 
 Scan order is ascending point ids (and ascending bit masks for subset
 quantifiers) everywhere, which makes reported witnesses deterministic.
@@ -20,7 +22,6 @@ Base orders are tested by the space's two ``_order_*_breach`` kernels.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Iterable
 
 from .core import FiniteIntervalSpace, PointSet, budget_message, over_budget, record
@@ -219,57 +220,6 @@ def _c2_c3_witnesses(space: FiniteIntervalSpace, triangles: list[int]) -> tuple[
     return (w2, w3)
 
 
-def _associativity_witness(space: FiniteIntervalSpace) -> tuple | None:
-    """Smallest (A, B, C, x) with x in exactly one of [[A,B],C] and [A,[B,C]].
-
-    Every subset triple with A nonempty is scanned.
-    :meth:`FiniteIntervalSpace._subset_table` returns ``bytes`` rows when
-    masks fit in a byte (n <= 8), scanned a whole A-block at a time; wider
-    masks have no byte gather and keep the row scan.
-    """
-    tab = space._subset_table()
-    w = (_byte_associativity if isinstance(tab[0], bytes) else _row_associativity)(tab)
-    return None if w is None else (*(PointSet(space.n, m) for m in w[:3]), w[3])
-
-
-def _byte_associativity(rows: list[bytes]) -> tuple[int, int, int, int] | None:
-    """C4 over ``bytes`` rows: for each A, [A, [B, C]] and [[A, B], C] for
-    every (B, C) at offset B * 2^n + C, compared in one step."""
-    size = len(rows)
-    flat = b"".join(rows)
-    padding = bytes(256 - size)
-    # [∅, X] = ∅, so both sides of the A = ∅ block are empty: it starts at A = 1.
-    for am, row_a in enumerate(rows[1:], 1):
-        right = flat.translate(row_a + padding)
-        left = b"".join(map(rows.__getitem__, row_a))
-        if left != right:
-            # Little-endian, the lowest set bit of the XOR is the lowest
-            # differing offset and, within its byte, the lowest point x.
-            diff = int.from_bytes(left, "little") ^ int.from_bytes(right, "little")
-            low = (diff & -diff).bit_length() - 1
-            return (am, *divmod(low >> 3, size), low & 7)
-    return None
-
-
-def _row_associativity(tab: list[tuple[int, ...]]) -> tuple[int, int, int, int] | None:
-    """C4 over rows of int masks, one (A, B) row pair per step."""
-    size = len(tab)
-    # [∅, X] = ∅, so both sides of the A = ∅ block are empty: it starts at A = 1.
-    for am in range(1, size):
-        row_a = tab[am]
-        for bm in range(size):
-            left_row = tab[row_a[bm]]
-            # right_row[C] = [A, [B, C]]; rows have 2^n >= 2 entries, so the
-            # gather always returns a tuple.
-            right_row = itemgetter(*tab[bm])(row_a)
-            if left_row != right_row:
-                for cm in range(size):
-                    diff = left_row[cm] ^ right_row[cm]
-                    if diff:
-                        return (am, bm, cm, (diff & -diff).bit_length() - 1)
-    return None
-
-
 def _c6_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
     """Interval-convexity breaches scan first, then base-order transitivity per convex set."""
     w = interval_convexity_witness(space)
@@ -345,16 +295,20 @@ def transitivity_conditions(
     """Evaluate the nine conditions equivalent to interval-transitivity.
 
     C4 and C5 quantify over all (2^n)^3 subset triples; with
-    ``semigroup_conditions=None`` they are evaluated exactly when those 8^n
+    ``semigroup_conditions=None`` they are reported exactly when those 8^n
     steps fit the work budget or ``allow_large`` is set, and reported as
     skipped (None) otherwise.  Pass True to force them or False to skip
-    regardless.  C4 scans the full [A, B] table; the sets [[a, b], {c}]
-    are built once for C2/C3, C8 and C9.
+    regardless.  The sets [[a, b], {c}] are built once for C2/C3, C8 and C9.
 
-    C5 (associative and commutative) takes C4's value and witness: [A, B] is
-    the union of [a, b] over a in A and b in B, and [a, b] = [b, a] by middle
-    symmetry, so [A, B] = [B, A] on every interval space and a commutativity
-    scan could only return None.
+    C4 (associativity on subsets) takes C3's value: [A, B] is the union of
+    [a, b] over a in A and b in B, so [[A, B], C] and [A, [B, C]] are the
+    unions of [[a, b], {c}] and of [{a}, [b, c]] over the point triples of
+    A x B x C, and a subset triple fails only if one of its point triples
+    does.  The masks below {a} hold only points below a, so with (a, b, c)
+    C3's smallest failing triple the smallest failing (A, B, C, x) is C3's
+    witness (a, b, c, x) with a, b and c as singletons.  C5 (associative and
+    commutative) takes C4's value and witness: [a, b] = [b, a] by middle
+    symmetry, so [A, B] = [B, A] on every interval space.
     """
     if semigroup_conditions is None:
         semigroup_conditions = allow_large or not over_budget(1, 3 * space.n)
@@ -364,7 +318,9 @@ def transitivity_conditions(
     witnesses = {"C1": interval_transitivity_witness(space)}
     witnesses["C2"], witnesses["C3"] = _c2_c3_witnesses(space, triangles)
     if semigroup_conditions:
-        witnesses["C4"] = witnesses["C5"] = _associativity_witness(space)
+        w3 = witnesses["C3"]
+        w4 = None if w3 is None else (*(PointSet(space.n, 1 << p) for p in w3[:3]), w3[3])
+        witnesses["C4"] = witnesses["C5"] = w4
     witnesses["C6"] = _c6_witness(space, convex)
     witnesses["C7"] = _c7_witness(space, convex, convex_set)
     witnesses["C8"] = _c8_witness(space, triangles, convex_set)
@@ -395,6 +351,10 @@ def antisymmetry_conditions(
     evaluated (they remain individually well-defined) and the breach is
     recorded via ``hypothesis_met=False``; the five values need not agree
     then.
+
+    D5 (antimatroid) takes D4's value and witness: the empty set is convex,
+    so antiexchange is the one conjunct of :func:`antimatroid_witness` that
+    can fail on a convex system.
     """
     hypothesis_met = interval_transitivity_witness(space) is None
     if not hypothesis_met and not allow_non_interval_transitive:
@@ -403,12 +363,13 @@ def antisymmetry_conditions(
         )
     convex = space._convex_masks(allow_large=allow_large)
     cs = convex_closure_system(space, allow_large=allow_large)
+    d4 = antiexchange_witness(cs)
     witnesses = {
         "D1": interval_antisymmetry_witness(space),
         "D2": stiffness_witness(space),
         "D3": _d3_witness(space, convex),
-        "D4": antiexchange_witness(cs),
-        "D5": antimatroid_witness(cs),
+        "D4": d4,
+        "D5": d4,
     }
     return ConditionVector.of("antisymmetry", witnesses, hypothesis_met=hypothesis_met)
 

@@ -13,15 +13,15 @@ the slice-set that is all ones at its members.
 
 Each of C1..C9 and D1..D5 is written out from its own defining formula,
 mirroring :func:`ispaces.properties.transitivity_conditions` and
-:func:`ispaces.properties.antisymmetry_conditions`, so no condition is
-derived from another.  That scalar path stays the reference and the only
-source of witnesses.  Every space of a batch is valid, so the evaluation
-uses two axioms to halve scans: [u, v] = [v, u] (middle symmetry) and
-[u, u] = {u} (thinness).  So C1, C6 and D1 scan the intervals [a, b] with
-a <= b, C7 the set pairs A <= B, and C5 takes C4's value, as in
-:func:`ispaces.properties.transitivity_conditions`.  D4 takes cl(A + {x})
-from the sliced hull, where the scalar path intersects the closed
-supersets.
+:func:`ispaces.properties.antisymmetry_conditions`, except where that
+scalar path derives one condition from another: C4 and C5 take C3's value
+and D5 takes D4's, for the reasons given there.  The scalar path stays the
+reference and the only source of witnesses.  Every space of a batch is
+valid, so the evaluation uses two axioms to halve scans: [u, v] = [v, u]
+(middle symmetry) and [u, u] = {u} (thinness).  So C1, C6 and D1 scan the
+intervals [a, b] with a <= b and C7 the set pairs A <= B.  D4 takes
+cl(A + {x}) from the sliced hull, where the scalar path intersects the
+closed supersets.
 """
 
 from __future__ import annotations
@@ -29,14 +29,14 @@ from __future__ import annotations
 from operator import or_
 from typing import Sequence
 
-from .core import _forced_bits, _subset_unions, _triple_index, bits_of
+from .core import _forced_bits, _triple_index, bits_of
 
 #: Spaces per batch.  A batch costs about the same whatever its size, so
 #: batches are as large as the exhaustive n = 4 population.
 BATCH = 4096
 
 #: Largest n evaluated sliced.  A batch costs about 4^n * n^3 big-int
-#: operations whatever its size (C7 and C4/C5 range over subset pairs), so
+#: operations whatever its size (C7 ranges over subset pairs), so
 #: from n = 6 on a small batch loses to the scalar path: at n = 6, with
 #: C4/C5 skipped, 100 spaces took 0.16 s sliced against 0.07 s scalar.
 MAX_N = 5
@@ -169,37 +169,6 @@ def _set_table(n: int, ivl: list[SliceSet]) -> list[list[SliceSet]]:
     return tab
 
 
-def _nonassociative(n: int, ivl: list[SliceSet], tab: list[list[SliceSet]], width: int) -> int:
-    """Spaces where [.,.] on subsets is not associative.
-
-    For each B, [A, [B, C]] is built by a union over the lowest point of A
-    and [[A, B], C] by a union over the lowest point of C.  The unions and
-    comparisons run on packed slice-sets: one int holding the n slices side
-    by side, ``width`` bits apart.
-    """
-    size = 1 << n
-    pts = range(n)
-
-    def packed_join(s: SliceSet, c: int) -> int:
-        return sum(x << (i * width) for i, x in enumerate(_join_point(n, ivl, s, c)))
-
-    diff = 0
-    for bm in range(size):
-        row_b = tab[bm]
-        # right[C][A] = [A, [B, C]]
-        right = [_subset_unions(size, [packed_join(row_b[cm], a) for a in pts]) for cm in range(size)]
-        for am in range(size):
-            v = tab[am][bm]
-            left = _subset_unions(size, [packed_join(v, c) for c in pts])  # [[A, B], C] over C
-            for cm in range(1, size):
-                diff |= left[cm] ^ right[cm][am]
-    nonassoc = 0
-    mask = (1 << width) - 1
-    for i in pts:
-        nonassoc |= diff >> (i * width) & mask
-    return nonassoc
-
-
 class _Batch:
     """The views of a batch's triple slices that both kernels read.
 
@@ -295,9 +264,10 @@ def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple
                 if both:
                     fail7 |= both & _breach(n, ivl, row[bm])
 
-    # C4: [.,.] on subsets is associative;  C5: associative and commutative.
-    c4 = full & ~_nonassociative(n, ivl, tab, full.bit_length()) if semigroup else None
     c1, c2, c3, c6, c7, c8, c9 = (full & ~f for f in (fail1, fail2, fail3, fail6, fail7, fail8, fail9))
+    # C4: [.,.] on subsets is associative;  C5: associative and commutative.
+    # Both take C3's value, as in the scalar path.
+    c4 = c3 if semigroup else None
     return (c1, c2, c3, c4, c4, c6, c7, c8, c9)
 
 
@@ -355,6 +325,7 @@ def antisymmetry_slices(n: int, slices: Sequence[int]) -> tuple[tuple[int, ...],
                         if not am >> y & 1:
                             fail4 |= closed & hull_x[y] & hulls[am | 1 << y][x]
 
-    # D5 (antimatroid): antiexchange, and the empty set is closed.
+    # D5 (antimatroid): antiexchange, and the empty set is closed, which it
+    # always is; so D5 takes D4's value, as in the scalar path.
     d1, d2, d3, d4 = (evaluated & ~f for f in (fail1, fail2, fail3, fail4))
-    return (d1, d2, d3, d4, d4 & convex[0]), evaluated
+    return (d1, d2, d3, d4, d4), evaluated

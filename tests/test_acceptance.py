@@ -153,8 +153,8 @@ def test_criterion_5_set_operator_algebra():
     start = time.perf_counter()
     bad = 0
     for space in _regression_suite(max_n=6):
-        tab = space._subset_table()
         size = 1 << space.n
+        tab = [[space._set_interval_mask(am, cm) for cm in range(size)] for am in range(size)]
         for am in range(size):
             row = tab[am]
             for cm in range(size):

@@ -226,6 +226,35 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
+def _run_module(*argv):
+    src = str(Path(I.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "ispaces", *argv], capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestIntegersPastTheDigitLimit:
+    """Integers of more than 4,300 decimal digits, which ``str`` refuses, print in a fixed form."""
+
+    def test_enumerate_space_count(self):
+        proc = _run_module("enumerate", "--n", "33", "--allow-large", "--format", "structured")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["spaces"] == "2^16368"
+
+    def test_search_encoding(self, tmp_path):
+        proc = _run_module(
+            "search", "--ns", "40", "--want-not", "point-transitive", "--max-spaces", "1", "--density", "0.5",
+            "--format", "structured",
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        path = tmp_path / "found.ispace"
+        path.write_text(doc["ispace"])
+        encoding = I.free_orbit_encoding(40).encode(load(str(path)))
+        assert encoding.bit_length() > 64 and doc["encoding"] == hex(encoding)
+
+
 _FORMATS = {"ispace": ("points", "triple", 3), "graph": ("vertices", "edge", 2), "qpoints": ("dim", "point", None)}
 _JUNK = st.sampled_from(["x", "", "1.5", "-1", "1/0", "3/-4", "+2", "1e2", "triple", "#"])
 _COORDS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-2/3", "+3", "4/2"])
@@ -424,6 +453,11 @@ class TestCommands:
         assert code == 0 and "spaces: 8" in out
         code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--list")
         assert out.count("encoding:") == 8
+        # a count of up to 64 bits is printed in full, a wider one as 2^k
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "6", "--allow-large")
+        assert code == 0 and f"spaces: {2 ** 60}\n" in out
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "7", "--allow-large")
+        assert code == 0 and "spaces: 2^105\n" in out
 
     def test_enumerate_cap(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "5")

@@ -8,10 +8,8 @@ import ispaces as I
 from ispaces import BetweennessTable, HypothesisNotMetError, validate
 from ispaces.cli import _jsonify
 from ispaces.properties import (
-    _byte_associativity,
     _c7_witness,
     _interval_transitivity_scan,
-    _row_associativity,
     antisymmetry_conditions,
     interval_transitivity_witness,
     property_report,
@@ -172,9 +170,8 @@ def _mask_witness(witness):
 
 
 def _check_fast_paths(space):
-    """C4/C5 (byte scan) and C7 (skip of convex [A, B]) against plain scans."""
+    """C4/C5 (C3's witness as singletons) and C7 (skip of convex [A, B]) against plain scans."""
     tab = naive.subset_interval_table(space)
-    assert [list(row) for row in space._subset_table()] == tab
     w4, w5 = naive.semigroup_witnesses(space, tab)
     witnesses = transitivity_conditions(space, semigroup_conditions=True).witnesses
     assert _mask_witness(witnesses.get("C4")) == w4
@@ -197,45 +194,35 @@ class TestFastPathOracles:
     @given(space_strategy(min_n=6, max_n=6))
     @example(I.linear_order_space(6))
     @example(I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 5)))
+    @settings(max_examples=8, deadline=None)
+    def test_sampled_six_points(self, space):
+        _check_fast_paths(space)
+
+    @given(space_strategy(min_n=6, max_n=6))
+    @example(I.linear_order_space(6))
+    @example(I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 5)))
     @settings(max_examples=20)
     def test_c7_sampled_six_points(self, space):
         # C7 scans only the pairs A <= B; the oracle scans every pair
         tab = naive.subset_interval_table(space)
-        rows = space._subset_table()
-        assert all(type(row) is bytes for row in rows)
-        assert [list(row) for row in rows] == tab
         convex = space._convex_masks()
         w7 = naive.convex_pairs_witness(space, tab)
         assert _mask_witness(_c7_witness(space, convex, set(convex))) == w7
 
-
-def _cycle(n):
-    return I.geodesic_space_from_graph(I.Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
-
-
-class TestAssociativityScans:
-    """The n <= 8 byte scan of C4 against the row scan that wider masks keep."""
-
-    # pinned is ... for drawn spaces; the examples pin C4's witness as well
-    @given(space_strategy(min_n=6, max_n=7), st.just(...))
-    @example(_cycle(8), None)
-    @example(I.linear_order_space(8), None)
-    @example(I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 7)), None)
-    # A = {2}, B = C = {4}: the mismatch is not in the B = {0} or C = {0} slots
-    @example(I.random_space(6, seed=0, density=0.05), (0b100, 0b10000, 0b10000, 5))
-    @settings(max_examples=12, deadline=None)
-    def test_byte_scan_matches_row_scan(self, space, pinned):
-        tab = [tuple(row) for row in naive.subset_interval_table(space)]
-        witness = _byte_associativity(space._subset_table())
-        assert witness == _row_associativity(tab)
-        if pinned is not ...:
-            assert witness == pinned
-
-    def test_wide_table_matches_naive_table(self):
-        nine = I.random_space(9, seed=0)
-        rows = nine._subset_table()
-        assert all(type(row) is tuple for row in rows)
-        assert [list(row) for row in rows] == naive.subset_interval_table(nine)
+    @pytest.mark.parametrize(
+        "space, witness",
+        [
+            (I.geodesic_space_from_graph(I.Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])), None),
+            (I.linear_order_space(8), None),
+            (I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 7)), None),
+            # A = {2}, B = C = {4}: the mismatch is not in the B = {0} or C = {0} slots
+            (I.random_space(6, seed=0, density=0.05), (0b100, 0b10000, 0b10000, 5)),
+        ],
+        ids=["C_8", "P_8", "K_1_7", "random_6"],
+    )
+    def test_pinned_semigroup_witnesses(self, space, witness):
+        witnesses = transitivity_conditions(space, semigroup_conditions=True).witnesses
+        assert _mask_witness(witnesses.get("C4")) == _mask_witness(witnesses.get("C5")) == witness
 
 
 class TestTriangleWitnesses:
