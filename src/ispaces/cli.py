@@ -93,6 +93,8 @@ def _content_lines(path: str) -> list[tuple[int, str]]:
             raw = fh.read().splitlines()
     except OSError as exc:
         raise SpaceFileError(path, None, f"cannot read file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpaceFileError(path, None, f"not UTF-8 text: byte {exc.start} cannot be decoded") from None
     out = []
     for lineno, line in enumerate(raw, start=1):
         body = line.split("#", 1)[0].strip()

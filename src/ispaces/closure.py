@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness, record
+from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness, _first_breach, record
 
 
 class HypothesisNotMetError(ValueError):
@@ -120,19 +120,16 @@ class ClosureSystem:
                 out &= m
         return out
 
+    def _entailment_breach(self, a_mask: int) -> tuple[int, int] | None:
+        """Smallest (x, y), x < y outside A, entailing each other relative to A:
+        antiexchange is antisymmetry of entailment, whose row x is cl(A + {x})."""
+        outside = ~a_mask & ((1 << self.n) - 1)
+        rows = [self._cl_mask(a_mask | (1 << x)) if outside >> x & 1 else 0 for x in range(self.n)]
+        return _antisymmetric_rows_witness(rows, outside) if outside else None
+
     @cached_property
     def _antiexchange_witness(self) -> tuple[PointSet, int, int] | None:
-        """Antiexchange is antisymmetry of entailment: row x of A is
-        cl(A + {x}), the points x entails relative to A, for x outside A."""
-        full = (1 << self.n) - 1
-        for a_mask in self.closed:
-            outside = full & ~a_mask
-            if outside:
-                rows = [self._cl_mask(a_mask | (1 << x)) if outside >> x & 1 else 0 for x in range(self.n)]
-                w = _antisymmetric_rows_witness(rows, outside)
-                if w is not None:
-                    return (PointSet(self.n, a_mask), *w)
-        return None
+        return _first_breach(zip(self.closed, self.closed), self._entailment_breach, lambda m: (PointSet(self.n, m),))
 
 
 def convex_closure_system(space: FiniteIntervalSpace, *, allow_large: bool = False) -> ClosureSystem:

@@ -31,8 +31,8 @@ from typing import Any, Callable, Iterable, Iterator
 #: (``--allow-large``).  Each size rule counts its own steps: 2^n * n^2 to
 #: enumerate the subsets of n points (n <= 16) and 2^orbits for an
 #: exhaustive population (n <= 4).  The rule of count * 8^n subset triples
-#: for C4/C5 (n <= 8 for one space) only decides whether they are reported:
-#: they take C3's value, so they cost nothing more.
+#: for C4/C5 (n <= 8 for one space, ``properties.semigroup_reported``) only
+#: decides whether they are reported: they take C3's value, at no cost.
 WORK_BUDGET = 1 << 25
 
 
@@ -100,23 +100,21 @@ def _bind(name: str, fields: tuple[str, ...], defaults: dict[str, Any], args: tu
     return tuple(given[f] if f in given else defaults[f] for f in fields)
 
 
-def record(cls: type | None = None, *, frozen: bool = True) -> Any:
-    """Class decorator for a value class over its annotated fields, with the
-    behaviour of ``dataclasses.dataclass(frozen=frozen)``.
+def record(cls: type) -> type:
+    """Class decorator for a frozen value class over its annotated fields,
+    with the behaviour of ``dataclasses.dataclass(frozen=True)``.
 
     It adds ``__init__`` (positional or keyword arguments, class attributes
     as defaults, then ``__post_init__`` when the class has one), field-wise
-    ``__eq__``, a ``Name(field=value, ...)`` ``__repr__`` and
-    ``__match_args__``.  A frozen class also gets a ``__hash__`` over its
-    fields and refuses assignment and deletion; a mutable one is unhashable.
-    A method the class defines itself is kept.  Instances keep their
-    ``__dict__``, so they pickle, take ``functools.cached_property`` and can
-    be filled by ``object.__setattr__``.  The methods are closures: the
-    ``dataclasses`` module would add its import and one ``exec`` of
-    generated source per class to the start-up of every process.
+    ``__eq__``, a ``Name(field=value, ...)`` ``__repr__``,
+    ``__match_args__``, a ``__hash__`` over the fields, and refuses
+    assignment and deletion.  A method the class defines itself is kept.
+    Instances keep their ``__dict__``, so they pickle, take
+    ``functools.cached_property`` and can be filled by
+    ``object.__setattr__``.  The methods are closures: the ``dataclasses``
+    module would add its import and one ``exec`` of generated source per
+    class to the start-up of every process.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
     fields = tuple(cls.__annotations__)
     defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
     values = attrgetter(*fields)
@@ -146,17 +144,12 @@ def record(cls: type | None = None, *, frozen: bool = True) -> Any:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    added: dict[str, Any] = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__, "__match_args__": fields}
-    if frozen:
-        added.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
-    else:
-        added["__hash__"] = None
-    for name, member in added.items():
+    for member in (__init__, __eq__, __repr__, __hash__, __setattr__, __delattr__):
         # A class that defines __eq__ gets __hash__ = None, which is not its own.
-        if cls.__dict__.get(name) is None:
-            if callable(member):
-                member.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, member)
+        if cls.__dict__.get(member.__name__) is None:
+            member.__qualname__ = f"{cls.__qualname__}.{member.__name__}"
+            setattr(cls, member.__name__, member)
+    cls.__match_args__ = fields
     return cls
 
 
@@ -732,3 +725,32 @@ class FiniteIntervalSpace:
         """Smallest (x, y), x < y both outside S, that the base order of S relates both ways."""
         outside = ~am & ((1 << self.n) - 1)
         return _antisymmetric_rows_witness(self._base_set_rows(am), outside) if outside else None
+
+    def _points(self) -> Iterator[tuple[tuple[int], int]]:
+        """The base points as (label (a,), mask of {a}), ascending."""
+        return (((a,), 1 << a) for a in range(self.n))
+
+    def _intervals(self, first: int = 0) -> Iterator[tuple[tuple[int, int], int]]:
+        """The intervals as (label (a, b), mask of [a, b]) for a + first <= b,
+        lexicographic: [a, b] = [b, a] by middle symmetry, and first = 1
+        leaves out [a, a] = {a} (thinness)."""
+        n, ivl = self.n, self._ivl
+        return (((a, b), ivl[a * n + b]) for a in range(n) for b in range(a + first, n))
+
+
+def _first_breach(
+    family: Iterable[tuple[Any, int]], breach: Callable[[int], tuple | None], label: Callable[[Any], tuple] = tuple
+) -> tuple | None:
+    """``(*label(key), *witness)`` for the first (key, mask) of ``family``
+    whose mask ``breach`` finds a witness in, or None when none does.
+
+    Every check of a base-order or convexity breach over base points,
+    intervals or a list of point sets is one call, so each returns the
+    smallest witness in its family's order.  ``label`` is applied only to
+    the key returned (a mask becomes a :class:`PointSet` only there).
+    """
+    for key, mask in family:
+        witness = breach(mask)
+        if witness is not None:
+            return (*label(key), *witness)
+    return None

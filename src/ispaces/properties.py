@@ -17,14 +17,17 @@ Scan order is ascending point ids (and ascending bit masks for subset
 quantifiers) everywhere, which makes reported witnesses deterministic.
 Interval scans skip b < a: [a, b] = [b, a] by middle symmetry, so the
 smallest failing pair has a <= b (a < b for convexity, as [a, a] = {a}).
-Base orders are tested by the space's two ``_order_*_breach`` kernels.
+Base orders are tested by the space's two ``_order_*_breach`` kernels, and
+each quantifier over base points, intervals or convex sets is one
+``core._first_breach`` scan.  The evaluators always return C4 and C5;
+whether they are reported is :func:`semigroup_reported`'s decision.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .core import FiniteIntervalSpace, PointSet, budget_message, over_budget, record
+from .core import FiniteIntervalSpace, PointSet, _first_breach, budget_message, over_budget, record
 from .closure import (
     HypothesisNotMetError,
     antiexchange_witness,
@@ -45,11 +48,7 @@ CONDITIONS = {"transitivity": TRANSITIVITY_CONDITIONS, "antisymmetry": ANTISYMME
 
 def point_transitivity_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] | None:
     """Smallest (a, x, y, z) with <a,x,y> and <a,y,z> but not <a,x,z>."""
-    for a in range(space.n):
-        w = space._order_transitivity_breach(1 << a)
-        if w is not None:
-            return (a, *w)
-    return None
+    return _first_breach(space._points(), space._order_transitivity_breach)
 
 
 def point_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int, int] | None:
@@ -57,11 +56,7 @@ def point_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int, in
 
     Scanning outside {a} is enough: by thinness a is in no two-way pair.
     """
-    for a in range(space.n):
-        w = space._order_antisymmetry_breach(1 << a)
-        if w is not None:
-            return (a, *w)
-    return None
+    return _first_breach(space._points(), space._order_antisymmetry_breach)
 
 
 def interval_transitivity_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int, int] | None:
@@ -71,43 +66,18 @@ def interval_transitivity_witness(space: FiniteIntervalSpace) -> tuple[int, int,
     property all ask for it.
     """
     if space._it_witness is None:
-        space._it_witness = (_interval_transitivity_scan(space),)
+        space._it_witness = (_first_breach(space._intervals(), space._order_transitivity_breach),)
     return space._it_witness[0]
-
-
-def _interval_transitivity_scan(space: FiniteIntervalSpace) -> tuple[int, int, int, int, int] | None:
-    n = space.n
-    ivl = space._ivl
-    for a in range(n):
-        for b in range(a, n):
-            w = space._order_transitivity_breach(ivl[a * n + b])
-            if w is not None:
-                return (a, b, *w)
-    return None
 
 
 def interval_antisymmetry_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] | None:
     """Smallest (a, b, x, y): x, y outside [a, b], related both ways by its base order."""
-    n = space.n
-    ivl = space._ivl
-    for a in range(n):
-        for b in range(a, n):
-            w = space._order_antisymmetry_breach(ivl[a * n + b])
-            if w is not None:
-                return (a, b, *w)
-    return None
+    return _first_breach(space._intervals(), space._order_antisymmetry_breach)
 
 
 def interval_convexity_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int, int] | None:
     """Smallest (a, b, u, v, w) where [a, b] fails to contain [u, v] for u, v in it."""
-    n = space.n
-    ivl = space._ivl
-    for a in range(n):
-        for b in range(a + 1, n):
-            breach = space._convexity_breach(ivl[a * n + b])
-            if breach is not None:
-                return (a, b, *breach)
-    return None
+    return _first_breach(space._intervals(1), space._convexity_breach)
 
 
 def stiffness_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] | None:
@@ -137,15 +107,14 @@ def stiffness_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] |
 class ConditionVector:
     """Values of one theorem's equivalent conditions on one space.
 
-    ``values`` holds one entry per condition in order; None marks a
-    condition that was skipped (work budget), never one that was
-    guessed.  Every False entry has a witness.  ``hypothesis_met`` records
-    whether the space satisfied the hypothesis the equivalence needs
-    (interval-transitivity, for the antisymmetry conditions).
+    ``values`` holds one flag per condition in order; every False entry has
+    a witness.  ``hypothesis_met`` records whether the space satisfied the
+    hypothesis the equivalence needs (interval-transitivity, for the
+    antisymmetry conditions).
     """
 
     theorem: str
-    values: tuple[bool | None, ...]
+    values: tuple[bool, ...]
     witness_items: tuple[tuple[str, tuple], ...] = ()
     hypothesis_met: bool = True
 
@@ -156,18 +125,11 @@ class ConditionVector:
             raise ValueError(f"{self.theorem} needs {len(self.names)} values, got {len(self.values)}")
 
     @classmethod
-    def of(
-        cls,
-        theorem: str,
-        witnesses: dict[str, tuple | None],
-        skipped: tuple[str, ...] = (),
-        hypothesis_met: bool = True,
-    ) -> "ConditionVector":
-        """The vector of one witness per condition name (None: the condition
-        holds); the names in ``skipped`` have no witness and the value None."""
+    def of(cls, theorem: str, witnesses: dict[str, tuple | None], hypothesis_met: bool = True) -> "ConditionVector":
+        """The vector of one witness per condition name (None: the condition holds)."""
         names = CONDITIONS.get(theorem, ())
-        values = tuple(None if name in skipped else witnesses[name] is None for name in names)
-        items = tuple((name, witnesses[name]) for name, value in zip(names, values) if value is False)
+        values = tuple(witnesses[name] is None for name in names)
+        items = tuple((name, witnesses[name]) for name in names if witnesses[name] is not None)
         return cls(theorem, values, items, hypothesis_met)
 
     @property
@@ -178,20 +140,12 @@ class ConditionVector:
     def witnesses(self) -> dict[str, tuple]:
         return dict(self.witness_items)
 
-    def flags(self) -> dict[str, bool | None]:
+    def flags(self) -> dict[str, bool]:
         return dict(zip(self.names, self.values))
 
-    @property
-    def skipped(self) -> tuple[str, ...]:
-        return tuple(name for name, v in zip(self.names, self.values) if v is None)
-
-    def decided(self) -> tuple[bool, ...]:
-        return tuple(v for v in self.values if v is not None)
-
     def all_equal(self) -> bool:
-        """Whether every evaluated condition agrees (skipped entries ignored)."""
-        decided = self.decided()
-        return all(v == decided[0] for v in decided) if decided else True
+        """Whether every condition agrees."""
+        return len(set(self.values)) <= 1
 
 
 def _c2_c3_witnesses(space: FiniteIntervalSpace, triangles: list[int]) -> tuple[tuple | None, tuple | None]:
@@ -222,14 +176,9 @@ def _c2_c3_witnesses(space: FiniteIntervalSpace, triangles: list[int]) -> tuple[
 
 def _c6_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
     """Interval-convexity breaches scan first, then base-order transitivity per convex set."""
-    w = interval_convexity_witness(space)
-    if w is not None:
-        return w
-    for am in convex_masks:
-        tw = space._order_transitivity_breach(am)
-        if tw is not None:
-            return (PointSet(space.n, am), *tw)
-    return None
+    return interval_convexity_witness(space) or _first_breach(
+        zip(convex_masks, convex_masks), space._order_transitivity_breach, lambda m: (PointSet(space.n, m),)
+    )
 
 
 def _c7_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...], convex: set[int]) -> tuple | None:
@@ -286,19 +235,12 @@ def _c9_witness(space: FiniteIntervalSpace, triangles: list[int]) -> tuple | Non
     return None
 
 
-def transitivity_conditions(
-    space: FiniteIntervalSpace,
-    *,
-    semigroup_conditions: bool | None = None,
-    allow_large: bool = False,
-) -> ConditionVector:
+def transitivity_conditions(space: FiniteIntervalSpace, *, allow_large: bool = False) -> ConditionVector:
     """Evaluate the nine conditions equivalent to interval-transitivity.
 
-    C4 and C5 quantify over all (2^n)^3 subset triples; with
-    ``semigroup_conditions=None`` they are reported exactly when those 8^n
-    steps fit the work budget or ``allow_large`` is set, and reported as
-    skipped (None) otherwise.  Pass True to force them or False to skip
-    regardless.  The sets [[a, b], {c}] are built once for C2/C3, C8 and C9.
+    ``allow_large`` lifts the work budget of the convex-set enumeration
+    that C6 and C7 read.  The sets [[a, b], {c}] are built once for C2/C3,
+    C8 and C9.
 
     C4 (associativity on subsets) takes C3's value: [A, B] is the union of
     [a, b] over a in A and b in B, so [[A, B], C] and [A, [B, C]] are the
@@ -308,33 +250,40 @@ def transitivity_conditions(
     C3's smallest failing triple the smallest failing (A, B, C, x) is C3's
     witness (a, b, c, x) with a, b and c as singletons.  C5 (associative and
     commutative) takes C4's value and witness: [a, b] = [b, a] by middle
-    symmetry, so [A, B] = [B, A] on every interval space.
+    symmetry, so [A, B] = [B, A] on every interval space.  Both are always
+    evaluated; whether they are reported is :func:`semigroup_reported`'s
+    decision.
     """
-    if semigroup_conditions is None:
-        semigroup_conditions = allow_large or not over_budget(1, 3 * space.n)
     convex = space._convex_masks(allow_large=allow_large)
     convex_set = set(convex)
     triangles = _triangle_masks(space)
     witnesses = {"C1": interval_transitivity_witness(space)}
     witnesses["C2"], witnesses["C3"] = _c2_c3_witnesses(space, triangles)
-    if semigroup_conditions:
-        w3 = witnesses["C3"]
-        w4 = None if w3 is None else (*(PointSet(space.n, 1 << p) for p in w3[:3]), w3[3])
-        witnesses["C4"] = witnesses["C5"] = w4
+    w3 = witnesses["C3"]
+    witnesses["C4"] = witnesses["C5"] = None if w3 is None else (*(PointSet(space.n, 1 << p) for p in w3[:3]), w3[3])
     witnesses["C6"] = _c6_witness(space, convex)
     witnesses["C7"] = _c7_witness(space, convex, convex_set)
     witnesses["C8"] = _c8_witness(space, triangles, convex_set)
     witnesses["C9"] = _c9_witness(space, triangles)
-    return ConditionVector.of("transitivity", witnesses, () if semigroup_conditions else ("C4", "C5"))
+    return ConditionVector.of("transitivity", witnesses)
+
+
+def semigroup_reported(spaces: int, n: int, allow_large: bool) -> bool:
+    """Whether C4 and C5 are reported for ``spaces`` spaces on n points.
+
+    The one copy of the rule: they are reported when spaces * 8^n subset
+    triples fit the work budget or ``allow_large`` is set, and shown as
+    skipped otherwise.  Since they take C3's value the rule bounds no work;
+    it stays so that reports do not change.
+    """
+    return allow_large or not over_budget(spaces, 3 * n)
 
 
 def _d3_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
     """Smallest (A, x, y): A convex, x < y outside A, base order of A relates both ways."""
-    for am in convex_masks:
-        w = space._order_antisymmetry_breach(am)
-        if w is not None:
-            return (PointSet(space.n, am), *w)
-    return None
+    return _first_breach(
+        zip(convex_masks, convex_masks), space._order_antisymmetry_breach, lambda m: (PointSet(space.n, m),)
+    )
 
 
 def antisymmetry_conditions(
@@ -462,7 +411,7 @@ def entailment_reverse_witness(space: FiniteIntervalSpace, a_set: PointSet) -> t
 # Aggregated reports and the named-predicate registry
 
 
-@record(frozen=False)
+@record
 class PropertyReport:
     """Named flags plus witnesses for one space.
 
@@ -475,12 +424,6 @@ class PropertyReport:
     flags: dict[str, bool | None]
     witnesses: dict[str, tuple]
     notes: dict[str, str]
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.flags = {}
-        self.witnesses = {}
-        self.notes = {}
 
 
 def _combinatorial_witness(space: FiniteIntervalSpace, allow_large: bool) -> None:
@@ -538,34 +481,39 @@ def property_report(
     own order.  Each condition family is evaluated only when one of its
     names is requested; the D conditions are evaluated even when the space
     is not interval-transitive, with a note recording the hypothesis breach.
-    An empty ``names`` is an error, not an empty report.
+    An empty ``names`` is an error, not an empty report.  C4 and C5 are
+    shown as skipped, with a note, where :func:`semigroup_reported` says so.
     """
     conditions = TRANSITIVITY_CONDITIONS + ANTISYMMETRY_CONDITIONS
     names = [*PROPERTIES, *conditions] if names is None else list(names)
     if not names:
         raise ValueError("no property names given")
-    report = PropertyReport(n=space.n)
+    flags: dict[str, bool | None] = {}
+    witnesses: dict[str, tuple] = {}
+    notes: dict[str, str] = {}
     for name in resolve_properties(t for t in names if t not in conditions):
         witness = PROPERTIES[name](space, allow_large)
-        report.flags[name] = witness is None
+        flags[name] = witness is None
         if witness is not None:
-            report.witnesses[name] = witness
+            witnesses[name] = witness
 
     def keep(vector: ConditionVector) -> None:
-        report.flags.update((k, v) for k, v in vector.flags().items() if k in names)
-        report.witnesses.update((k, w) for k, w in vector.witness_items if k in names)
+        flags.update((k, v) for k, v in vector.flags().items() if k in names)
+        witnesses.update((k, w) for k, w in vector.witness_items if k in names)
 
     if any(t in TRANSITIVITY_CONDITIONS for t in names):
-        cv = transitivity_conditions(space, allow_large=allow_large)
-        keep(cv)
-        for name in cv.skipped:
-            if name in names:
-                report.notes[name] = "skipped: " + budget_message(f"C4/C5 on {space.n} points", 1, 3 * space.n)
+        keep(transitivity_conditions(space, allow_large=allow_large))
+        if not semigroup_reported(1, space.n, allow_large):
+            for name in ("C4", "C5"):
+                if name in names:
+                    flags[name] = None
+                    witnesses.pop(name, None)
+                    notes[name] = "skipped: " + budget_message(f"C4/C5 on {space.n} points", 1, 3 * space.n)
     if any(t in ANTISYMMETRY_CONDITIONS for t in names):
         dv = antisymmetry_conditions(space, allow_non_interval_transitive=True, allow_large=allow_large)
         keep(dv)
         if not dv.hypothesis_met:
-            report.notes["antisymmetry-conditions"] = (
+            notes["antisymmetry-conditions"] = (
                 "space is not interval-transitive; D1..D5 evaluated anyway and need not agree"
             )
-    return report
+    return PropertyReport(space.n, flags, witnesses, notes)

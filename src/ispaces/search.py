@@ -43,6 +43,7 @@ from .properties import (
     antisymmetry_conditions,
     interval_transitivity_witness,
     resolve_properties,
+    semigroup_reported,
     transitivity_conditions,
 )
 
@@ -74,10 +75,14 @@ class FreeOrbitEncoding:
             for c in range(n)
             if a != b and b != c and a < c
         )
-        self._base = _forced_bits(n)
-        # The two triple indices of each orbit: an n^3-bit mask per orbit
-        # would hold n^6 bits in all.
-        self._pairs = tuple((_triple_index(n, a, b, c), _triple_index(n, c, b, a)) for a, b, c in self.orbits)
+        # Tables are built as base-2 text, whose first character is the
+        # highest triple: the forced bits, and the two positions of each
+        # orbit's triples in it (an n^3-bit mask per orbit would hold n^6 bits).
+        top = n ** 3 - 1
+        self._base = format(_forced_bits(n), f"0{top + 1}b").encode()
+        self._pairs = tuple(
+            (top - _triple_index(n, a, b, c), top - _triple_index(n, c, b, a)) for a, b, c in self.orbits
+        )
 
     @property
     def orbit_count(self) -> int:
@@ -90,14 +95,13 @@ class FreeOrbitEncoding:
     def decode(self, bits: int) -> FiniteIntervalSpace:
         if not 0 <= bits < self.space_count:
             raise ValueError(f"encoding {bits} out of range [0, 2^{self.orbit_count})")
-        table_bits = self._base
-        rest = bits
-        while rest:
-            low = rest & -rest
-            i, j = self._pairs[low.bit_length() - 1]
-            table_bits |= (1 << i) | (1 << j)
-            rest ^= low
-        return FiniteIntervalSpace._trusted(BetweennessTable(self.n, table_bits))
+        # One parse of the table text: ORing each orbit into an int as wide
+        # as the table would take time quadratic in n^3.
+        text = bytearray(self._base)
+        for (i, j), bit in zip(self._pairs, reversed(format(bits, f"0{self.orbit_count}b"))):
+            if bit == "1":
+                text[i] = text[j] = 49  # ord("1")
+        return FiniteIntervalSpace._trusted(BetweennessTable(self.n, int(text, 2)))
 
     def triples(self, bits: int) -> list[tuple[int, int, int]]:
         """The orbit representatives <a, b, c> (a < c) set in an encoding, in orbit order."""
@@ -106,13 +110,8 @@ class FreeOrbitEncoding:
     def encode(self, space: FiniteIntervalSpace) -> int:
         if space.n != self.n:
             raise ValueError(f"space has {space.n} points, encoding expects {self.n}")
-        n = self.n
-        table_bits = space.table.bits
-        bits = 0
-        for k, (a, b, c) in enumerate(self.orbits):
-            if (table_bits >> _triple_index(n, a, b, c)) & 1:
-                bits |= 1 << k
-        return bits
+        n, fwd = self.n, space._fwd
+        return int("".join(["1" if fwd[a * n + b] >> c & 1 else "0" for a, b, c in reversed(self.orbits)]) or "0", 2)
 
 
 @lru_cache(maxsize=64)
@@ -134,12 +133,11 @@ def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    rng = random.Random(seed)
-    bits = 0
-    for k in range(_orbit_count(n)):
-        if rng.random() < density:
-            bits |= 1 << k
-    return bits
+    draw = random.Random(seed).random
+    draws = ["1" if draw() < density else "0" for _ in range(_orbit_count(n))]
+    # Draw k is bit k; one parse, where ORing each bit in would be quadratic.
+    draws.reverse()
+    return int("".join(draws) or "0", 2)
 
 
 def random_space(n: int, seed: int, density: float = 0.5) -> FiniteIntervalSpace:
@@ -172,7 +170,7 @@ class ExhaustivePopulation(Population):
     allow_large: bool = False
 
     def size(self) -> int:
-        return free_orbit_encoding(self.n).space_count
+        return 1 << _orbit_count(self.n)
 
     def describe(self) -> str:
         return f"exhaustive n={self.n}"
@@ -283,23 +281,23 @@ def _sliced(n: int) -> bool:
     return n <= sliced.MAX_N
 
 
-def _condition_slices(theorem: str, n: int, encodings: list[int], skipped: tuple[str, ...]) -> tuple[Sequence[int | None], int]:
-    """A batch's condition slices (bit j of entry k: condition k in space j;
-    None: skipped), sliced or one decoded space at a time, and the mask of the
-    spaces evaluated: the antisymmetry census leaves out those that are not
+def _condition_slices(theorem: str, n: int, encodings: list[int]) -> tuple[Sequence[int], int]:
+    """A batch's condition slices (bit j of entry k: condition k in space j),
+    sliced or one decoded space at a time, and the mask of the spaces
+    evaluated: the antisymmetry census leaves out those that are not
     interval-transitive."""
     enc = free_orbit_encoding(n)
     if _sliced(n):
         slices = sliced.triple_slices(enc, encodings)
         if theorem == "transitivity":
-            return sliced.transitivity_slices(n, slices, not skipped), (1 << len(encodings)) - 1
+            return sliced.transitivity_slices(n, slices), (1 << len(encodings)) - 1
         return sliced.antisymmetry_slices(n, slices)
-    values: list[int | None] = [None if name in skipped else 0 for name in CONDITIONS[theorem]]
+    values = [0] * len(CONDITIONS[theorem])
     evaluated = 0
     for j, bits in enumerate(encodings):
         space = enc.decode(bits)
         if theorem == "transitivity":
-            cv = transitivity_conditions(space, semigroup_conditions=not skipped)
+            cv = transitivity_conditions(space)
         elif interval_transitivity_witness(space) is None:
             cv = antisymmetry_conditions(space)
         else:
@@ -312,7 +310,8 @@ def _condition_slices(theorem: str, n: int, encodings: list[int], skipped: tuple
 
 
 def _census_chunk(args: tuple) -> dict:
-    """The census tallies over spaces start..stop-1, read off one batch of slices at a time."""
+    """The census tallies over spaces start..stop-1, read off one batch of
+    slices at a time; the conditions in ``skipped`` are blanked (None) first."""
     theorem, population, start, stop, skipped = args
     counts: Counter = Counter()
     vectors: Counter = Counter()
@@ -320,7 +319,8 @@ def _census_chunk(args: tuple) -> dict:
     excluded = 0
     for lo in range(start, stop, sliced.BATCH):
         encodings = list(population.encodings(lo, min(lo + sliced.BATCH, stop)))
-        values, evaluated = _condition_slices(theorem, population.n, encodings, skipped)
+        values, evaluated = _condition_slices(theorem, population.n, encodings)
+        values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]
         excluded += len(encodings) - evaluated.bit_count()
         for name, s in zip(CONDITIONS[theorem], values):
             if s:
@@ -366,10 +366,9 @@ def _run_chunks(task, args_list: list[tuple], workers: int) -> list:
         return list(pool.map(task, args_list))
 
 
-def _verify(theorem: str, population: Population, semigroup: bool, workers: int) -> CensusReport:
+def _verify(theorem: str, population: Population, skipped: tuple[str, ...], workers: int) -> CensusReport:
     total = population.size()
     min_chunk = sliced.BATCH if _sliced(population.n) else 1
-    skipped = ("C4", "C5") if theorem == "transitivity" and not semigroup else ()
     chunk_results = _run_chunks(
         _census_chunk,
         [(theorem, population, s, e, skipped) for s, e in _partition(total, workers, min_chunk)],
@@ -405,12 +404,11 @@ def verify_transitivity_theorem(
 ) -> CensusReport:
     """Census C1..C9 over a population; equivalence violations must be absent.
 
-    C4/C5 are evaluated in full when population-size * (2^n)^3 subset
-    triples fit the work budget or ``allow_large`` is set, and reported as
-    skipped otherwise.
+    C4/C5 are reported as skipped where :func:`~ispaces.properties.semigroup_reported`
+    says so for the population's size.
     """
-    semigroup = allow_large or not over_budget(population.size(), 3 * population.n)
-    return _verify("transitivity", population, semigroup, workers)
+    reported = semigroup_reported(population.size(), population.n, allow_large)
+    return _verify("transitivity", population, () if reported else ("C4", "C5"), workers)
 
 
 def verify_antisymmetry_theorem(population: Population, *, workers: int = 1) -> CensusReport:
@@ -419,7 +417,7 @@ def verify_antisymmetry_theorem(population: Population, *, workers: int = 1) -> 
     Spaces failing the interval-transitivity hypothesis are counted in
     ``hypothesis_excluded`` and take no part in the equivalence assertion.
     """
-    return _verify("antisymmetry", population, True, workers)
+    return _verify("antisymmetry", population, (), workers)
 
 
 # ---------------------------------------------------------------------------

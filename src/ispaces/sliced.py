@@ -15,13 +15,15 @@ Each of C1..C9 and D1..D5 is written out from its own defining formula,
 mirroring :func:`ispaces.properties.transitivity_conditions` and
 :func:`ispaces.properties.antisymmetry_conditions`, except where that
 scalar path derives one condition from another: C4 and C5 take C3's value
-and D5 takes D4's, for the reasons given there.  The scalar path stays the
-reference and the only source of witnesses.  Every space of a batch is
-valid, so the evaluation uses two axioms to halve scans: [u, v] = [v, u]
-(middle symmetry) and [u, u] = {u} (thinness).  So C1, C6 and D1 scan the
-intervals [a, b] with a <= b and C7 the set pairs A <= B.  D4 takes
-cl(A + {x}) from the sliced hull, where the scalar path intersects the
-closed supersets.
+and D5 takes D4's, for the reasons given there.  C4 and C5 are always
+returned; the census blanks them where ``semigroup_reported`` says so.  The
+scalar path stays the reference and the only source of witnesses.  Every
+space of a batch is valid, so the evaluation uses two axioms to halve
+scans: [u, v] = [v, u] (middle symmetry) and [u, u] = {u} (thinness).  So
+C1, C6 and D1 scan the intervals [a, b] with a <= b, C7 the set pairs
+A <= B, and the convexity test and the hull share one join over u < v.  D4
+takes cl(A + {x}) from the sliced hull, where the scalar path intersects
+the closed supersets.
 """
 
 from __future__ import annotations
@@ -77,10 +79,10 @@ def _join_point(n: int, ivl: list[SliceSet], s: SliceSet, c: int) -> SliceSet:
     return tuple(out)
 
 
-def _breach(n: int, ivl: list[SliceSet], s: SliceSet) -> int:
-    """Spaces where S is not convex: u, v in S and some w in [u, v] outside S."""
-    out = 0
-    outside = [~m for m in s]
+def _join(n: int, ivl: list[SliceSet], s: SliceSet) -> list[int]:
+    """The union of [u, v] over u < v in a slice-set S.  With S itself that
+    is [S, S]: [u, v] = [v, u] by middle symmetry and [u, u] = {u} by thinness."""
+    out = [0] * n
     for u in range(n - 1):
         su = s[u]
         if su:
@@ -88,8 +90,16 @@ def _breach(n: int, ivl: list[SliceSet], s: SliceSet) -> int:
                 both = su & s[v]
                 if both:
                     row = ivl[u * n + v]
-                    for w in range(n):
-                        out |= both & row[w] & outside[w]
+                    for x in range(n):
+                        out[x] |= both & row[x]
+    return out
+
+
+def _breach(n: int, ivl: list[SliceSet], s: SliceSet) -> int:
+    """Spaces where S is not convex: u, v in S and some w in [u, v] outside S."""
+    out = 0
+    for joined, member in zip(_join(n, ivl, s), s):
+        out |= joined & ~member
     return out
 
 
@@ -124,17 +134,7 @@ def _two_way(n: int, rows: list[list[int]], s: SliceSet) -> int:
 def _hull(n: int, ivl: list[SliceSet], s: SliceSet) -> SliceSet:
     """Least fixpoint of S -> S | [S, S], for every space of the batch."""
     while True:
-        grown = list(s)
-        for u in range(n - 1):
-            su = s[u]
-            if su:
-                for v in range(u + 1, n):
-                    both = su & s[v]
-                    if both:
-                        row = ivl[u * n + v]
-                        for x in range(n):
-                            grown[x] |= both & row[x]
-        grown = tuple(grown)
+        grown = _union(s, _join(n, ivl, s))
         if grown == s:
             return s
         s = grown
@@ -207,11 +207,11 @@ class _Batch:
         return rows
 
 
-def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple[int | None, ...]:
+def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
     """C1..C9 over a batch: bit i of entry k is condition C(k+1) in space i.
 
-    ``slices`` are the batch's :func:`triple_slices`.  C4 and C5 are None
-    when ``semigroup`` is False (skipped, never guessed).
+    ``slices`` are the batch's :func:`triple_slices`.  C4 and C5 are always
+    returned; the census decides whether they are reported.
     """
     batch = _Batch(n, slices)
     full, ivl, convex = batch.full, batch.ivl, batch.convex
@@ -267,8 +267,7 @@ def transitivity_slices(n: int, slices: Sequence[int], semigroup: bool) -> tuple
     c1, c2, c3, c6, c7, c8, c9 = (full & ~f for f in (fail1, fail2, fail3, fail6, fail7, fail8, fail9))
     # C4: [.,.] on subsets is associative;  C5: associative and commutative.
     # Both take C3's value, as in the scalar path.
-    c4 = c3 if semigroup else None
-    return (c1, c2, c3, c4, c4, c6, c7, c8, c9)
+    return (c1, c2, c3, c3, c3, c6, c7, c8, c9)
 
 
 def antisymmetry_slices(n: int, slices: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -1,0 +1,162 @@
+"""Mutation check: every listed one-edit mutant of ``src/`` must fail the targeted tests.
+
+    python tests/mutants.py            # run every mutant
+    python tests/mutants.py 3 7        # run mutants 3 and 7 (numbers as printed)
+
+Each mutant is (file under ``src/ispaces``, exact old text, new text,
+reason).  For each one the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, replaces the old text, which
+must occur exactly once, and runs ``TESTS`` there (pytest's ``pythonpath``
+setting then points at the mutated copy).  A mutant is *killed* when the
+tests fail and *survives* when they pass; the time taken is printed with it.
+
+``MUTANTS`` must all be killed.  ``EQUIVALENT`` lists edits that the axioms
+or the two theorems make unobservable, each with the reason: they must
+survive, and each names a scan that a simplification could drop.  The
+unmutated copy runs first and must pass.  The exit status is 0 when every
+verdict is the expected one, 1 otherwise, and 2 when the unmutated tests
+fail.  pytest does not collect this file (its name does not start with
+``test_``); it needs only the standard library, pytest and hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ("tests/test_sliced.py", "tests/test_properties.py", "tests/test_golden.py")
+#: A mutant that loops forever counts as killed once this many seconds pass.
+TIMEOUT = 600
+
+MUTANTS = [
+    # The scans of the scalar path.
+    ("core.py",
+     "    for key, mask in family:\n        witness = breach(mask)\n        if witness is not None:\n"
+     "            return (*label(key), *witness)\n    return None\n",
+     "    last = None\n    for key, mask in family:\n        witness = breach(mask)\n        if witness is not None:\n"
+     "            last = (*label(key), *witness)\n    return last\n",
+     "the one scan returns the last breach, not the first"),
+    ("core.py", "for b in range(a + first, n))", "for b in range(a + 1, n))",
+     "the interval family skips b = a"),
+    ("properties.py", "_first_breach(space._intervals(), space._order_transitivity_breach)",
+     "_first_breach(space._intervals(1), space._order_transitivity_breach)",
+     "interval-transitivity skips [a, a]"),
+    ("core.py", "        outside = ~am & ((1 << self.n) - 1)\n", "        outside = (1 << self.n) - 1\n",
+     "the antisymmetry kernel scans the base set's own points too"),
+    ("core.py", "return (x, y, (extra & -extra).bit_length() - 1)", "return (x, y, extra.bit_length() - 1)",
+     "the transitivity kernel names the largest z, not the smallest"),
+    ("core.py", "            rest_v = rest_u\n", "            rest_v = rest_u & (rest_u - 1)\n",
+     "the convexity kernel skips the pair of u with the next point"),
+    ("closure.py", "rows = [self._cl_mask(a_mask | (1 << x))", "rows = [(a_mask | (1 << x))",
+     "antiexchange rows without cl"),
+    # C4/C5 from C3, D5 from D4.
+    ("properties.py", '    w3 = witnesses["C3"]\n', '    w3 = witnesses["C2"]\n', "C4/C5 wrap C2's witness"),
+    ("properties.py", "for p in w3[:3]), w3[3])", "for p in (w3[0], w3[2], w3[1])), w3[3])",
+     "C4/C5 swap b and c in C3's witness"),
+    ("properties.py", "PointSet(space.n, 1 << p) for p in w3[:3]", "PointSet(space.n, p) for p in w3[:3]",
+     "C4/C5 wrap the point id p as a mask instead of 1 << p"),
+    ("properties.py", "None if w3 is None else (*(PointSet(space.n, 1 << p) for p in w3[:3]), w3[3])",
+     "w3", "C4/C5 take C3's witness without wrapping its points as sets"),
+    ("properties.py", '        "D5": d4,\n', '        "D5": _d3_witness(space, convex),\n',
+     "scalar D5 takes D3's witness"),
+    # The sliced kernels.
+    ("sliced.py", "for a in pts for b in range(a, n)]", "for a in pts for b in range(a + 1, n)]",
+     "sliced C1, C6 and D1 skip [a, a]"),
+    ("sliced.py", "    for u in range(n - 1):\n", "    for u in range(n - 2):\n",
+     "the sliced join skips the last u (convexity, C6..C9, hulls, D4)"),
+    ("sliced.py", "                    fail2 |= x & ~y\n", "", "sliced C2 never fails"),
+    ("sliced.py", "                fail8 |= _breach(n, ivl, tri)\n", "                fail8 |= _breach(n, ivl, ab)\n",
+     "sliced C8 tests the convexity of [a, b], not of [[a, b], {c}]"),
+    ("sliced.py", "            fail6 |= conv & _intransitive(", "            fail6 |= _intransitive(",
+     "sliced C6 tests the base order of non-convex sets too"),
+    ("sliced.py", "                both = conv_a & convex[bm]\n", "                both = conv_a\n",
+     "sliced C7 pairs convex A with every B"),
+    ("sliced.py", "                    fail9 |= x ^ y\n", "                    fail9 |= y & ~x\n",
+     "sliced C9 tests [[a, b], {c}] outside the hull, which never happens"),
+    ("sliced.py", "                if c != b and abc:\n", "                if abc:\n",
+     "sliced stiffness without c != b"),
+    ("sliced.py", "            fail3 |= conv & _two_way(", "            fail3 |= _two_way(",
+     "sliced D3 without its convex[M] mask"),
+    ("sliced.py", "hulls[am | 1 << y][x]", "hulls[am | 1 << y][y]", "sliced D4 reads the wrong hull entry"),
+    ("sliced.py", "        for y in range(x + 1, n):\n            both = row_x[y] & rows[y][x]\n",
+     "        for y in range(x + 2, n):\n            both = row_x[y] & rows[y][x]\n",
+     "sliced two-way pairs skip y = x + 1 (D1, D3)"),
+    ("sliced.py", "    d1, d2, d3, d4 = (evaluated & ~f", "    d1, d2, d3, d4 = (full & ~f",
+     "sliced D1..D4 without the evaluated mask"),
+    # The census.
+    ("search.py", "        values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]\n",
+     "", "the census does not blank the skipped slices"),
+]
+
+EQUIVALENT = [
+    ("sliced.py", "return (c1, c2, c3, c3, c3, c6", "return (c1, c2, c3, c2, c2, c6",
+     "sliced C4/C5 take C2's value: the transitivity theorem makes C2 = C3 on every space"),
+    ("sliced.py", "return (d1, d2, d3, d4, d4), evaluated", "return (d1, d2, d3, d4, d3), evaluated",
+     "sliced D5 takes D3's value: D3 = D4 on the interval-transitive spaces the evaluated mask keeps"),
+    ("sliced.py", "                    fail3 |= x ^ y\n", "                    fail3 |= x & ~y\n",
+     "sliced C3 tests one inclusion, which is C2: the transitivity theorem makes C2 = C3"),
+    ("sliced.py", "                out |= both & outside[x] & outside[y]\n", "                out |= both & outside[x]\n",
+     "sliced two-way pairs need only x outside S: <p, y, x> holds for p = y, and <p, x, y> with p and y in a "
+     "convex S puts x in S; D3's sets are convex, and so are D1's intervals on the interval-transitive "
+     "spaces the evaluated mask keeps (C6)"),
+    ("sliced.py", "for bm in range(am, len(convex)):", "for bm in range(am + 1, len(convex)):",
+     "sliced C7 skips A = B: a convex A has [A, A] within A, so those pairs never breach"),
+    ("sliced.py", "                    fail9 |= x ^ y\n", "                    fail9 |= x & ~y\n",
+     "sliced C9 tests only the hull outside [[a, b], {c}]: the hull is convex and holds a, b and c, "
+     "so it always contains [[a, b], {c}]"),
+]
+
+
+def _run(edit: tuple[str, str, str, str] | None) -> tuple[str, float]:
+    """'killed', 'survived' or 'stale' (the old text does not occur exactly once), and the seconds taken."""
+    with tempfile.TemporaryDirectory(prefix="ispaces-mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        if edit is not None:
+            target = work / "src" / "ispaces" / edit[0]
+            text = target.read_text(encoding="utf-8")
+            if text.count(edit[1]) != 1:
+                return "stale", 0.0
+            target.write_text(text.replace(edit[1], edit[2]), encoding="utf-8")
+        command = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                   "--hypothesis-seed=0", *TESTS]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        start = time.perf_counter()
+        try:
+            code = subprocess.run(command, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                  timeout=TIMEOUT).returncode
+        except subprocess.TimeoutExpired:
+            code = -1
+        return ("killed" if code else "survived"), time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    plan = [(m, "killed") for m in MUTANTS] + [(m, "survived") for m in EQUIVALENT]
+    chosen = [int(a) for a in argv] if argv else range(1, len(plan) + 1)
+    status, seconds = _run(None)
+    print(f"unmutated    {seconds:6.1f} s  {'pass' if status == 'survived' else 'FAIL'}", flush=True)
+    if status != "survived":
+        return 2
+    wrong = 0
+    total = time.perf_counter()
+    for number in chosen:
+        mutant, expected = plan[number - 1]
+        status, seconds = _run(mutant)
+        mark = "" if status == expected else "  <-- expected " + expected
+        wrong += status != expected
+        kind = "equivalent: " if expected == "survived" else ""
+        print(f"{number:2d} {status:9s} {seconds:6.1f} s  {mutant[0]}: {kind}{mutant[3]}{mark}", flush=True)
+    print(f"{len(chosen) - wrong} of {len(chosen)} as expected in {time.perf_counter() - total:.0f} s")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

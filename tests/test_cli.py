@@ -607,3 +607,11 @@ class TestCommands:
         path.write_text("ispace v1\npoints 2\ntriple 0 1 0\n")
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2 and "thinness" in err
+
+    def test_undecodable_file_exits_two(self, capsys, tmp_path):
+        # a UTF-16 byte-order mark is not UTF-8
+        path = tmp_path / "bom.ispace"
+        path.write_bytes(b"\xff\xfeispace v1\npoints 2\n")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: not UTF-8 text: byte 0 cannot be decoded\n"

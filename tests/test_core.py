@@ -404,7 +404,8 @@ RECORDS = [
     (lambda: ConditionVector("antisymmetry", (True,) * 5), ConditionVector("antisymmetry", (False,) * 5),
      "ConditionVector(theorem='antisymmetry', values=(True, True, True, True, True), "
      "witness_items=(), hypothesis_met=True)"),
-    (lambda: PropertyReport(2), PropertyReport(3), "PropertyReport(n=2, flags={}, witnesses={}, notes={})"),
+    (lambda: PropertyReport(2, {"stiff": True}, {}, {}), PropertyReport(2, {"stiff": False}, {"stiff": (0, 1, 1, 0)}, {}),
+     "PropertyReport(n=2, flags={'stiff': True}, witnesses={}, notes={})"),
     (lambda: ExhaustivePopulation(3), ExhaustivePopulation(3, True), "ExhaustivePopulation(n=3, allow_large=False)"),
     (lambda: SampledPopulation(5, 0, 10), SampledPopulation(5, 0, 10, 0.5),
      "SampledPopulation(n=5, seed=0, count=10, density=None)"),
@@ -430,12 +431,11 @@ class TestRecords:
         obj = make()
         assert obj == make() and not obj != make()
         assert obj != other
-        if not isinstance(obj, PropertyReport):  # its __init__ takes only n
-            assert type(obj)(**_fields(obj)) == obj
+        assert type(obj)(**_fields(obj)) == obj
         assert type(obj).__match_args__ == tuple(type(obj).__annotations__)
         if isinstance(obj, PropertyReport):
             with pytest.raises(TypeError):
-                hash(obj)
+                hash(obj)  # its dict fields are unhashable
         else:
             assert hash(obj) == hash(make()) == hash(tuple(_fields(obj).values()))
 
@@ -448,12 +448,9 @@ class TestRecords:
         assert obj.__eq__(twin) is NotImplemented
 
     def test_frozen_unless_report(self, make, other, text):
+        # every record, the report included, is frozen
         obj = make()
         name = type(obj).__match_args__[0]
-        if isinstance(obj, PropertyReport):
-            obj.n = 5
-            assert obj.n == 5
-            return
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
         with pytest.raises(AttributeError):

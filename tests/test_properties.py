@@ -9,11 +9,11 @@ from ispaces import BetweennessTable, HypothesisNotMetError, validate
 from ispaces.cli import _jsonify
 from ispaces.properties import (
     _c7_witness,
-    _interval_transitivity_scan,
     antisymmetry_conditions,
     interval_transitivity_witness,
     property_report,
     resolve_properties,
+    semigroup_reported,
     transitivity_conditions,
 )
 
@@ -112,38 +112,44 @@ class TestTransitivityConditions:
             assert flags["C2"]
 
     def test_semigroup_skip(self, l3):
-        cv = transitivity_conditions(l3, semigroup_conditions=False)
-        assert cv.values[3] is None and cv.values[4] is None
-        assert cv.skipped == ("C4", "C5")
-        assert cv.all_equal()
-        assert cv.flags()["C4"] is None
+        # the evaluator always returns C4/C5; only the report blanks them
+        cv = transitivity_conditions(l3)
+        assert cv.values == (True,) * 9 and cv.all_equal()
+        assert semigroup_reported(1, 3, False)
+        assert not semigroup_reported(1025, 5, False) and semigroup_reported(1024, 5, False)
+        assert semigroup_reported(1025, 5, True)
 
     def test_skipped_by_cap(self):
         # a dense space keeps the convex family tiny, so only the subset
         # lattice size matters here
         big = I.random_space(11, seed=0, density=1.0)
         cv = transitivity_conditions(big)
-        assert cv.skipped == ("C4", "C5")
-        assert cv.all_equal()
+        assert cv.all_equal() and cv.values[3] == cv.values[4] == cv.values[2]
+        report = property_report(big, list(I.TRANSITIVITY_CONDITIONS))
+        assert report.flags == {**cv.flags(), "C4": None, "C5": None}
+        assert report.witnesses == {k: w for k, w in cv.witnesses.items() if k not in ("C4", "C5")}
+        assert set(report.notes) == {"C4", "C5"}
 
 
 class TestWorkBudget:
     """Each size rule at its boundary: steps <= WORK_BUDGET run, more are refused or skipped."""
 
     def test_semigroup_conditions_run_to_eight_points(self):
-        # random spaces fail C4 at the first triples, so only the rule costs
-        eight = transitivity_conditions(I.random_space(8, seed=0))
-        assert eight.skipped == () and eight.values[3] is False
-        nine = I.random_space(9, seed=0)
-        assert transitivity_conditions(nine).skipped == ("C4", "C5")
-        assert transitivity_conditions(nine, semigroup_conditions=True).skipped == ()
+        eight = property_report(I.random_space(8, seed=0), ["C4", "C5"])
+        assert eight.flags == {"C4": False, "C5": False} and eight.notes == {}
+        nine = property_report(I.random_space(9, seed=0), ["C4", "C5"])
+        assert nine.flags == {"C4": None, "C5": None} and nine.witnesses == {}
+        assert semigroup_reported(1, 8, False) and not semigroup_reported(1, 9, False)
 
     def test_allow_large_forces_semigroup_conditions(self):
         nine = I.random_space(9, seed=0)
-        cv = transitivity_conditions(nine, allow_large=True)
-        assert cv.skipped == () and cv.values[3] is False and cv.values[4] is False
-        assert cv.witnesses["C4"] == cv.witnesses["C5"] == (I.PointSet.of(9, [0]), I.PointSet.of(9, [0]), I.PointSet.of(9, [1]), 3)
-        assert transitivity_conditions(nine, semigroup_conditions=False, allow_large=True).skipped == ("C4", "C5")
+        witness = (I.PointSet.of(9, [0]), I.PointSet.of(9, [0]), I.PointSet.of(9, [1]), 3)
+        cv = transitivity_conditions(nine)
+        assert cv.values[3] is False and cv.values[4] is False
+        assert cv.witnesses["C4"] == cv.witnesses["C5"] == witness
+        report = property_report(nine, ["C4", "C5"], allow_large=True)
+        assert report.flags == {"C4": False, "C5": False} and report.notes == {}
+        assert report.witnesses == {"C4": witness, "C5": witness}
 
     def test_subsets_enumerated_to_sixteen_points(self):
         # a dense space: every [a, c] is the whole universe, so only the
@@ -173,7 +179,7 @@ def _check_fast_paths(space):
     """C4/C5 (C3's witness as singletons) and C7 (skip of convex [A, B]) against plain scans."""
     tab = naive.subset_interval_table(space)
     w4, w5 = naive.semigroup_witnesses(space, tab)
-    witnesses = transitivity_conditions(space, semigroup_conditions=True).witnesses
+    witnesses = transitivity_conditions(space).witnesses
     assert _mask_witness(witnesses.get("C4")) == w4
     assert _mask_witness(witnesses.get("C5")) == w5
     w7 = naive.convex_pairs_witness(space, tab)
@@ -221,7 +227,7 @@ class TestFastPathOracles:
         ids=["C_8", "P_8", "K_1_7", "random_6"],
     )
     def test_pinned_semigroup_witnesses(self, space, witness):
-        witnesses = transitivity_conditions(space, semigroup_conditions=True).witnesses
+        witnesses = transitivity_conditions(space).witnesses
         assert _mask_witness(witnesses.get("C4")) == _mask_witness(witnesses.get("C5")) == witness
 
 
@@ -231,7 +237,7 @@ class TestTriangleWitnesses:
     @given(space_strategy(min_n=1, max_n=5))
     @settings(max_examples=80)
     def test_against_plain_scan(self, space):
-        witnesses = transitivity_conditions(space, semigroup_conditions=False).witnesses
+        witnesses = transitivity_conditions(space).witnesses
         assert (witnesses.get("C8"), witnesses.get("C9")) == naive.triangle_witnesses(space)
 
 
@@ -240,7 +246,6 @@ class TestSpaceMemo:
     @settings(max_examples=60)
     def test_memoized_values_equal_fresh(self, space):
         property_report(space)
-        assert interval_transitivity_witness(space) == _interval_transitivity_scan(space)
         assert (interval_transitivity_witness(space) is None) == naive.interval_transitive(space)
         naive_convex = tuple(sorted(sum(1 << i for i in s) for s in naive.convex_sets(space)))
         assert space._convex_masks() == naive_convex

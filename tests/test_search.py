@@ -32,6 +32,7 @@ from ispaces.search import (
 )
 
 import naive
+from conftest import deadline
 
 
 class TestFreeOrbitEncoding:
@@ -73,6 +74,16 @@ class TestFreeOrbitEncoding:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
         assert space.n == 40 and enc.encode(space) == random_encoding(40, 0)
+
+    def test_wide_encodings_take_linear_time(self):
+        # 842,520 orbits and a 1,728,000-bit table: ORing or shifting an int
+        # that wide once per bit took minutes
+        enc = FreeOrbitEncoding(120)
+        with deadline(10):
+            bits = random_encoding(120, 0)
+            space = enc.decode(bits)
+            assert enc.encode(space) == bits
+        assert bits.bit_length() > enc.orbit_count - 20 and space.n == 120
 
     def test_encoding_of_known_space(self, l3):
         # L3 has exactly the <0,1,2> orbit set: first orbit in lex order
@@ -140,6 +151,17 @@ class TestPopulations:
     def test_exhaustive_cap_enforced(self):
         with pytest.raises(CapExceededError):
             list(ExhaustivePopulation(5).spaces())
+
+    def test_refused_census_builds_no_encoding(self, monkeypatch):
+        # n = 100 has 485,100 orbits; the census must be refused before they are listed
+        def refuse(self, n):
+            raise AssertionError(f"built the encoding of {n} points")
+
+        monkeypatch.setattr(FreeOrbitEncoding, "__init__", refuse)
+        monkeypatch.setattr(search, "free_orbit_encoding", FreeOrbitEncoding)
+        for verify in (verify_transitivity_theorem, verify_antisymmetry_theorem):
+            with pytest.raises(CapExceededError, match=r"n=100 takes an estimated 2\^485100 steps"):
+                verify(ExhaustivePopulation(100))
 
     def test_exhaustive_within_budget_to_four_points(self):
         # 2^12 spaces at n = 4 fit the budget, 2^30 at n = 5 do not; the

@@ -25,22 +25,14 @@ from ispaces.properties import TRANSITIVITY_CONDITIONS
 from ispaces.search import EquivalenceViolation, _partition, _verify, random_encoding
 
 
-def _scalar_values(n, encodings, semigroup):
+def _scalar_values(n, encodings):
     enc = free_orbit_encoding(n)
-    return [
-        transitivity_conditions(enc.decode(e), semigroup_conditions=semigroup).values
-        for e in encodings
-    ]
+    return [transitivity_conditions(enc.decode(e)).values for e in encodings]
 
 
-def _sliced_values(n, encodings, semigroup):
-    slices = sliced.transitivity_slices(
-        n, sliced.triple_slices(free_orbit_encoding(n), encodings), semigroup
-    )
-    return [
-        tuple(None if s is None else bool(s >> i & 1) for s in slices)
-        for i in range(len(encodings))
-    ]
+def _sliced_values(n, encodings):
+    slices = sliced.transitivity_slices(n, sliced.triple_slices(free_orbit_encoding(n), encodings))
+    return [tuple(bool(s >> i & 1) for s in slices) for i in range(len(encodings))]
 
 
 def _scalar_antisymmetry(n, encodings):
@@ -62,14 +54,17 @@ def _sliced_antisymmetry(n, encodings):
 
 @lru_cache(maxsize=None)
 def _scalar_census(population, semigroup):
-    """The census payload by a plain loop over spaces and the scalar conditions
-    (cached: both worker counts compare against it)."""
+    """The census payload by a plain loop over spaces and the scalar conditions,
+    with C4/C5 blanked unless ``semigroup`` (cached: both worker counts
+    compare against it)."""
     enc = free_orbit_encoding(population.n)
     counts = Counter()
     vectors = Counter()
     details = []
     for index, space in population.spaces():
-        values = transitivity_conditions(space, semigroup_conditions=semigroup).values
+        values = transitivity_conditions(space).values
+        if not semigroup:
+            values = values[:3] + (None, None) + values[5:]
         counts.update(name for name, v in zip(TRANSITIVITY_CONDITIONS, values) if v)
         vectors["".join("-" if v is None else "T" if v else "F" for v in values)] += 1
         if len({v for v in values if v is not None}) > 1:
@@ -98,19 +93,15 @@ class TestSlices:
                 bits = enc.decode(i).table.bits
                 assert [s >> i & 1 for s in slices] == [bits >> t & 1 for t in range(n ** 3)]
 
-    @pytest.mark.parametrize("semigroup", [True, False])
-    def test_every_space_up_to_four_points(self, semigroup):
+    def test_every_space_up_to_four_points(self):
         for n in range(1, 5):
             encodings = range(free_orbit_encoding(n).space_count)
-            assert _sliced_values(n, encodings, semigroup) == _scalar_values(n, encodings, semigroup)
+            assert _sliced_values(n, encodings) == _scalar_values(n, encodings)
 
-    @given(
-        st.lists(st.integers(0, free_orbit_encoding(5).space_count - 1), min_size=1, max_size=24),
-        st.booleans(),
-    )
+    @given(st.lists(st.integers(0, free_orbit_encoding(5).space_count - 1), min_size=1, max_size=24))
     @settings(max_examples=20)
-    def test_five_point_batches(self, encodings, semigroup):
-        assert _sliced_values(5, encodings, semigroup) == _scalar_values(5, encodings, semigroup)
+    def test_five_point_batches(self, encodings):
+        assert _sliced_values(5, encodings) == _scalar_values(5, encodings)
 
 
 class TestAntisymmetrySlices:
@@ -150,7 +141,8 @@ class TestSlicedCensus:
         ids=lambda p: p.describe() if hasattr(p, "describe") else f"semigroup={p}",
     )
     def test_report_equals_scalar_loop(self, population, semigroup, workers):
-        report = _verify("transitivity", population, semigroup, workers).to_dict()
+        # semigroup=False: the census must blank C4/C5 before it tallies
+        report = _verify("transitivity", population, () if semigroup else ("C4", "C5"), workers).to_dict()
         assert json.dumps(report) == json.dumps(_scalar_census(population, semigroup))
 
     def test_flipped_bit_is_reported_as_violation(self, monkeypatch):
@@ -158,15 +150,15 @@ class TestSlicedCensus:
         flipped = 17
         real = sliced.transitivity_slices
 
-        def one_flip(n, slices, semigroup):
-            values = list(real(n, slices, semigroup))
+        def one_flip(n, slices):
+            values = list(real(n, slices))
             values[1] ^= 1 << flipped  # C2 of sample 17
             return tuple(values)
 
         monkeypatch.setattr(sliced, "transitivity_slices", one_flip)
-        report = _verify("transitivity", population, True, 1)
+        report = _verify("transitivity", population, (), 1)
         encoding = random_encoding(4, 7 + flipped, population.density_at(flipped))
-        values = list(_scalar_values(4, [encoding], True)[0])
+        values = list(_scalar_values(4, [encoding])[0])
         values[1] = not values[1]
         assert report.violations == (EquivalenceViolation(flipped, encoding, tuple(values)),)
         assert random_space(4, 7 + flipped, population.density_at(flipped)) == (
