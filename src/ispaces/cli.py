@@ -437,6 +437,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
         raise UsageError("need at least one point")
     if args.samples is not None and args.samples < 0:
         raise UsageError("--samples must be nonnegative")
+    _check_seed(args.seed)
     if args.exhaustive:
         population = ExhaustivePopulation(args.n, allow_large=args.allow_large)
     else:
@@ -449,7 +450,13 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     return (1 if report.violation_count else 0), payload
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError("--seed must be nonnegative")
+
+
 def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
+    _check_seed(args.seed)
     want = [t for t in args.want.split(",") if t] if args.want else []
     want_not = [t for t in args.want_not.split(",") if t] if args.want_not else []
     try:

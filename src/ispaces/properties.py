@@ -185,11 +185,12 @@ def _c7_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...], conve
     """Smallest (A, B, u, v, w): a convexity breach of [A, B], A and B convex.
 
     [A, B] = [B, A] by middle symmetry, so the smallest breaching pair has
-    A <= B and only those pairs are scanned.  ``convex`` is the convex
-    family, every mask without a breach, so a mask outside it has one.
+    A <= B, and a convex A has [A, A] = A, so only the pairs A < B are
+    scanned.  ``convex`` is the convex family, every mask without a breach,
+    so a mask outside it has one.
     """
     for i, am in enumerate(convex_masks):
-        for bm in convex_masks[i:]:
+        for bm in convex_masks[i + 1:]:
             t = space._set_interval_mask(am, bm)
             if t not in convex:
                 return (PointSet(space.n, am), PointSet(space.n, bm), *space._convexity_breach(t))

@@ -8,8 +8,9 @@ spaces on n labeled points, which drives exhaustive enumeration (small n),
 seeded sampling, extensional verification of both condition-equivalence
 theorems, and search for spaces separating named properties.
 
-All sampling is partition-stable: sample i is drawn from seed + i, never
-from a shared generator, so censuses are identical for every worker count.
+All sampling is partition-stable: sample i is drawn from a generator
+reseeded with seed + i, so it does not depend on the samples drawn before
+it, and censuses are identical for every worker count.
 For n <= ``sliced.MAX_N`` both censuses evaluate their conditions on whole
 batches of encodings at once (:mod:`ispaces.sliced`): C1..C9, or the
 interval-transitivity filter and D1..D5.  Past that size a census decodes
@@ -125,19 +126,40 @@ def enumerate_spaces(n: int, *, allow_large: bool = False) -> Iterator[FiniteInt
         yield space
 
 
+def _check_seed(seed: int) -> None:
+    # random seeds with abs(seed), so seeds -k and k would draw the same stream
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _sample_encodings(n: int, draws: Iterable[tuple[int, float]]) -> Iterator[int]:
+    """The orbit encoding for each (seed, density) of ``draws``: orbit k is
+    set when draw k of a generator seeded with ``seed`` is below ``density``.
+
+    One generator is reseeded per sample, which draws the same stream as a
+    new ``random.Random(seed)`` without building one.
+    """
+    rng = random.Random()
+    reseed, draw = rng.seed, rng.random
+    orbits = range(_orbit_count(n))
+    for seed, density in draws:
+        _check_seed(seed)
+        if not 0.0 <= density <= 1.0:
+            raise ValueError(f"density must be in [0, 1], got {density}")
+        reseed(seed)
+        bits = ["1" if draw() < density else "0" for _ in orbits]
+        # Draw k is bit k; one parse, where ORing each bit in would be quadratic.
+        bits.reverse()
+        yield int("".join(bits) or "0", 2)
+
+
 def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
     """The orbit encoding of a seeded random space: each free orbit is set
     with probability ``density``.
 
     Deterministic in (n, seed, density); independent of any global state.
     """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must be in [0, 1], got {density}")
-    draw = random.Random(seed).random
-    draws = ["1" if draw() < density else "0" for _ in range(_orbit_count(n))]
-    # Draw k is bit k; one parse, where ORing each bit in would be quadratic.
-    draws.reverse()
-    return int("".join(draws) or "0", 2)
+    return next(_sample_encodings(n, ((seed, density),)))
 
 
 def random_space(n: int, seed: int, density: float = 0.5) -> FiniteIntervalSpace:
@@ -199,6 +221,9 @@ class SampledPopulation(Population):
     count: int
     density: float | None = None
 
+    def __post_init__(self) -> None:
+        _check_seed(self.seed)
+
     def size(self) -> int:
         return self.count
 
@@ -211,8 +236,8 @@ class SampledPopulation(Population):
 
     def encodings(self, start: int = 0, stop: int | None = None) -> Iterator[int]:
         """Orbit encodings of samples start..stop-1, each drawn when it is read."""
-        for i in range(start, self.count if stop is None else stop):
-            yield random_encoding(self.n, self.seed + i, self.density_at(i))
+        indices = range(start, self.count if stop is None else stop)
+        return _sample_encodings(self.n, ((self.seed + i, self.density_at(i)) for i in indices))
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +514,7 @@ def find_separating(
     want_not = resolve_properties(want_not)
     if max_spaces < 0:
         raise ValueError("max_spaces must be nonnegative")
+    _check_seed(seed)
     ns = tuple(ns)
     if not ns:
         raise ValueError("ns must list at least one size")

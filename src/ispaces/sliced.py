@@ -21,7 +21,7 @@ scalar path stays the reference and the only source of witnesses.  Every
 space of a batch is valid, so the evaluation uses two axioms to halve
 scans: [u, v] = [v, u] (middle symmetry) and [u, u] = {u} (thinness).  So
 C1, C6 and D1 scan the intervals [a, b] with a <= b, C7 the set pairs
-A <= B, and the convexity test and the hull share one join over u < v.  D4
+A < B, and the convexity test and the hull share one join over u < v.  D4
 takes cl(A + {x}) from the sliced hull, where the scalar path intersects
 the closed supersets.
 """
@@ -53,16 +53,18 @@ def triple_slices(encoding, encodings: Sequence[int]) -> list[int]:
     (a*n + x)*n + c has bit i set iff <a, x, c> holds in the space decoded
     from ``encodings[i]``.
     """
-    n = encoding.n
+    n, k = encoding.n, encoding.orbit_count
     full = (1 << len(encodings)) - 1
     slices = [0] * n ** 3
     for t in bits_of(_forced_bits(n)):
         slices[t] = full
-    # int(.., 2) transposes a column of the batch in linear time; the last
-    # space comes first because it holds the highest bit.
-    ordered = encodings[::-1]
-    for k, (a, b, c) in enumerate(encoding.orbits):
-        column = int("0" + "".join(["1" if e >> k & 1 else "0" for e in ordered]), 2)
+    # The batch as one base-2 text, k digits per space and the last space
+    # first, since it holds the highest bit of every column: orbit j's
+    # column is then every k-th digit from k - 1 - j, one parse each.
+    digits = f"0{k}b"
+    text = "".join([format(e, digits) for e in reversed(encodings)])
+    for j, (a, b, c) in enumerate(encoding.orbits):
+        column = int(text[k - 1 - j::k] or "0", 2)
         slices[_triple_index(n, a, b, c)] = slices[_triple_index(n, c, b, a)] = column
     return slices
 
@@ -119,15 +121,22 @@ def _intransitive(n: int, rows: list[list[int]]) -> int:
 
 
 def _two_way(n: int, rows: list[list[int]], s: SliceSet) -> int:
-    """Spaces where the base order ``rows`` relates some x < y outside S both ways."""
+    """Spaces where the base order ``rows`` of a convex S relates some x < y
+    outside S both ways.
+
+    Only x is tested: R(x, y) with x outside S puts y outside S, since
+    <p, x, y> with p and y in S would put x in the convex S.  D1 passes
+    intervals, which are convex on the interval-transitive spaces it is
+    evaluated on (C1 implies C6).
+    """
     out = 0
-    outside = [~m for m in s]
     for x in range(n - 1):
         row_x = rows[x]
+        outside_x = ~s[x]
         for y in range(x + 1, n):
             both = row_x[y] & rows[y][x]
             if both:
-                out |= both & outside[x] & outside[y]
+                out |= both & outside_x
     return out
 
 
@@ -253,13 +262,13 @@ def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
         if conv:
             fail6 |= conv & _intransitive(n, batch.rows(batch.const(sm)))
 
-    # C7: [A, B] is convex for all convex A and B.
+    # C7: [A, B] is convex for all convex A and B.  A convex A has [A, A] = A.
     tab = _set_table(n, ivl)
     fail7 = 0
     for am, conv_a in enumerate(convex):
         if conv_a:
             row = tab[am]
-            for bm in range(am, len(convex)):
+            for bm in range(am + 1, len(convex)):
                 both = conv_a & convex[bm]
                 if both:
                     fail7 |= both & _breach(n, ivl, row[bm])

@@ -101,12 +101,6 @@ EQUIVALENT = [
      "sliced D5 takes D3's value: D3 = D4 on the interval-transitive spaces the evaluated mask keeps"),
     ("sliced.py", "                    fail3 |= x ^ y\n", "                    fail3 |= x & ~y\n",
      "sliced C3 tests one inclusion, which is C2: the transitivity theorem makes C2 = C3"),
-    ("sliced.py", "                out |= both & outside[x] & outside[y]\n", "                out |= both & outside[x]\n",
-     "sliced two-way pairs need only x outside S: <p, y, x> holds for p = y, and <p, x, y> with p and y in a "
-     "convex S puts x in S; D3's sets are convex, and so are D1's intervals on the interval-transitive "
-     "spaces the evaluated mask keeps (C6)"),
-    ("sliced.py", "for bm in range(am, len(convex)):", "for bm in range(am + 1, len(convex)):",
-     "sliced C7 skips A = B: a convex A has [A, A] within A, so those pairs never breach"),
     ("sliced.py", "                    fail9 |= x ^ y\n", "                    fail9 |= x & ~y\n",
      "sliced C9 tests only the hull outside [[a, b], {c}]: the hull is convex and holds a, b and c, "
      "so it always contains [[a, b], {c}]"),

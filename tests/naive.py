@@ -55,6 +55,22 @@ def entails(space, a_set, x, y):
     return y in hull_by_intersection(space, frozenset(a_set) | {x})
 
 
+def triple_slices(encoding, encodings):
+    """The triple slices of a batch of orbit encodings, one bit at a time:
+    bit i of slice (a*n + x)*n + c is <a, x, c> in the space of ``encodings[i]``."""
+    n = encoding.n
+    full = (1 << len(encodings)) - 1
+    slices = [0] * n ** 3
+    for a, x, c in product(range(n), repeat=3):
+        if x in (a, c):  # <x, x, c> and <a, x, x> hold in every space
+            slices[(a * n + x) * n + c] = full
+    ordered = list(encodings)[::-1]  # the last space holds the highest bit
+    for k, (a, b, c) in enumerate(encoding.orbits):
+        column = int("0" + "".join(["1" if e >> k & 1 else "0" for e in ordered]), 2)
+        slices[(a * n + b) * n + c] = slices[(c * n + b) * n + a] = column
+    return slices
+
+
 def axiom_violations(table):
     """(axiom name, witness) pairs by a per-triple scan: reflexivity, then
     middle symmetry (witness <x, a, z> with x < z), then thinness."""

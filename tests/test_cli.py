@@ -534,6 +534,14 @@ class TestCommands:
         )
         assert code == 2 and "nonnegative" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--theorem", "antisymmetry", "--n", "4", "--samples", "20", "--seed", "-10"),
+        ("search", "--want", "stiff", "--ns", "5", "--max-spaces", "3", "--seed", "-1"),
+    ], ids=["verify", "search"])
+    def test_negative_seed_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --seed must be nonnegative\n")
+
     def test_verify_exit_one_on_violations(self, capsys, monkeypatch):
         broken = CensusReport(
             theorem="transitivity", n=3, population="exhaustive n=3", total=8,

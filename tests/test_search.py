@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tracemalloc
@@ -133,6 +134,35 @@ class TestRandomSpace:
     def test_density_validated(self):
         with pytest.raises(ValueError):
             random_space(3, 0, 1.5)
+
+
+class TestSampler:
+    @pytest.mark.parametrize("population, digest", [
+        (SampledPopulation(5, 0, 10_000), "003d9bbd8af779ee882bb6cbf2390fc18ac852cc229eaac1290838684a9128a6"),
+        (SampledPopulation(9, 123, 500, 0.3), "feb6893000d45c88ed0492f750519c8ca11743e04393ff40f579973e9cccb515"),
+    ], ids=["n=5 sweep", "n=9 density=0.3"])
+    def test_draw_stream_is_pinned(self, population, digest):
+        # digests of the stream drawn with a new random.Random(seed + i) per sample
+        text = ",".join(map(str, population.encodings()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("density", [None, 0.0, 1.0, 1, 0.3])
+    def test_sub_ranges_equal_single_draws(self, density):
+        pop = SampledPopulation(5, 40, 250, density)
+        for start, stop in ((0, 250), (0, 1), (17, 18), (99, 203), (240, 250), (5, 5)):
+            assert list(pop.encodings(start, stop)) == [
+                random_encoding(5, 40 + i, pop.density_at(i)) for i in range(start, stop)
+            ]
+
+    def test_negative_seed_is_refused(self):
+        # random seeds with abs(seed): seeds -10..9 gave 11 distinct samples of 20
+        with pytest.raises(ValueError, match="nonnegative"):
+            SampledPopulation(5, -10, 20, 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            random_encoding(5, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            find_separating(["stiff"], [], ns=(3,), seed=-1)
+        assert len(set(SampledPopulation(5, 0, 20, 0.5).encodings())) == 20
 
 
 class TestPopulations:

@@ -24,6 +24,8 @@ from ispaces import search
 from ispaces.properties import TRANSITIVITY_CONDITIONS
 from ispaces.search import EquivalenceViolation, _partition, _verify, random_encoding
 
+import naive
+
 
 def _scalar_values(n, encodings):
     enc = free_orbit_encoding(n)
@@ -92,6 +94,14 @@ class TestSlices:
             for i in encodings:
                 bits = enc.decode(i).table.bits
                 assert [s >> i & 1 for s in slices] == [bits >> t & 1 for t in range(n ** 3)]
+
+    @pytest.mark.parametrize("size", [1, 7, sliced.BATCH - 1, sliced.BATCH])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_triple_slices_equal_the_per_bit_formula(self, n, size):
+        # n <= 2 has no orbits; n = 6 has 60, twice as many as the census's n = 5
+        enc = free_orbit_encoding(n)
+        encodings = list(SampledPopulation(n, seed=17 * n, count=size).encodings())
+        assert sliced.triple_slices(enc, encodings) == naive.triple_slices(enc, encodings)
 
     def test_every_space_up_to_four_points(self):
         for n in range(1, 5):

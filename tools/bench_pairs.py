@@ -11,9 +11,9 @@ not differ from REV, as after committing the change with REV left at HEAD.  Both
 directories under one temporary directory, so neither side runs with files
 the other lacks, such as bytecode caches or benchmark scratch output.
 The script runs ``benchmark/run.py --trace 0`` for ``run_seconds`` of
-``BENCHMARK.json`` on each side in alternating pairs, 10 pairs on
-``check-models`` (enough to judge a gain claim) and 3 on each census:
-pair i uses seed i + 1, and the side that runs first alternates, so
+``BENCHMARK.json`` on each side in alternating pairs, ``PAIRS`` (10) on
+every workload, enough to judge a gain claim on any of them: pair i uses
+seed i + 1, and the side that runs first alternates, so
 slow drift on the machine falls on both sides alike.  Each side builds from
 its own ``src/``.
 
@@ -41,7 +41,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PAIRS = {"check-models": 10, "census-transitivity": 3, "census-antisymmetry": 3}
+PAIRS = 10
 
 
 def git(*args: str) -> bytes:
@@ -120,8 +120,8 @@ def main(argv: list[str] | None = None) -> int:
         checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         export(parent, checkouts["parent"])
         copy_working_tree(checkouts["change"])
-        for workload, count in PAIRS.items():
-            for pair in range(count):
+        for workload in (w["name"] for w in spec["workloads"]):
+            for pair in range(PAIRS):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order):
                     result = run_once(checkouts[side], workload, pair + 1, seconds)
