@@ -62,7 +62,6 @@ from .search import (
     SampledPopulation,
     enumerate_spaces,
     find_separating,
-    free_orbit_encoding,
     random_encoding,
     random_space,
     verify_antisymmetry_theorem,

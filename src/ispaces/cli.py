@@ -22,9 +22,9 @@ Exit status: 0 on success, 1 when a census finds equivalence violations,
 2 on usage and parse errors (a point or vertex count above `MAX_POINTS` is
 a parse error) and on work over the budget (``--allow-large`` lifts it).
 Every loader builds a valid table by construction, so no input file fails
-the axiom check.  When the reader of stdout goes away
-before the report is written (``ispaces ... | head``), the command exits 1
-without a traceback.
+the axioms and none is scanned for them.  When the reader of stdout goes
+away before the report is written (``ispaces ... | head``), the command
+exits 1 without a traceback.
 """
 
 from __future__ import annotations
@@ -42,15 +42,14 @@ from .core import (
     CapExceededError,
     FiniteIntervalSpace,
     PointSet,
-    validate,
 )
 from .models import Graph, geodesic_space_from_graph, vector_space_on_points
 from .properties import property_report
 from .search import (
     ExhaustivePopulation,
+    FreeOrbitEncoding,
     SampledPopulation,
     find_separating,
-    free_orbit_encoding,
     verify_antisymmetry_theorem,
     verify_transitivity_theorem,
 )
@@ -58,8 +57,8 @@ from .search import (
 
 #: Largest point or vertex count a file may declare, and the most points a
 #: qpoints file may list.  Loading n points builds n^3-bit tables: at 256 an
-#: ispace file with no triples loads in about 1 s, 256 collinear rational
-#: points in about 4.5 s and a 256-vertex path in about 9 s (2-CPU VM,
+#: ispace file with no triples loads in about 0.4 s, 256 collinear rational
+#: points in about 2.7 s and a 256-vertex path in about 5 s (2-CPU VM,
 #: Python 3.11).
 MAX_POINTS = 256
 
@@ -144,7 +143,7 @@ def _load_ispace(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace
                 path, lineno, f"triple <{a},{x},{c}> breaks thinness: middle differs from repeated endpoint"
             )
         triples.append((a, x, c))
-    return validate(BetweennessTable.completed(n, triples))
+    return FiniteIntervalSpace._trusted(BetweennessTable.completed(n, triples))
 
 
 def _load_graph(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
@@ -276,29 +275,24 @@ def _is_scalar(value: Any) -> bool:
     return not isinstance(value, (dict, list))
 
 
-def _human_lines(value: Any, indent: int = 0) -> list[str]:
+def _human_lines(value: dict, indent: int = 0) -> list[str]:
+    """A payload as indented text; every non-scalar item of its lists is a dict."""
     pad = "  " * indent
     lines: list[str] = []
-    if isinstance(value, dict):
-        for key, val in value.items():
-            if _is_scalar(val):
-                lines.append(f"{pad}{key}: {_fmt_scalar(val)}")
-            elif isinstance(val, dict):
-                if val:
-                    lines.append(f"{pad}{key}:")
-                    lines.extend(_human_lines(val, indent + 1))
-            elif val:
-                if all(_is_scalar(item) for item in val):
-                    lines.append(f"{pad}{key}: " + " ".join(_fmt_scalar(item) for item in val))
-                else:
-                    lines.append(f"{pad}{key}:")
-                    for item in val:
-                        lines.extend(_human_lines(item, indent + 1))
-    elif isinstance(value, list):
-        for item in value:
-            lines.extend(_human_lines(item, indent))
-    else:
-        lines.append(f"{pad}{_fmt_scalar(value)}")
+    for key, val in value.items():
+        if _is_scalar(val):
+            lines.append(f"{pad}{key}: {_fmt_scalar(val)}")
+        elif isinstance(val, dict):
+            if val:
+                lines.append(f"{pad}{key}:")
+                lines.extend(_human_lines(val, indent + 1))
+        elif val:
+            if all(_is_scalar(item) for item in val):
+                lines.append(f"{pad}{key}: " + " ".join(_fmt_scalar(item) for item in val))
+            else:
+                lines.append(f"{pad}{key}:")
+                for item in val:
+                    lines.extend(_human_lines(item, indent + 1))
     return lines
 
 
@@ -406,7 +400,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, dict]:
     if args.n < 1:
         raise UsageError("need at least one point")
     encodings = ExhaustivePopulation(args.n, allow_large=args.allow_large).encodings()
-    enc = free_orbit_encoding(args.n)
+    enc = FreeOrbitEncoding(args.n)
     payload: dict[str, Any] = {
         "command": "enumerate",
         "n": args.n,
@@ -445,7 +439,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     if args.theorem == "transitivity":
         report = verify_transitivity_theorem(population, allow_large=args.allow_large, workers=args.workers)
     else:
-        report = verify_antisymmetry_theorem(population, workers=args.workers)
+        report = verify_antisymmetry_theorem(population, allow_large=args.allow_large, workers=args.workers)
     payload = {"command": "verify", **report.to_dict()}
     return (1 if report.violation_count else 0), payload
 
@@ -484,7 +478,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
     }
     if space is not None:
         payload["n"] = space.n
-        payload["encoding"] = _encoding(free_orbit_encoding(space.n).encode(space))
+        payload["encoding"] = _encoding(FreeOrbitEncoding(space.n).encode(space))
         payload["ispace"] = format_ispace(space)
     return 0, payload
 
@@ -515,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "structured"), default="human",
                        help="output as aligned text (default) or one JSON document")
 
-    p = sub.add_parser("check", help="validate a space file and evaluate named properties")
+    p = sub.add_parser("check", help="load a space file and evaluate named properties")
     p.add_argument("file")
     p.add_argument("--properties", default="all",
                    help="'all' or comma-separated names (e.g. stiff,interval-convex,C4)")
@@ -569,7 +563,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--allow-large", action="store_true",
                    help="lift the work budget: enumerate the 2^orbits spaces of --exhaustive past n=4 "
-                   "and run C4/C5 even when spaces * 8^n subset triples exceed it")
+                   "and the subsets of each space past n=16, and run C4/C5 even when spaces * 8^n "
+                   "subset triples exceed it")
     add_format(p)
     p.set_defaults(handler=_cmd_verify)
 

@@ -626,8 +626,8 @@ class FiniteIntervalSpace:
         """Induced subspace on a nonempty subset.
 
         Points are relabeled in ascending order of their original ids; the
-        axioms are universally quantified, so the restriction always
-        validates.
+        axioms are universally quantified, so the restriction is valid by
+        construction and skips the axiom scan.
         """
         self._check_set(s)
         if s.mask == 0:
@@ -639,7 +639,7 @@ class FiniteIntervalSpace:
             len(keep),
             lambda a, x, c: (fwd[keep[a] * n_old + keep[x]] >> keep[c]) & 1 == 1,
         )
-        return FiniteIntervalSpace(table)
+        return FiniteIntervalSpace._trusted(table)
 
     # -- mask-level internals (shared with the checker modules) --------------
 

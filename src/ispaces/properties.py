@@ -10,8 +10,9 @@ interval-antisymmetry (D1..D5).  Every condition is evaluated from its own
 defining formula, not derived from the others, so the equivalences can be
 verified extensionally over enumerated or sampled spaces.  The exceptions
 are C4 and C5, which the definition of [A, B] and the axioms reduce to C3
-(:func:`transitivity_conditions`), and D5, which takes D4's value on a convex
-system (:func:`antisymmetry_conditions`).
+(:func:`transitivity_conditions`), C9, which takes C8's value since
+[[a, b], {c}] equals the hull of {a, b, c} exactly when it is convex, and
+D5, which takes D4's value on a convex system (:func:`antisymmetry_conditions`).
 
 Scan order is ascending point ids (and ascending bit masks for subset
 quantifiers) everywhere, which makes reported witnesses deterministic.
@@ -216,24 +217,19 @@ def _c8_witness(space: FiniteIntervalSpace, triangles: list[int], convex: set[in
     return None
 
 
-def _c9_witness(space: FiniteIntervalSpace, triangles: list[int]) -> tuple | None:
+def _c9_witness(space: FiniteIntervalSpace, triangles: list[int], w8: tuple | None) -> tuple | None:
     """Smallest (a, b, c, x) with x in exactly one of co({a,b,c}) and [[a,b],{c}].
 
-    Each hull is computed once per distinct point set {a, b, c}.
+    [[a,b],{c}] holds a, b and c and lies inside their hull, so it equals
+    the hull exactly when it is convex: C9 fails first at C8's failing
+    triple (``w8``), and x is a hull point outside [[a,b],{c}].
     """
+    if w8 is None:
+        return None
+    a, b, c = w8[:3]
     n = space.n
-    hulls: dict[int, int] = {}
-    for index, t in enumerate(triangles):
-        a, bc = divmod(index, n * n)
-        b, c = divmod(bc, n)
-        mask = (1 << a) | (1 << b) | (1 << c)
-        h = hulls.get(mask)
-        if h is None:
-            h = hulls[mask] = space._hull_mask(mask)
-        diff = t ^ h
-        if diff:
-            return (a, b, c, (diff & -diff).bit_length() - 1)
-    return None
+    extra = space._hull_mask((1 << a) | (1 << b) | (1 << c)) & ~triangles[(a * n + b) * n + c]
+    return (a, b, c, (extra & -extra).bit_length() - 1)
 
 
 def transitivity_conditions(space: FiniteIntervalSpace, *, allow_large: bool = False) -> ConditionVector:
@@ -241,7 +237,7 @@ def transitivity_conditions(space: FiniteIntervalSpace, *, allow_large: bool = F
 
     ``allow_large`` lifts the work budget of the convex-set enumeration
     that C6 and C7 read.  The sets [[a, b], {c}] are built once for C2/C3,
-    C8 and C9.
+    C8 and C9, and C9 takes C8's value (:func:`_c9_witness`).
 
     C4 (associativity on subsets) takes C3's value: [A, B] is the union of
     [a, b] over a in A and b in B, so [[A, B], C] and [A, [B, C]] are the
@@ -265,7 +261,7 @@ def transitivity_conditions(space: FiniteIntervalSpace, *, allow_large: bool = F
     witnesses["C6"] = _c6_witness(space, convex)
     witnesses["C7"] = _c7_witness(space, convex, convex_set)
     witnesses["C8"] = _c8_witness(space, triangles, convex_set)
-    witnesses["C9"] = _c9_witness(space, triangles)
+    witnesses["C9"] = _c9_witness(space, triangles, witnesses["C8"])
     return ConditionVector.of("transitivity", witnesses)
 
 

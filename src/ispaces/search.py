@@ -10,7 +10,9 @@ theorems, and search for spaces separating named properties.
 
 All sampling is partition-stable: sample i is drawn from a generator
 reseeded with seed + i, so it does not depend on the samples drawn before
-it, and censuses are identical for every worker count.
+it, and censuses are identical for every worker count.  No module state is
+kept: each population scan, census chunk and command builds its own
+:class:`FreeOrbitEncoding`, after the work budget has admitted the work.
 For n <= ``sliced.MAX_N`` both censuses evaluate their conditions on whole
 batches of encodings at once (:mod:`ispaces.sliced`): C1..C9, or the
 interval-transitivity filter and D1..D5.  Past that size a census decodes
@@ -23,7 +25,8 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import reduce
+from itertools import islice
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -115,11 +118,6 @@ class FreeOrbitEncoding:
         return int("".join(["1" if fwd[a * n + b] >> c & 1 else "0" for a, b, c in reversed(self.orbits)]) or "0", 2)
 
 
-@lru_cache(maxsize=64)
-def free_orbit_encoding(n: int) -> FreeOrbitEncoding:
-    return FreeOrbitEncoding(n)
-
-
 def enumerate_spaces(n: int, *, allow_large: bool = False) -> Iterator[FiniteIntervalSpace]:
     """All valid spaces on n labeled points, in ascending encoding order."""
     for _, space in ExhaustivePopulation(n, allow_large).spaces():
@@ -164,7 +162,7 @@ def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
 
 def random_space(n: int, seed: int, density: float = 0.5) -> FiniteIntervalSpace:
     """The space of :func:`random_encoding` (n, seed, density)."""
-    return free_orbit_encoding(n).decode(random_encoding(n, seed, density))
+    return FreeOrbitEncoding(n).decode(random_encoding(n, seed, density))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ class Population:
     def spaces(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, FiniteIntervalSpace]]:
         """(index, space) for spaces start..stop-1."""
         encodings = self.encodings(start, stop)
-        enc = free_orbit_encoding(self.n)
+        enc = FreeOrbitEncoding(self.n)
         for index, bits in enumerate(encodings, start):
             yield index, enc.decode(bits)
 
@@ -306,12 +304,15 @@ def _sliced(n: int) -> bool:
     return n <= sliced.MAX_N
 
 
-def _condition_slices(theorem: str, n: int, encodings: list[int]) -> tuple[Sequence[int], int]:
+def _condition_slices(
+    theorem: str, enc: FreeOrbitEncoding, encodings: list[int], allow_large: bool
+) -> tuple[Sequence[int], int]:
     """A batch's condition slices (bit j of entry k: condition k in space j),
     sliced or one decoded space at a time, and the mask of the spaces
     evaluated: the antisymmetry census leaves out those that are not
-    interval-transitive."""
-    enc = free_orbit_encoding(n)
+    interval-transitive.  ``allow_large`` lifts the subset budget of the
+    one-space-at-a-time path."""
+    n = enc.n
     if _sliced(n):
         slices = sliced.triple_slices(enc, encodings)
         if theorem == "transitivity":
@@ -322,9 +323,9 @@ def _condition_slices(theorem: str, n: int, encodings: list[int]) -> tuple[Seque
     for j, bits in enumerate(encodings):
         space = enc.decode(bits)
         if theorem == "transitivity":
-            cv = transitivity_conditions(space)
+            cv = transitivity_conditions(space, allow_large=allow_large)
         elif interval_transitivity_witness(space) is None:
-            cv = antisymmetry_conditions(space)
+            cv = antisymmetry_conditions(space, allow_large=allow_large)
         else:
             continue
         evaluated |= 1 << j
@@ -337,14 +338,17 @@ def _condition_slices(theorem: str, n: int, encodings: list[int]) -> tuple[Seque
 def _census_chunk(args: tuple) -> dict:
     """The census tallies over spaces start..stop-1, read off one batch of
     slices at a time; the conditions in ``skipped`` are blanked (None) first."""
-    theorem, population, start, stop, skipped = args
+    theorem, population, start, stop, skipped, allow_large = args
     counts: Counter = Counter()
     vectors: Counter = Counter()
     violations: list[EquivalenceViolation] = []
     excluded = 0
+    chunk = iter(population.encodings(start, stop))
+    # Built only once encodings() has held the population to the work budget.
+    enc = FreeOrbitEncoding(population.n)
     for lo in range(start, stop, sliced.BATCH):
-        encodings = list(population.encodings(lo, min(lo + sliced.BATCH, stop)))
-        values, evaluated = _condition_slices(theorem, population.n, encodings)
+        encodings = list(islice(chunk, sliced.BATCH))
+        values, evaluated = _condition_slices(theorem, enc, encodings, allow_large)
         values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]
         excluded += len(encodings) - evaluated.bit_count()
         for name, s in zip(CONDITIONS[theorem], values):
@@ -391,12 +395,14 @@ def _run_chunks(task, args_list: list[tuple], workers: int) -> list:
         return list(pool.map(task, args_list))
 
 
-def _verify(theorem: str, population: Population, skipped: tuple[str, ...], workers: int) -> CensusReport:
+def _verify(
+    theorem: str, population: Population, skipped: tuple[str, ...], allow_large: bool, workers: int
+) -> CensusReport:
     total = population.size()
     min_chunk = sliced.BATCH if _sliced(population.n) else 1
     chunk_results = _run_chunks(
         _census_chunk,
-        [(theorem, population, s, e, skipped) for s, e in _partition(total, workers, min_chunk)],
+        [(theorem, population, s, e, skipped, allow_large) for s, e in _partition(total, workers, min_chunk)],
         workers,
     )
     counts: Counter = Counter()
@@ -430,19 +436,23 @@ def verify_transitivity_theorem(
     """Census C1..C9 over a population; equivalence violations must be absent.
 
     C4/C5 are reported as skipped where :func:`~ispaces.properties.semigroup_reported`
-    says so for the population's size.
+    says so for the population's size.  ``allow_large`` also lifts the work
+    budget of each space's subset enumeration.
     """
     reported = semigroup_reported(population.size(), population.n, allow_large)
-    return _verify("transitivity", population, () if reported else ("C4", "C5"), workers)
+    return _verify("transitivity", population, () if reported else ("C4", "C5"), allow_large, workers)
 
 
-def verify_antisymmetry_theorem(population: Population, *, workers: int = 1) -> CensusReport:
+def verify_antisymmetry_theorem(
+    population: Population, *, allow_large: bool = False, workers: int = 1
+) -> CensusReport:
     """Census D1..D5 over the interval-transitive spaces of a population.
 
     Spaces failing the interval-transitivity hypothesis are counted in
     ``hypothesis_excluded`` and take no part in the equivalence assertion.
+    ``allow_large`` lifts the work budget of each space's subset enumeration.
     """
-    return _verify("antisymmetry", population, (), workers)
+    return _verify("antisymmetry", population, (), allow_large, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +483,7 @@ def _search_plan(
     plan: list[tuple[Population, int]] = []
     remaining = max_spaces
     for n in exhaustive:
-        k = min(remaining, free_orbit_encoding(n).space_count)
+        k = min(remaining, FreeOrbitEncoding(n).space_count)
         if k > 0:
             plan.append((ExhaustivePopulation(n), k))
             remaining -= k

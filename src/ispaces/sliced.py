@@ -14,8 +14,8 @@ the slice-set that is all ones at its members.
 Each of C1..C9 and D1..D5 is written out from its own defining formula,
 mirroring :func:`ispaces.properties.transitivity_conditions` and
 :func:`ispaces.properties.antisymmetry_conditions`, except where that
-scalar path derives one condition from another: C4 and C5 take C3's value
-and D5 takes D4's, for the reasons given there.  C4 and C5 are always
+scalar path derives one condition from another: C4 and C5 take C3's value,
+C9 takes C8's and D5 takes D4's, for the reasons given there.  C4 and C5 are always
 returned; the census blanks them where ``semigroup_reported`` says so.  The
 scalar path stays the reference and the only source of witnesses.  Every
 space of a batch is valid, so the evaluation uses two axioms to halve
@@ -233,9 +233,8 @@ def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
         fail1 |= _intransitive(n, batch.rows(ab))
 
     # C2: [{a}, [b, c]] <= [[a, b], {c}];  C3: the two are equal.
-    # C8: [[a, b], {c}] is convex;  C9: it equals the hull of {a, b, c}.
-    fail2 = fail3 = fail8 = fail9 = 0
-    hulls: dict[int, SliceSet] = {}
+    # C8: [[a, b], {c}] is convex.
+    fail2 = fail3 = fail8 = 0
     for a in pts:
         for b in pts:
             ab = ivl[a * n + b]
@@ -247,12 +246,6 @@ def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
                     fail2 |= x & ~y
                     fail3 |= x ^ y
                 fail8 |= _breach(n, ivl, tri)
-                mask = (1 << a) | (1 << b) | (1 << c)
-                hull = hulls.get(mask)
-                if hull is None:
-                    hull = hulls[mask] = _hull(n, ivl, batch.const(mask))
-                for x, y in zip(hull, tri):
-                    fail9 |= x ^ y
 
     # C6: every [a, b] is convex, and the base order of every convex set is transitive.
     fail6 = 0
@@ -273,10 +266,11 @@ def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
                 if both:
                     fail7 |= both & _breach(n, ivl, row[bm])
 
-    c1, c2, c3, c6, c7, c8, c9 = (full & ~f for f in (fail1, fail2, fail3, fail6, fail7, fail8, fail9))
+    c1, c2, c3, c6, c7, c8 = (full & ~f for f in (fail1, fail2, fail3, fail6, fail7, fail8))
     # C4: [.,.] on subsets is associative;  C5: associative and commutative.
-    # Both take C3's value, as in the scalar path.
-    return (c1, c2, c3, c3, c3, c6, c7, c8, c9)
+    # Both take C3's value, and C9 (the triangle equals the hull of {a, b, c})
+    # takes C8's, as in the scalar path.
+    return (c1, c2, c3, c3, c3, c6, c7, c8, c8)
 
 
 def antisymmetry_slices(n: int, slices: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -34,7 +34,7 @@ def space_strategy(min_n=1, max_n=5):
     """Uniform over sizes, then uniform over the free-orbit encodings."""
 
     def for_n(n):
-        enc = I.free_orbit_encoding(n)
+        enc = I.FreeOrbitEncoding(n)
         return st.integers(0, enc.space_count - 1).map(enc.decode)
 
     return st.integers(min_n, max_n).flatmap(for_n)

@@ -65,6 +65,14 @@ MUTANTS = [
      "w3", "C4/C5 take C3's witness without wrapping its points as sets"),
     ("properties.py", '        "D5": d4,\n', '        "D5": _d3_witness(space, convex),\n',
      "scalar D5 takes D3's witness"),
+    # C9 from C8.
+    ("properties.py", "space._hull_mask((1 << a) | (1 << b) | (1 << c))", "space._hull_mask((1 << a) | (1 << b))",
+     "the C9 witness reads the hull of {a, b}, not of {a, b, c}"),
+    ("properties.py", "(1 << c)) & ~triangles[", "(1 << c)) & triangles[",
+     "the C9 witness picks x inside [[a, b], {c}], not outside it"),
+    ("properties.py", "& ~triangles[(a * n + b) * n + c]\n    return (a, b, c, (extra & -extra).bit_length() - 1)",
+     "& ~triangles[(a * n + b) * n + c]\n    return (a, b, c, extra.bit_length() - 1)",
+     "the C9 witness names the largest x, not the smallest"),
     # The sliced kernels.
     ("sliced.py", "for a in pts for b in range(a, n)]", "for a in pts for b in range(a + 1, n)]",
      "sliced C1, C6 and D1 skip [a, a]"),
@@ -77,8 +85,6 @@ MUTANTS = [
      "sliced C6 tests the base order of non-convex sets too"),
     ("sliced.py", "                both = conv_a & convex[bm]\n", "                both = conv_a\n",
      "sliced C7 pairs convex A with every B"),
-    ("sliced.py", "                    fail9 |= x ^ y\n", "                    fail9 |= y & ~x\n",
-     "sliced C9 tests [[a, b], {c}] outside the hull, which never happens"),
     ("sliced.py", "                if c != b and abc:\n", "                if abc:\n",
      "sliced stiffness without c != b"),
     ("sliced.py", "            fail3 |= conv & _two_way(", "            fail3 |= _two_way(",
@@ -101,9 +107,8 @@ EQUIVALENT = [
      "sliced D5 takes D3's value: D3 = D4 on the interval-transitive spaces the evaluated mask keeps"),
     ("sliced.py", "                    fail3 |= x ^ y\n", "                    fail3 |= x & ~y\n",
      "sliced C3 tests one inclusion, which is C2: the transitivity theorem makes C2 = C3"),
-    ("sliced.py", "                    fail9 |= x ^ y\n", "                    fail9 |= x & ~y\n",
-     "sliced C9 tests only the hull outside [[a, b], {c}]: the hull is convex and holds a, b and c, "
-     "so it always contains [[a, b], {c}]"),
+    ("sliced.py", "c7, c8, c8)", "c7, c8, c2)",
+     "sliced C9 takes C2's value: the transitivity theorem makes C2 = C8, whose value C9 takes"),
 ]
 
 

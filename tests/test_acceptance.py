@@ -13,11 +13,11 @@ import ispaces as I
 from ispaces import (
     BetweennessTable,
     ExhaustivePopulation,
+    FreeOrbitEncoding,
     SampledPopulation,
     axiom_violations,
     convex_closure_system,
     find_separating,
-    free_orbit_encoding,
     random_space,
     verify_antisymmetry_theorem,
     verify_transitivity_theorem,
@@ -50,8 +50,8 @@ def _regression_suite(max_n):
         I.geodesic_space_from_graph(I.complete_graph(3)),
         I.geodesic_space_from_graph(I.path_graph(4)),
         I.vector_space_on_points(TRIANGLE_POINTS),
-        free_orbit_encoding(4).decode(0),
-        free_orbit_encoding(4).decode(free_orbit_encoding(4).space_count - 1),
+        FreeOrbitEncoding(4).decode(0),
+        FreeOrbitEncoding(4).decode(FreeOrbitEncoding(4).space_count - 1),
         random_space(5, 101, 0.3),
         random_space(6, 202, 0.2),
         random_space(6, 203, 0.8),

@@ -251,7 +251,7 @@ class TestIntegersPastTheDigitLimit:
         doc = json.loads(proc.stdout)
         path = tmp_path / "found.ispace"
         path.write_text(doc["ispace"])
-        encoding = I.free_orbit_encoding(40).encode(load(str(path)))
+        encoding = I.FreeOrbitEncoding(40).encode(load(str(path)))
         assert encoding.bit_length() > 64 and doc["encoding"] == hex(encoding)
 
 
@@ -481,6 +481,20 @@ class TestCommands:
         assert code == 0 and doc["skipped"] == [] and doc["violations"] == 0
         assert sum(doc["vector_counts"].values()) == 1025
 
+    @pytest.mark.parametrize("theorem", ["transitivity", "antisymmetry"])
+    def test_verify_allow_large_lifts_the_subset_budget(self, capsys, theorem):
+        # n = 17 is past sliced.MAX_N, so each space is checked alone, and
+        # 2^17 * 17^2 subset steps are over the budget; at density 1 every
+        # triple holds and the space has 19 convex sets, so the run is short
+        args = ("verify", "--theorem", theorem, "--n", "17", "--samples", "1", "--density", "1",
+                "--format", "structured")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == "" and "2^17 subsets" in err and "--allow-large" in err
+        code, out, _ = run_cli(capsys, *args, "--allow-large")
+        doc = json.loads(out)
+        assert code == 0 and doc["spaces"] == 1 and doc["violations"] == 0
+        assert doc["hypothesis_excluded"] == 0 and sum(doc["vector_counts"].values()) == 1
+
     def test_verify_triple_budget_removed(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--theorem", "transitivity", "--n", "3", "--exhaustive", "--triple-budget", "0"
@@ -571,7 +585,7 @@ class TestCommands:
         path = tmp_path / "found.ispace"
         path.write_text(doc["ispace"])
         space = load(str(path))
-        assert I.free_orbit_encoding(doc["n"]).encode(space) == doc["encoding"]
+        assert I.FreeOrbitEncoding(doc["n"]).encode(space) == doc["encoding"]
         assert I.stiffness_witness(space) is None and I.interval_convexity_witness(space) is not None
 
     def test_search_not_found(self, capsys):

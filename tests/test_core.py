@@ -242,7 +242,7 @@ class TestConvexity:
         assert {s.members for s in space.convex_sets()} == set(naive.convex_sets(space))
 
     def test_enumeration_cap(self):
-        big = I.free_orbit_encoding(17).decode(0)
+        big = I.FreeOrbitEncoding(17).decode(0)
         with pytest.raises(I.CapExceededError):
             big.convex_sets()
 
@@ -332,7 +332,7 @@ class TestRestrict:
         assert sub.n == 2
         # only forced triples: the two points are no longer between each other
         assert sub.interval(0, 1).members == {0, 1}
-        assert sub == I.free_orbit_encoding(2).decode(0)
+        assert sub == I.FreeOrbitEncoding(2).decode(0)
 
     def test_empty_rejected(self, l3):
         with pytest.raises(ValueError):

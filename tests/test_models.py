@@ -1,13 +1,16 @@
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ispaces as I
-from ispaces import Graph, rational_between, vector_space_on_points
+from ispaces import Graph, PointSet, rational_between, vector_space_on_points
+from ispaces.cli import load
 
 import naive
-from conftest import TRIANGLE_POINTS
+from conftest import TRIANGLE_POINTS, space_with_masks
 
 coord = st.integers(-8, 8).map(Fraction)
 
@@ -196,12 +199,52 @@ class TestLinearOrderSpaces:
             assert I.antisymmetry_conditions(space).values == (True,) * 5
 
 
-@given(st.sampled_from(["chain", "k23", "triangle", "complete"]))
-def test_model_outputs_always_validate(kind):
-    space = {
-        "chain": lambda: I.linear_order_space(5),
-        "k23": lambda: I.geodesic_space_from_graph(I.complete_bipartite_graph(2, 3)),
-        "triangle": lambda: vector_space_on_points(TRIANGLE_POINTS),
-        "complete": lambda: I.geodesic_space_from_graph(I.complete_graph(4)),
-    }[kind]()
+@st.composite
+def connected_graphs(draw, max_n=8):
+    """A random spanning tree on up to ``max_n`` vertices plus random extra edges."""
+    n = draw(st.integers(1, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, tree + extra)
+
+
+@st.composite
+def ispace_texts(draw, max_n=6):
+    """An ispace file listing random triples, none of the shape <a, x, a> with x != a."""
+    n = draw(st.integers(1, max_n))
+    triple = st.tuples(*[st.integers(0, n - 1)] * 3).filter(lambda t: t[0] != t[2] or t[1] == t[0])
+    lines = ["ispace v1", f"points {n}"] + [f"triple {a} {x} {c}" for a, x, c in draw(st.lists(triple))]
+    return "\n".join(lines) + "\n"
+
+
+def load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "space.ispace")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return load(path)
+
+
+#: Every way the package builds a space without the axiom scan.
+BUILT_SPACES = st.one_of(
+    st.sampled_from([
+        lambda: I.geodesic_space_from_graph(I.complete_bipartite_graph(2, 3)),
+        lambda: vector_space_on_points(TRIANGLE_POINTS),
+        lambda: I.geodesic_space_from_graph(I.complete_graph(4)),
+    ]).map(lambda build: build()),
+    st.integers(1, 8).map(I.linear_order_space),
+    connected_graphs().map(I.geodesic_space_from_graph),
+    st.integers(1, 3).flatmap(point_sets).map(vector_space_on_points),
+    space_with_masks(1, 6).filter(lambda sm: sm[1]).map(lambda sm: sm[0].restrict(PointSet(sm[0].n, sm[1]))),
+    ispace_texts().map(load_text),
+)
+
+
+@given(BUILT_SPACES)
+@settings(max_examples=300)
+def test_model_outputs_always_validate(space):
+    # the builders, restrict and the ispace loader skip validation, so the
+    # axiom scan is their oracle here
     assert I.axiom_violations(space.table) == []
+    assert I.validate(space.table) == space

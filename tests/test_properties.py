@@ -98,7 +98,7 @@ class TestTransitivityConditions:
     def test_against_naive_vector_n4(self, encoding):
         # full brute-force route at the exhaustive-verification size,
         # including the (2^4)^3 subset-triple conditions
-        space = I.free_orbit_encoding(4).decode(encoding)
+        space = I.FreeOrbitEncoding(4).decode(encoding)
         cv = transitivity_conditions(space)
         assert cv.values == naive.transitivity_vector(space)
 
@@ -249,7 +249,7 @@ class TestSpaceMemo:
         assert (interval_transitivity_witness(space) is None) == naive.interval_transitive(space)
         naive_convex = tuple(sorted(sum(1 << i for i in s) for s in naive.convex_sets(space)))
         assert space._convex_masks() == naive_convex
-        enc = I.free_orbit_encoding(space.n)
+        enc = I.FreeOrbitEncoding(space.n)
         fresh = enc.decode(enc.encode(space))
         assert fresh._convex is None and fresh._it_witness is None
         assert interval_transitivity_witness(fresh) == interval_transitivity_witness(space)

@@ -14,7 +14,6 @@ from ispaces import (
     SampledPopulation,
     enumerate_spaces,
     find_separating,
-    free_orbit_encoding,
     random_space,
     verify_antisymmetry_theorem,
     verify_transitivity_theorem,
@@ -39,22 +38,22 @@ from conftest import deadline
 class TestFreeOrbitEncoding:
     def test_orbit_counts(self):
         for n in range(1, 7):
-            assert free_orbit_encoding(n).orbit_count == n * (n - 1) * (n - 2) // 2
+            assert FreeOrbitEncoding(n).orbit_count == n * (n - 1) * (n - 2) // 2
 
     def test_decode_encode_roundtrip_exhaustive(self):
         for n in (1, 2, 3, 4):
-            enc = free_orbit_encoding(n)
+            enc = FreeOrbitEncoding(n)
             for bits in range(enc.space_count):
                 assert enc.encode(enc.decode(bits)) == bits
 
-    @given(st.integers(0, free_orbit_encoding(5).space_count - 1))
+    @given(st.integers(0, FreeOrbitEncoding(5).space_count - 1))
     @settings(max_examples=80)
     def test_decoded_tables_validate(self, bits):
-        space = free_orbit_encoding(5).decode(bits)
+        space = FreeOrbitEncoding(5).decode(bits)
         assert I.axiom_violations(space.table) == []
 
     def test_decode_range_checked(self):
-        enc = free_orbit_encoding(3)
+        enc = FreeOrbitEncoding(3)
         with pytest.raises(ValueError):
             enc.decode(8)
         with pytest.raises(ValueError):
@@ -62,7 +61,7 @@ class TestFreeOrbitEncoding:
 
     def test_encode_checks_universe(self, l3):
         with pytest.raises(ValueError):
-            free_orbit_encoding(4).encode(l3)
+            FreeOrbitEncoding(4).encode(l3)
 
     def test_large_sample_decodes_in_bounded_memory(self):
         # an n^3-bit mask per orbit would hold n^6 bits: about 240 MB at n = 40
@@ -88,7 +87,7 @@ class TestFreeOrbitEncoding:
 
     def test_encoding_of_known_space(self, l3):
         # L3 has exactly the <0,1,2> orbit set: first orbit in lex order
-        assert free_orbit_encoding(3).encode(l3) == 1
+        assert FreeOrbitEncoding(3).encode(l3) == 1
 
 
 class TestEnumerateSpaces:
@@ -122,7 +121,7 @@ class TestEnumerateSpaces:
 
 class TestRandomSpace:
     def test_density_extremes(self):
-        enc = free_orbit_encoding(4)
+        enc = FreeOrbitEncoding(4)
         assert random_space(4, 123, 0.0) == enc.decode(0)
         assert random_space(4, 123, 1.0) == enc.decode(enc.space_count - 1)
 
@@ -188,7 +187,6 @@ class TestPopulations:
             raise AssertionError(f"built the encoding of {n} points")
 
         monkeypatch.setattr(FreeOrbitEncoding, "__init__", refuse)
-        monkeypatch.setattr(search, "free_orbit_encoding", FreeOrbitEncoding)
         for verify in (verify_transitivity_theorem, verify_antisymmetry_theorem):
             with pytest.raises(CapExceededError, match=r"n=100 takes an estimated 2\^485100 steps"):
                 verify(ExhaustivePopulation(100))
@@ -204,8 +202,8 @@ class TestPopulations:
 
     def test_one_cap_check_names_the_override(self, monkeypatch, capsys):
         # the check runs before any encoding is built, for every entry point
-        monkeypatch.setattr("ispaces.search.free_orbit_encoding", None)
-        monkeypatch.setattr("ispaces.cli.free_orbit_encoding", None)
+        monkeypatch.setattr("ispaces.search.FreeOrbitEncoding", None)
+        monkeypatch.setattr("ispaces.cli.FreeOrbitEncoding", None)
         for call in (
             lambda: ExhaustivePopulation(7).encodings(),
             lambda: next(ExhaustivePopulation(7).spaces()),
@@ -326,13 +324,13 @@ class TestAntisymmetryCensus:
         values[2] = not values[2]  # D3
         flipped = tuple(values)
 
-        def flip_d3(space):
-            cv = real(space)
+        def flip_d3(space, **options):
+            cv = real(space, **options)
             return I.ConditionVector("antisymmetry", flipped) if space == target else cv
 
         monkeypatch.setattr(search, "antisymmetry_conditions", flip_d3)
         report = verify_antisymmetry_theorem(population)
-        enc = free_orbit_encoding(6)
+        enc = FreeOrbitEncoding(6)
         expected = tuple(
             EquivalenceViolation(i, enc.encode(s), flipped) for i, s in population.spaces() if s == target
         )
@@ -342,7 +340,7 @@ class TestAntisymmetryCensus:
 class TestFindSeparating:
     def test_empty_constraints_return_first_space(self):
         space = find_separating([], [], max_spaces=10)
-        assert space == free_orbit_encoding(1).decode(0)
+        assert space == FreeOrbitEncoding(1).decode(0)
 
     def test_unknown_property(self):
         with pytest.raises(ValueError, match="unknown property"):
@@ -365,7 +363,7 @@ class TestFindSeparating:
             max_spaces=4500, ns=(1, 2, 3, 4, 5), seed=777000,
         )
         assert space is not None and space.n == 5
-        assert free_orbit_encoding(5).encode(space) == 6152
+        assert FreeOrbitEncoding(5).encode(space) == 6152
         assert naive.point_transitive(space)
         assert not naive.interval_transitive(space)
 

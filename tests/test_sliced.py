@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ispaces import (
     CapExceededError,
     ExhaustivePopulation,
+    FreeOrbitEncoding,
     SampledPopulation,
     antisymmetry_conditions,
-    free_orbit_encoding,
     interval_transitivity_witness,
     random_space,
     sliced,
@@ -28,18 +28,18 @@ import naive
 
 
 def _scalar_values(n, encodings):
-    enc = free_orbit_encoding(n)
+    enc = FreeOrbitEncoding(n)
     return [transitivity_conditions(enc.decode(e)).values for e in encodings]
 
 
 def _sliced_values(n, encodings):
-    slices = sliced.transitivity_slices(n, sliced.triple_slices(free_orbit_encoding(n), encodings))
+    slices = sliced.transitivity_slices(n, sliced.triple_slices(FreeOrbitEncoding(n), encodings))
     return [tuple(bool(s >> i & 1) for s in slices) for i in range(len(encodings))]
 
 
 def _scalar_antisymmetry(n, encodings):
     """Per space: None off the hypothesis, else the scalar D1..D5."""
-    enc = free_orbit_encoding(n)
+    enc = FreeOrbitEncoding(n)
     out = []
     for e in encodings:
         space = enc.decode(e)
@@ -48,7 +48,7 @@ def _scalar_antisymmetry(n, encodings):
 
 
 def _sliced_antisymmetry(n, encodings):
-    values, evaluated = sliced.antisymmetry_slices(n, sliced.triple_slices(free_orbit_encoding(n), encodings))
+    values, evaluated = sliced.antisymmetry_slices(n, sliced.triple_slices(FreeOrbitEncoding(n), encodings))
     # off the hypothesis every D bit must be clear, or the census would count it
     assert not any(s & ~evaluated for s in values)
     return [tuple(bool(s >> i & 1) for s in values) if evaluated >> i & 1 else None for i in range(len(encodings))]
@@ -59,7 +59,7 @@ def _scalar_census(population, semigroup):
     """The census payload by a plain loop over spaces and the scalar conditions,
     with C4/C5 blanked unless ``semigroup`` (cached: both worker counts
     compare against it)."""
-    enc = free_orbit_encoding(population.n)
+    enc = FreeOrbitEncoding(population.n)
     counts = Counter()
     vectors = Counter()
     details = []
@@ -88,7 +88,7 @@ def _scalar_census(population, semigroup):
 class TestSlices:
     def test_triple_slices_are_the_decoded_tables(self):
         for n in range(1, 5):
-            enc = free_orbit_encoding(n)
+            enc = FreeOrbitEncoding(n)
             encodings = range(enc.space_count)
             slices = sliced.triple_slices(enc, encodings)
             for i in encodings:
@@ -99,16 +99,16 @@ class TestSlices:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_triple_slices_equal_the_per_bit_formula(self, n, size):
         # n <= 2 has no orbits; n = 6 has 60, twice as many as the census's n = 5
-        enc = free_orbit_encoding(n)
+        enc = FreeOrbitEncoding(n)
         encodings = list(SampledPopulation(n, seed=17 * n, count=size).encodings())
         assert sliced.triple_slices(enc, encodings) == naive.triple_slices(enc, encodings)
 
     def test_every_space_up_to_four_points(self):
         for n in range(1, 5):
-            encodings = range(free_orbit_encoding(n).space_count)
+            encodings = range(FreeOrbitEncoding(n).space_count)
             assert _sliced_values(n, encodings) == _scalar_values(n, encodings)
 
-    @given(st.lists(st.integers(0, free_orbit_encoding(5).space_count - 1), min_size=1, max_size=24))
+    @given(st.lists(st.integers(0, FreeOrbitEncoding(5).space_count - 1), min_size=1, max_size=24))
     @settings(max_examples=20)
     def test_five_point_batches(self, encodings):
         assert _sliced_values(5, encodings) == _scalar_values(5, encodings)
@@ -117,10 +117,10 @@ class TestSlices:
 class TestAntisymmetrySlices:
     def test_every_space_up_to_four_points(self):
         for n in range(1, 5):
-            encodings = range(free_orbit_encoding(n).space_count)
+            encodings = range(FreeOrbitEncoding(n).space_count)
             assert _sliced_antisymmetry(n, encodings) == _scalar_antisymmetry(n, encodings)
 
-    @given(st.lists(st.integers(0, free_orbit_encoding(5).space_count - 1), min_size=1, max_size=64))
+    @given(st.lists(st.integers(0, FreeOrbitEncoding(5).space_count - 1), min_size=1, max_size=64))
     @settings(max_examples=25)
     def test_five_point_batches(self, encodings):
         assert _sliced_antisymmetry(5, encodings) == _scalar_antisymmetry(5, encodings)
@@ -152,7 +152,7 @@ class TestSlicedCensus:
     )
     def test_report_equals_scalar_loop(self, population, semigroup, workers):
         # semigroup=False: the census must blank C4/C5 before it tallies
-        report = _verify("transitivity", population, () if semigroup else ("C4", "C5"), workers).to_dict()
+        report = _verify("transitivity", population, () if semigroup else ("C4", "C5"), False, workers).to_dict()
         assert json.dumps(report) == json.dumps(_scalar_census(population, semigroup))
 
     def test_flipped_bit_is_reported_as_violation(self, monkeypatch):
@@ -166,19 +166,19 @@ class TestSlicedCensus:
             return tuple(values)
 
         monkeypatch.setattr(sliced, "transitivity_slices", one_flip)
-        report = _verify("transitivity", population, (), 1)
+        report = _verify("transitivity", population, (), False, 1)
         encoding = random_encoding(4, 7 + flipped, population.density_at(flipped))
         values = list(_scalar_values(4, [encoding])[0])
         values[1] = not values[1]
         assert report.violations == (EquivalenceViolation(flipped, encoding, tuple(values)),)
         assert random_space(4, 7 + flipped, population.density_at(flipped)) == (
-            free_orbit_encoding(4).decode(encoding)
+            FreeOrbitEncoding(4).decode(encoding)
         )
 
     def test_flipped_antisymmetry_bit_is_reported_as_violation(self, monkeypatch):
         population = SampledPopulation(5, seed=11, count=600)
         real = sliced.antisymmetry_slices
-        enc = free_orbit_encoding(5)
+        enc = FreeOrbitEncoding(5)
         flipped = next(i for i, e in enumerate(population.encodings())
                        if interval_transitivity_witness(enc.decode(e)) is None)
 
