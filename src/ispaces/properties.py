@@ -187,12 +187,20 @@ def _c7_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...], conve
 
     [A, B] = [B, A] by middle symmetry, so the smallest breaching pair has
     A <= B, and a convex A has [A, A] = A, so only the pairs A < B are
-    scanned.  ``convex`` is the convex family, every mask without a breach,
-    so a mask outside it has one.
+    scanned.  [A, B] is computed as [U, U] with U = A | B, once per U: for
+    nonempty A and B, [U, U] is [A, A] | [A, B] | [B, A] | [B, B] =
+    A | [A, B] | B, which is [A, B] since [a, b] holds a and b (endpoint
+    reflexivity).  For A empty, [U, U] = B and [A, B] is empty, both convex.
+    ``convex`` is the convex family, every mask without a breach, so a mask
+    outside it has one.
     """
+    joined: dict[int, int] = {}
     for i, am in enumerate(convex_masks):
         for bm in convex_masks[i + 1:]:
-            t = space._set_interval_mask(am, bm)
+            u = am | bm
+            t = joined.get(u)
+            if t is None:
+                t = joined[u] = space._set_interval_mask(u, u)
             if t not in convex:
                 return (PointSet(space.n, am), PointSet(space.n, bm), *space._convexity_breach(t))
     return None

@@ -483,9 +483,10 @@ def _search_plan(
     plan: list[tuple[Population, int]] = []
     remaining = max_spaces
     for n in exhaustive:
-        k = min(remaining, FreeOrbitEncoding(n).space_count)
+        population = ExhaustivePopulation(n)
+        k = min(remaining, population.size())
         if k > 0:
-            plan.append((ExhaustivePopulation(n), k))
+            plan.append((population, k))
             remaining -= k
     sampled = [m for m in sizes if m not in exhaustive]
     if sampled and remaining > 0:

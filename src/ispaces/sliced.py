@@ -20,10 +20,13 @@ returned; the census blanks them where ``semigroup_reported`` says so.  The
 scalar path stays the reference and the only source of witnesses.  Every
 space of a batch is valid, so the evaluation uses two axioms to halve
 scans: [u, v] = [v, u] (middle symmetry) and [u, u] = {u} (thinness).  So
-C1, C6 and D1 scan the intervals [a, b] with a <= b, C7 the set pairs
-A < B, and the convexity test and the hull share one join over u < v.  D4
-takes cl(A + {x}) from the sliced hull, where the scalar path intersects
-the closed supersets.
+C1, C6 and D1 scan the intervals [a, b] with a <= b, and the convexity
+test and the hull share one join over u < v.  The sets [[a, b], {c}] are
+built once, for C2, C3 and C8 alike.  C7 joins each union U = A | B of
+convex A < B once: for nonempty convex A and B, [A, B] = [U, U], since
+[a, b] holds a and b (endpoint reflexivity), [A, A] = A and [B, B] = B.
+D4 takes cl(A + {x}) from the sliced hull, where the scalar path
+intersects the closed supersets.
 """
 
 from __future__ import annotations
@@ -37,10 +40,14 @@ from .core import _forced_bits, _triple_index, bits_of
 #: batches are as large as the exhaustive n = 4 population.
 BATCH = 4096
 
-#: Largest n evaluated sliced.  A batch costs about 4^n * n^3 big-int
-#: operations whatever its size (C7 ranges over subset pairs), so
-#: from n = 6 on a small batch loses to the scalar path: at n = 6, with
-#: C4/C5 skipped, 100 spaces took 0.16 s sliced against 0.07 s scalar.
+#: Largest n evaluated sliced.  A batch costs about 2^n * n^3 big-int
+#: operations whatever its size (C6 and C7 scan every subset and union),
+#: plus an AND and an OR per pair of subsets (C7), while the scalar path
+#: rejects most spaces of the antisymmetry census on the hypothesis alone.
+#: So past n = 5 a small batch gains little or loses.  Scalar / sliced
+#: seconds for 64 sampled spaces (density sweep, 2-CPU VM): transitivity
+#: 0.034 / 0.017 at n = 6, 0.052 / 0.042 at n = 7 and 0.37 / 0.71 at
+#: n = 10; antisymmetry 0.009 / 0.011 at n = 6 and 0.073 / 0.51 at n = 10.
 MAX_N = 5
 
 SliceSet = tuple[int, ...]
@@ -143,39 +150,10 @@ def _two_way(n: int, rows: list[list[int]], s: SliceSet) -> int:
 def _hull(n: int, ivl: list[SliceSet], s: SliceSet) -> SliceSet:
     """Least fixpoint of S -> S | [S, S], for every space of the batch."""
     while True:
-        grown = _union(s, _join(n, ivl, s))
+        grown = tuple(map(or_, s, _join(n, ivl, s)))
         if grown == s:
             return s
         s = grown
-
-
-def _union(s: SliceSet, t: SliceSet) -> SliceSet:
-    return tuple(map(or_, s, t))
-
-
-def _set_table(n: int, ivl: list[SliceSet]) -> list[list[SliceSet]]:
-    """[A, B] for every pair of point-set masks: tab[A][B] is a slice-set.
-
-    Built by union over the lowest point of B for single-point A, then over
-    the lowest point of A.
-    """
-    size = 1 << n
-    empty = (0,) * n
-    tab: list[list[SliceSet]] = [[empty] * size]
-    for am in range(1, size):
-        low = am & -am
-        row = [empty] * size
-        if am == low:
-            a = low.bit_length() - 1
-            for bm in range(1, size):
-                lb = bm & -bm
-                row[bm] = _union(row[bm ^ lb], ivl[a * n + lb.bit_length() - 1])
-        else:
-            rest, single = tab[am ^ low], tab[low]
-            for bm in range(1, size):
-                row[bm] = _union(rest[bm], single[bm])
-        tab.append(row)
-    return tab
 
 
 class _Batch:
@@ -233,19 +211,16 @@ def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
         fail1 |= _intransitive(n, batch.rows(ab))
 
     # C2: [{a}, [b, c]] <= [[a, b], {c}];  C3: the two are equal.
-    # C8: [[a, b], {c}] is convex.
+    # C8: [[a, b], {c}] is convex.  triangles[(a*n + b)*n + c] is [[a, b], {c}].
+    triangles = [_join_point(n, ivl, ab, c) for ab in ivl for c in pts]
     fail2 = fail3 = fail8 = 0
-    for a in pts:
-        for b in pts:
-            ab = ivl[a * n + b]
-            for c in pts:
-                tri = _join_point(n, ivl, ab, c)
-                # [{a}, S] = [S, {a}] by middle symmetry
-                lhs = _join_point(n, ivl, ivl[b * n + c], a)
-                for x, y in zip(lhs, tri):
-                    fail2 |= x & ~y
-                    fail3 |= x ^ y
-                fail8 |= _breach(n, ivl, tri)
+    for index, tri in enumerate(triangles):
+        a, bc = divmod(index, n * n)
+        # [{a}, [b, c]] = [[b, c], {a}] by middle symmetry
+        for x, y in zip(triangles[bc * n + a], tri):
+            fail2 |= x & ~y
+            fail3 |= x ^ y
+        fail8 |= _breach(n, ivl, tri)
 
     # C6: every [a, b] is convex, and the base order of every convex set is transitive.
     fail6 = 0
@@ -255,16 +230,21 @@ def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
         if conv:
             fail6 |= conv & _intransitive(n, batch.rows(batch.const(sm)))
 
-    # C7: [A, B] is convex for all convex A and B.  A convex A has [A, A] = A.
-    tab = _set_table(n, ivl)
-    fail7 = 0
-    for am, conv_a in enumerate(convex):
+    # C7: [A, B] is convex for all convex A and B.  [A, B] = [U, U] for
+    # U = A | B when A and B are convex and nonempty, and [{}, B] is empty;
+    # so pairs[U] collects the spaces where some convex A < B, A nonempty,
+    # has union U, and each U is joined once.  |U| >= 2, so _join, which
+    # leaves out [u, u], still covers U.
+    pairs = [0] * len(convex)
+    for am in range(1, len(convex)):
+        conv_a = convex[am]
         if conv_a:
-            row = tab[am]
             for bm in range(am + 1, len(convex)):
-                both = conv_a & convex[bm]
-                if both:
-                    fail7 |= both & _breach(n, ivl, row[bm])
+                pairs[am | bm] |= conv_a & convex[bm]
+    fail7 = 0
+    for um, both in enumerate(pairs):
+        if both:
+            fail7 |= both & _breach(n, ivl, tuple(_join(n, ivl, batch.const(um))))
 
     c1, c2, c3, c6, c7, c8 = (full & ~f for f in (fail1, fail2, fail3, fail6, fail7, fail8))
     # C4: [.,.] on subsets is associative;  C5: associative and commutative.

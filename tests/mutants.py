@@ -65,6 +65,8 @@ MUTANTS = [
      "w3", "C4/C5 take C3's witness without wrapping its points as sets"),
     ("properties.py", '        "D5": d4,\n', '        "D5": _d3_witness(space, convex),\n',
      "scalar D5 takes D3's witness"),
+    # C7 over unions.
+    ("properties.py", "            u = am | bm\n", "            u = bm\n", "the C7 witness joins B alone, not A | B"),
     # C9 from C8.
     ("properties.py", "space._hull_mask((1 << a) | (1 << b) | (1 << c))", "space._hull_mask((1 << a) | (1 << b))",
      "the C9 witness reads the hull of {a, b}, not of {a, b, c}"),
@@ -78,13 +80,16 @@ MUTANTS = [
      "sliced C1, C6 and D1 skip [a, a]"),
     ("sliced.py", "    for u in range(n - 1):\n", "    for u in range(n - 2):\n",
      "the sliced join skips the last u (convexity, C6..C9, hulls, D4)"),
-    ("sliced.py", "                    fail2 |= x & ~y\n", "", "sliced C2 never fails"),
-    ("sliced.py", "                fail8 |= _breach(n, ivl, tri)\n", "                fail8 |= _breach(n, ivl, ab)\n",
-     "sliced C8 tests the convexity of [a, b], not of [[a, b], {c}]"),
+    ("sliced.py", "            fail2 |= x & ~y\n", "", "sliced C2 never fails"),
+    ("sliced.py", "        fail8 |= _breach(n, ivl, tri)\n", "        fail8 |= _breach(n, ivl, ivl[bc])\n",
+     "sliced C8 tests the convexity of [b, c], not of [[a, b], {c}]"),
     ("sliced.py", "            fail6 |= conv & _intransitive(", "            fail6 |= _intransitive(",
      "sliced C6 tests the base order of non-convex sets too"),
-    ("sliced.py", "                both = conv_a & convex[bm]\n", "                both = conv_a\n",
+    ("sliced.py", "                pairs[am | bm] |= conv_a & convex[bm]\n", "                pairs[am | bm] |= conv_a\n",
      "sliced C7 pairs convex A with every B"),
+    ("sliced.py", "pairs[am | bm]", "pairs[bm]", "sliced C7 files each pair under B, not under A | B"),
+    ("sliced.py", "tuple(_join(n, ivl, batch.const(um)))", "batch.const(um)",
+     "sliced C7 tests whether the union U is convex, not [U, U]"),
     ("sliced.py", "                if c != b and abc:\n", "                if abc:\n",
      "sliced stiffness without c != b"),
     ("sliced.py", "            fail3 |= conv & _two_way(", "            fail3 |= _two_way(",
@@ -105,7 +110,7 @@ EQUIVALENT = [
      "sliced C4/C5 take C2's value: the transitivity theorem makes C2 = C3 on every space"),
     ("sliced.py", "return (d1, d2, d3, d4, d4), evaluated", "return (d1, d2, d3, d4, d3), evaluated",
      "sliced D5 takes D3's value: D3 = D4 on the interval-transitive spaces the evaluated mask keeps"),
-    ("sliced.py", "                    fail3 |= x ^ y\n", "                    fail3 |= x & ~y\n",
+    ("sliced.py", "            fail3 |= x ^ y\n", "            fail3 |= x & ~y\n",
      "sliced C3 tests one inclusion, which is C2: the transitivity theorem makes C2 = C3"),
     ("sliced.py", "c7, c8, c8)", "c7, c8, c2)",
      "sliced C9 takes C2's value: the transitivity theorem makes C2 = C8, whose value C9 takes"),

@@ -18,7 +18,7 @@ from ispaces.properties import (
 )
 
 import naive
-from conftest import space_strategy
+from conftest import deadline, space_strategy
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +214,13 @@ class TestFastPathOracles:
         convex = space._convex_masks()
         w7 = naive.convex_pairs_witness(space, tab)
         assert _mask_witness(_c7_witness(space, convex, set(convex))) == w7
+
+    def test_c7_cost_on_a_large_star(self):
+        # K_{1,11} has 2^11 + 12 convex sets, so about 2.1 million pairs
+        # A < B, but only 2,114 distinct unions A | B to join
+        space = I.geodesic_space_from_graph(I.complete_bipartite_graph(1, 11))
+        with deadline(5):
+            assert all(transitivity_conditions(space).values)
 
     @pytest.mark.parametrize(
         "space, witness",

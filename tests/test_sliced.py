@@ -11,9 +11,13 @@ from ispaces import (
     CapExceededError,
     ExhaustivePopulation,
     FreeOrbitEncoding,
+    Graph,
     SampledPopulation,
     antisymmetry_conditions,
+    complete_bipartite_graph,
+    geodesic_space_from_graph,
     interval_transitivity_witness,
+    path_graph,
     random_space,
     sliced,
     transitivity_conditions,
@@ -132,6 +136,37 @@ class TestAntisymmetrySlices:
         got = _sliced_antisymmetry(5, encodings)
         assert sum(v is not None for v in got) > 50
         assert got == _scalar_antisymmetry(5, encodings)
+
+
+class TestPastFivePoints:
+    """The kernels against the scalar path on spaces larger than the census
+    evaluates sliced (:data:`sliced.MAX_N`)."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            # Q_3 is interval-transitive, yet [U, U] is not convex for U = {1, 2, 4}:
+            # a C7 that skips the "A and B convex" premise fails it
+            Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1]),
+            complete_bipartite_graph(2, 4),
+            path_graph(7),
+            Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+        ],
+        ids=["Q_3", "K_2_4", "P_7", "C_6"],
+    )
+    def test_geodesic_models(self, graph):
+        space = geodesic_space_from_graph(graph)
+        n, encodings = space.n, [FreeOrbitEncoding(space.n).encode(space)]
+        assert _sliced_values(n, encodings) == _scalar_values(n, encodings)
+        assert _sliced_antisymmetry(n, encodings) == _scalar_antisymmetry(n, encodings)
+
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=3)
+    def test_six_point_batches(self, seed):
+        # the density sweep puts spaces on both sides of the hypothesis in the batch
+        encodings = list(SampledPopulation(6, seed=seed, count=200).encodings())
+        assert _sliced_values(6, encodings) == _scalar_values(6, encodings)
+        assert _sliced_antisymmetry(6, encodings) == _scalar_antisymmetry(6, encodings)
 
 
 class TestSlicedCensus:
