@@ -49,13 +49,15 @@ def over_budget(count: int, log2: int) -> bool:
     return (count > 0 and log2 >= WORK_BUDGET.bit_length()) or count << log2 > WORK_BUDGET
 
 
+#: How an over-budget message says to lift the budget; callers with no
+#: override (``find_separating``, ``ispaces search``) remove it.
+OVERRIDE_ADVICE = "; pass allow_large=True (--allow-large) to override"
+
+
 def budget_message(what: str, count: int, log2: int) -> str:
     """The one wording of an over-budget estimate, for errors and skip notes."""
     estimate = count << log2 if log2 < 64 else f"{count}*2^{log2}".removeprefix("1*")
-    return (
-        f"{what} takes an estimated {estimate} steps, over the work budget of {WORK_BUDGET}; "
-        "pass allow_large=True (--allow-large) to override"
-    )
+    return f"{what} takes an estimated {estimate} steps, over the work budget of {WORK_BUDGET}" + OVERRIDE_ADVICE
 
 
 def check_budget(what: str, count: int, log2: int, allow_large: bool = False) -> None:

@@ -32,7 +32,9 @@ from typing import Iterable, Iterator, Sequence
 
 from . import sliced
 from .core import (
+    OVERRIDE_ADVICE,
     BetweennessTable,
+    CapExceededError,
     FiniteIntervalSpace,
     _forced_bits,
     _triple_index,
@@ -130,25 +132,48 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
 
+def _check_density(density: float | None) -> None:
+    # None is the sweep; NaN fails both comparisons
+    if density is not None and not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must be in [0, 1], got {density}")
+
+
 def _sample_encodings(n: int, draws: Iterable[tuple[int, float]]) -> Iterator[int]:
     """The orbit encoding for each (seed, density) of ``draws``: orbit k is
-    set when draw k of a generator seeded with ``seed`` is below ``density``.
+    set when draw k of ``random.Random(seed).random()`` is below ``density``.
+    Callers check seeds and densities when they build a draw.
 
-    One generator is reseeded per sample, which draws the same stream as a
-    new ``random.Random(seed)`` without building one.
+    Draw k is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, where a and b are
+    the generator's 32-bit outputs 2k and 2k + 1; ``getrandbits(64 * m)``
+    returns the same outputs in order, output i in bits 32i..32i+31.  So one
+    call reads a sample's m draws, and the top byte t of each a settles its
+    draw against u = 256 * density in one ``bytes.translate``: '1' when
+    t + 1 <= u, '0' when t >= u.  Only t = floor(u) < u is a tie (about one
+    draw in 256), resolved exactly by comparing the integer numerator with
+    density * 2**53.
     """
     rng = random.Random()
-    reseed, draw = rng.seed, rng.random
-    orbits = range(_orbit_count(n))
+    # The C-level seed: the same stream for int seeds, without the Python wrapper.
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
+    m = _orbit_count(n)
     for seed, density in draws:
-        _check_seed(seed)
-        if not 0.0 <= density <= 1.0:
-            raise ValueError(f"density must be in [0, 1], got {density}")
         reseed(seed)
-        bits = ["1" if draw() < density else "0" for _ in orbits]
+        raw = getrandbits(64 * m).to_bytes(8 * m, "little")
+        u = 256 * density
+        low = int(u)
+        tie = low < u
+        bits = raw[3::8].translate(b"1" * low + b"X" * tie + b"0" * (256 - low - tie))
+        k = bits.find(b"X")
+        if k >= 0:
+            bits = bytearray(bits)
+            threshold = density * 2**53
+            while k >= 0:
+                a = int.from_bytes(raw[8 * k : 8 * k + 4], "little")
+                b = int.from_bytes(raw[8 * k + 4 : 8 * k + 8], "little")
+                bits[k] = b"01"[(a >> 5) * 2**26 + (b >> 6) < threshold]
+                k = bits.find(b"X", k + 1)
         # Draw k is bit k; one parse, where ORing each bit in would be quadratic.
-        bits.reverse()
-        yield int("".join(bits) or "0", 2)
+        yield int(bits[::-1] or b"0", 2)
 
 
 def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
@@ -157,6 +182,8 @@ def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
 
     Deterministic in (n, seed, density); independent of any global state.
     """
+    _check_seed(seed)
+    _check_density(density)
     return next(_sample_encodings(n, ((seed, density),)))
 
 
@@ -221,6 +248,7 @@ class SampledPopulation(Population):
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
+        _check_density(self.density)
 
     def size(self) -> int:
         return self.count
@@ -526,6 +554,7 @@ def find_separating(
     if max_spaces < 0:
         raise ValueError("max_spaces must be nonnegative")
     _check_seed(seed)
+    _check_density(density)
     ns = tuple(ns)
     if not ns:
         raise ValueError("ns must list at least one size")
@@ -534,7 +563,11 @@ def find_separating(
             (population, s, e, tuple(want), tuple(want_not))
             for s, e in _partition(count, workers)
         ]
-        hits = _run_chunks(_search_chunk, args_list, workers)
+        try:
+            hits = _run_chunks(_search_chunk, args_list, workers)
+        except CapExceededError as exc:
+            # the witnesses run within the budget, and no caller can lift it here
+            raise CapExceededError(str(exc).removesuffix(OVERRIDE_ADVICE)) from None
         for hit in hits:
             if hit is not None:
                 return next(population.spaces(hit, hit + 1))[1]

@@ -100,6 +100,13 @@ MUTANTS = [
      "sliced two-way pairs skip y = x + 1 (D1, D3)"),
     ("sliced.py", "    d1, d2, d3, d4 = (evaluated & ~f", "    d1, d2, d3, d4 = (full & ~f",
      "sliced D1..D4 without the evaluated mask"),
+    # The sampler.
+    ("search.py", "        low = int(u)\n", "        low = int(u) + 1\n",
+     "the sampler's byte table ends its '1' run one byte late: t = floor(u) reads '1'"),
+    ("search.py", 'b"X" * tie', 'b"0" * tie', "the sampler reads tied draws as '0' without resolving them"),
+    ("search.py", "(a >> 5) * 2**26 + (b >> 6) < threshold", "(b >> 5) * 2**26 + (a >> 6) < threshold",
+     "the sampler resolves a tie with the words a and b swapped"),
+    ("search.py", "raw[3::8]", "raw[7::8]", "the sampler's byte table reads the top byte of b, not of a"),
     # The census.
     ("search.py", "        values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]\n",
      "", "the census does not blank the skipped slices"),

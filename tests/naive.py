@@ -6,6 +6,7 @@ with the library's bit-mask scans, so agreement between the two routes is
 evidence, not tautology.  Sizes are expected to stay small (n <= 5 or so).
 """
 
+import random
 from itertools import combinations, product
 
 
@@ -608,3 +609,12 @@ def witness_falsifies(space, name, witness):
             and entails(space, members, y, x)
         )
     raise ValueError(f"no replay rule for {name!r}")
+
+
+def sample_encoding(n, seed, density):
+    """The sampler's definition: one orbit per triple of distinct points up
+    to reversal, and orbit k set iff draw k of a new ``random.Random(seed)``
+    is below ``density``."""
+    rng = random.Random(seed)
+    orbits = sum(1 for a, b, c in product(range(n), repeat=3) if len({a, b, c}) == 3 and a < c)
+    return sum(1 << k for k in range(orbits) if rng.random() < density)

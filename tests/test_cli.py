@@ -595,6 +595,17 @@ class TestCommands:
         )
         assert code == 0 and "found: false" in out
 
+    def test_search_over_budget_gives_no_override_advice(self, capsys):
+        # search has no --allow-large, so its budget error names none
+        code, out, err = run_cli(
+            capsys, "search", "--ns", "17", "--max-spaces", "1", "--want", "antiexchange", "--density", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: enumerating the 2^17 subsets takes an estimated 37879808 steps, "
+            "over the work budget of 33554432\n"
+        )
+
     def test_search_unknown_property(self, capsys):
         code, _, err = run_cli(capsys, "search", "--want", "nonsense", "--max-spaces", "5")
         assert code == 2 and "unknown property" in err

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import random
 import tracemalloc
 from collections import Counter
 
@@ -27,6 +29,7 @@ from ispaces.search import (
     FreeOrbitEncoding,
     _partition,
     _pool_size,
+    _sample_encodings,
     _search_plan,
     random_encoding,
 )
@@ -152,6 +155,50 @@ class TestSampler:
             assert list(pop.encodings(start, stop)) == [
                 random_encoding(5, 40 + i, pop.density_at(i)) for i in range(start, stop)
             ]
+
+    # The sweep grid, the ends (the int 1 too), 0.5 and 77/256 (u = 256 * density
+    # an integer: no ties), and the smallest and largest floats inside (0, 1).
+    DENSITIES = [i / 100 for i in range(101)] + [0.0, 1.0, 1, 0.5, 77 / 256, 5e-324, math.nextafter(1, 0)]
+    # 2^32 and above take multi-word keys in the Mersenne Twister seeding.
+    SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 3, 10**30)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_naive_oracle(self, n):
+        # n <= 2 has no orbits; every encoding is 0
+        draws = [(seed, d) for d in self.DENSITIES for seed in self.SEEDS]
+        assert list(_sample_encodings(n, draws)) == [naive.sample_encoding(n, s, d) for s, d in draws]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**80), st.floats(0.0, 1.0))
+    def test_matches_naive_oracle_hypothesis(self, n, seed, density):
+        assert random_encoding(n, seed, density) == naive.sample_encoding(n, seed, density)
+
+    def test_tied_draws_are_resolved_both_ways(self):
+        # A draw is tied when it shares its top byte with density: 256 * draw
+        # and 256 * density have the same floor, and 256 * density is not an
+        # integer.  The n = 5 sweep has such draws, set and unset, and every
+        # sample with one still matches the oracle.
+        population = SampledPopulation(5, 0, 2000)
+        tied = {True: 0, False: 0}
+        for i, encoding in enumerate(population.encodings()):
+            d = population.density_at(i)
+            rng = random.Random(i)
+            for x in (rng.random() for _ in range(30)):
+                if int(256 * x) == int(256 * d) < 256 * d:
+                    tied[x < d] += 1
+                    assert encoding == naive.sample_encoding(5, i, d)
+        assert tied[True] > 0 and tied[False] > 0
+
+    @pytest.mark.parametrize("density", [2.0, -0.1, 1.0000000000000002, math.nan, math.inf])
+    def test_bad_density_is_refused_up_front(self, density):
+        # every entry point checks before anything is drawn
+        with pytest.raises(ValueError, match=r"density must be in \[0, 1\]"):
+            SampledPopulation(5, 0, 10, density)
+        with pytest.raises(ValueError, match=r"density must be in \[0, 1\]"):
+            random_encoding(5, 0, density)
+        # n = 3 is exhaustive: the search would draw no sample at all
+        with pytest.raises(ValueError, match=r"density must be in \[0, 1\]"):
+            find_separating(["stiff"], [], ns=(3,), density=density)
 
     def test_negative_seed_is_refused(self):
         # random seeds with abs(seed): seeds -10..9 gave 11 distinct samples of 20
