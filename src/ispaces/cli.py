@@ -336,10 +336,10 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_interval(args: argparse.Namespace) -> tuple[int, dict]:
     space = load(args.file)
-    for i in (args.a, args.c):
-        if not 0 <= i < space.n:
-            raise UsageError(f"point id {i} out of range [0, {space.n})")
-    result = space.interval(args.a, args.c)
+    try:
+        result = space.interval(args.a, args.c)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return 0, {"command": "interval", "file": args.file, "n": space.n,
                "a": args.a, "c": args.c, "result": result}
 
@@ -366,9 +366,10 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     if (args.point is None) == (args.set is None):
         raise UsageError("order needs exactly one of --point ID or --set LIST")
     if args.point is not None:
-        if not 0 <= args.point < space.n:
-            raise UsageError(f"point id {args.point} out of range [0, {space.n})")
-        relation = space.base_point_order(args.point)
+        try:
+            relation = space.base_point_order(args.point)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         base: dict[str, Any] = {"point": args.point}
     else:
         base_set = parse_point_set(args.set, space.n)

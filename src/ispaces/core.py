@@ -573,21 +573,11 @@ class FiniteIntervalSpace:
         return PointSet(self.n, self._ivl[a * self.n + c])
 
     def set_between(self, a_set: PointSet, x: int, c_set: PointSet) -> bool:
-        """Whether <a, x, c> holds for some a in a_set, c in c_set."""
+        """Whether <a, x, c> holds for some a in a_set, c in c_set: x is in [A, C]."""
         self._check_set(a_set)
         self._check_set(c_set)
         _check_point(self.n, x)
-        n = self.n
-        fwd = self._fwd
-        rest = a_set.mask
-        cm = c_set.mask
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            rest ^= low
-            if fwd[a * n + x] & cm:
-                return True
-        return False
+        return self._set_interval_mask(a_set.mask, c_set.mask) >> x & 1 == 1
 
     def set_interval(self, a_set: PointSet, c_set: PointSet) -> PointSet:
         """[A, C]: points between some a in A and some c in C."""

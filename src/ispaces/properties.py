@@ -26,7 +26,8 @@ whether they are reported is :func:`semigroup_reported`'s decision.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from itertools import tee
+from typing import Callable, Iterable, Iterator
 
 from .core import FiniteIntervalSpace, PointSet, _first_breach, budget_message, over_budget, record
 from .closure import (
@@ -149,30 +150,30 @@ class ConditionVector:
         return len(set(self.values)) <= 1
 
 
-def _c2_c3_witnesses(space: FiniteIntervalSpace, triangles: list[int]) -> tuple[tuple | None, tuple | None]:
-    """Witnesses for [{a},[b,c]] <= [[a,b],{c}] and for equality of the two.
+def _triangle_breaches(space: FiniteIntervalSpace, triangles: list[int]) -> Iterator[tuple[int, int, int, int, int]]:
+    """(a, b, c, lhs, rhs) for every (a, b, c), ascending, where
+    lhs = [{a},[b,c]] and rhs = [[a,b],{c}] differ.
 
     ``triangles`` holds [[a,b],{c}] at (a*n + b)*n + c (:func:`_triangle_masks`);
     by middle symmetry [{a},[b,c]] = [[b,c],{a}] is at (b*n + c)*n + a.
     """
     n = space.n
-    w2 = w3 = None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs = triangles[(b * n + c) * n + a]
-                rhs = triangles[(a * n + b) * n + c]
-                if w2 is None:
-                    extra = lhs & ~rhs
-                    if extra:
-                        w2 = (a, b, c, (extra & -extra).bit_length() - 1)
-                if w3 is None:
-                    diff = lhs ^ rhs
-                    if diff:
-                        w3 = (a, b, c, (diff & -diff).bit_length() - 1)
-                if w2 is not None and w3 is not None:
-                    return (w2, w3)
-    return (w2, w3)
+    for index, rhs in enumerate(triangles):
+        a, bc = divmod(index, n * n)
+        lhs = triangles[bc * n + a]
+        if lhs != rhs:
+            yield (a, *divmod(bc, n), lhs, rhs)
+
+
+def _peano_witness(breaches: Iterable[tuple[int, int, int, int, int]], inclusion: bool) -> tuple | None:
+    """The first (a, b, c, x) of a stream of triangle breaches with x in
+    [{a},[b,c]] outside [[a,b],{c}] (C2, ``inclusion``) or in exactly one
+    of the two (C3), x smallest."""
+    for a, b, c, lhs, rhs in breaches:
+        diff = lhs & ~rhs if inclusion else lhs ^ rhs
+        if diff:
+            return (a, b, c, (diff & -diff).bit_length() - 1)
+    return None
 
 
 def _c6_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:
@@ -263,8 +264,10 @@ def transitivity_conditions(space: FiniteIntervalSpace, *, allow_large: bool = F
     convex_set = set(convex)
     triangles = _triangle_masks(space)
     witnesses = {"C1": interval_transitivity_witness(space)}
-    witnesses["C2"], witnesses["C3"] = _c2_c3_witnesses(space, triangles)
-    w3 = witnesses["C3"]
+    # C3 fails at the first triangle breach and C2 at it or later: one pass, read twice.
+    c2_stream, c3_stream = tee(_triangle_breaches(space, triangles))
+    witnesses["C3"] = w3 = _peano_witness(c3_stream, False)
+    witnesses["C2"] = _peano_witness(c2_stream, True)
     witnesses["C4"] = witnesses["C5"] = None if w3 is None else (*(PointSet(space.n, 1 << p) for p in w3[:3]), w3[3])
     witnesses["C6"] = _c6_witness(space, convex)
     witnesses["C7"] = _c7_witness(space, convex, convex_set)
@@ -334,20 +337,11 @@ def antisymmetry_conditions(
 
 def base_interval_transitivity_prop_witness(space: FiniteIntervalSpace) -> tuple | None:
     """Smallest (a, b, c, x) breaking: base order of [a,b] transitive implies
-    [{a},[b,c]] <= [[a,b],{c}].  None on every interval space."""
-    n = space.n
-    ivl = space._ivl
-    triangles = _triangle_masks(space)
-    for a in range(n):
-        for b in range(n):
-            if space._order_transitivity_breach(ivl[a * n + b]) is not None:
-                continue
-            for c in range(n):
-                # [{a},[b,c]] is [[b,c],{a}] by middle symmetry
-                extra = triangles[(b * n + c) * n + a] & ~triangles[(a * n + b) * n + c]
-                if extra:
-                    return (a, b, c, (extra & -extra).bit_length() - 1)
-    return None
+    [{a},[b,c]] <= [[a,b],{c}].  None on every interval space: the first C2
+    breach whose [a, b] has a transitive base order."""
+    n, ivl = space.n, space._ivl
+    breaches = _triangle_breaches(space, _triangle_masks(space))
+    return _peano_witness((t for t in breaches if space._order_transitivity_breach(ivl[t[0] * n + t[1]]) is None), True)
 
 
 def base_interval_antisymmetry_prop_witness(space: FiniteIntervalSpace) -> tuple | None:

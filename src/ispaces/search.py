@@ -57,7 +57,7 @@ from .properties import (
 def _orbit_count(n: int) -> int:
     """Free orbits on n points, without building the encoding: an exhaustive
     population has 2^orbits spaces (2^30 at n = 5).  A size below 1 counts 0,
-    so it reaches the encoding's own error."""
+    so it reaches the population's own error."""
     return max(0, n * (n - 1) * (n - 2) // 2)
 
 
@@ -71,8 +71,7 @@ class FreeOrbitEncoding:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one point")
+        _check_n(n)
         self.n = n
         self.orbits: tuple[tuple[int, int, int], ...] = tuple(
             (a, b, c)
@@ -124,6 +123,11 @@ def enumerate_spaces(n: int, *, allow_large: bool = False) -> Iterator[FiniteInt
     """All valid spaces on n labeled points, in ascending encoding order."""
     for _, space in ExhaustivePopulation(n, allow_large).spaces():
         yield space
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one point")
 
 
 def _check_seed(seed: int) -> None:
@@ -182,6 +186,7 @@ def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
 
     Deterministic in (n, seed, density); independent of any global state.
     """
+    _check_n(n)
     _check_seed(seed)
     _check_density(density)
     return next(_sample_encodings(n, ((seed, density),)))
@@ -216,6 +221,9 @@ class ExhaustivePopulation(Population):
     n: int
     allow_large: bool = False
 
+    def __post_init__(self) -> None:
+        _check_n(self.n)
+
     def size(self) -> int:
         return 1 << _orbit_count(self.n)
 
@@ -247,8 +255,11 @@ class SampledPopulation(Population):
     density: float | None = None
 
     def __post_init__(self) -> None:
+        _check_n(self.n)
         _check_seed(self.seed)
         _check_density(self.density)
+        if self.count < 0:
+            raise ValueError(f"count must be nonnegative, got {self.count}")
 
     def size(self) -> int:
         return self.count
@@ -511,10 +522,9 @@ def _search_plan(
     plan: list[tuple[Population, int]] = []
     remaining = max_spaces
     for n in exhaustive:
-        population = ExhaustivePopulation(n)
-        k = min(remaining, population.size())
+        k = min(remaining, 1 << _orbit_count(n))
         if k > 0:
-            plan.append((population, k))
+            plan.append((ExhaustivePopulation(n), k))
             remaining -= k
     sampled = [m for m in sizes if m not in exhaustive]
     if sampled and remaining > 0:

@@ -21,12 +21,12 @@ scalar path stays the reference and the only source of witnesses.  Every
 space of a batch is valid, so the evaluation uses two axioms to halve
 scans: [u, v] = [v, u] (middle symmetry) and [u, u] = {u} (thinness).  So
 C1, C6 and D1 scan the intervals [a, b] with a <= b, and the convexity
-test and the hull share one join over u < v.  The sets [[a, b], {c}] are
+test and C7 share one join over u < v.  The sets [[a, b], {c}] are
 built once, for C2, C3 and C8 alike.  C7 joins each union U = A | B of
 convex A < B once: for nonempty convex A and B, [A, B] = [U, U], since
 [a, b] holds a and b (endpoint reflexivity), [A, A] = A and [B, B] = B.
-D4 takes cl(A + {x}) from the sliced hull, where the scalar path
-intersects the closed supersets.
+D4 takes cl(A + {x}) as the intersection of the closed supersets, as the
+scalar path does, so every sliced condition has its scalar twin's formula.
 """
 
 from __future__ import annotations
@@ -145,15 +145,6 @@ def _two_way(n: int, rows: list[list[int]], s: SliceSet) -> int:
             if both:
                 out |= both & outside_x
     return out
-
-
-def _hull(n: int, ivl: list[SliceSet], s: SliceSet) -> SliceSet:
-    """Least fixpoint of S -> S | [S, S], for every space of the batch."""
-    while True:
-        grown = tuple(map(or_, s, _join(n, ivl, s)))
-        if grown == s:
-            return s
-        s = grown
 
 
 class _Batch:
@@ -294,18 +285,24 @@ def antisymmetry_slices(n: int, slices: Sequence[int]) -> tuple[tuple[int, ...],
             fail3 |= conv & _two_way(n, batch.rows(const), const)
 
     # D4 (antiexchange): for closed A and x < y outside A, y in cl(A + {x})
-    # and x in cl(A + {y}) never both hold.  cl is the hull here, not the
-    # intersection of closed supersets the scalar path takes.
-    hulls = [_hull(n, batch.ivl, batch.const(m)) for m in range(1 << n)]
+    # and x in cl(A + {y}) never both hold.  cl(M) is the intersection of the
+    # closed supersets of M, as in the scalar path: excluded[M][y] collects
+    # the spaces where some convex superset of M leaves y out, from each
+    # convex C by one pass over the supersets, a bit at a time.
+    excluded = [[0 if cm >> y & 1 else conv for y in pts] for cm, conv in enumerate(convex)]
+    for b in pts:
+        for m in range(1 << n):
+            if not m >> b & 1:
+                excluded[m] = list(map(or_, excluded[m], excluded[m | 1 << b]))
     fail4 = 0
     for am, closed in enumerate(convex):
         if closed:
             for x in pts:
                 if not am >> x & 1:
-                    hull_x = hulls[am | 1 << x]
+                    out_x = excluded[am | 1 << x]
                     for y in range(x + 1, n):
                         if not am >> y & 1:
-                            fail4 |= closed & hull_x[y] & hulls[am | 1 << y][x]
+                            fail4 |= closed & ~(out_x[y] | excluded[am | 1 << y][x])
 
     # D5 (antimatroid): antiexchange, and the empty set is closed, which it
     # always is; so D5 takes D4's value, as in the scalar path.

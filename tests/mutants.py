@@ -4,16 +4,17 @@
     python tests/mutants.py 3 7        # run mutants 3 and 7 (numbers as printed)
 
 Each mutant is (file under ``src/ispaces``, exact old text, new text,
-reason).  For each one the script copies ``src/``, ``tests/`` and
+reason), optionally followed by the test files that kill it when they are
+not ``TESTS``.  For each one the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, replaces the old text, which
-must occur exactly once, and runs ``TESTS`` there (pytest's ``pythonpath``
-setting then points at the mutated copy).  A mutant is *killed* when the
+must occur exactly once, and runs its test files there (pytest's
+``pythonpath`` setting then points at the mutated copy).  A mutant is *killed* when the
 tests fail and *survives* when they pass; the time taken is printed with it.
 
 ``MUTANTS`` must all be killed.  ``EQUIVALENT`` lists edits that the axioms
 or the two theorems make unobservable, each with the reason: they must
 survive, and each names a scan that a simplification could drop.  The
-unmutated copy runs first and must pass.  The exit status is 0 when every
+unmutated copy runs first, with every test file named, and must pass.  The exit status is 0 when every
 verdict is the expected one, 1 otherwise, and 2 when the unmutated tests
 fail.  pytest does not collect this file (its name does not start with
 ``test_``); it needs only the standard library, pytest and hypothesis.
@@ -56,7 +57,8 @@ MUTANTS = [
     ("closure.py", "rows = [self._cl_mask(a_mask | (1 << x))", "rows = [(a_mask | (1 << x))",
      "antiexchange rows without cl"),
     # C4/C5 from C3, D5 from D4.
-    ("properties.py", '    w3 = witnesses["C3"]\n', '    w3 = witnesses["C2"]\n', "C4/C5 wrap C2's witness"),
+    ("properties.py", '    witnesses["C2"] = _peano_witness(c2_stream, True)\n',
+     '    witnesses["C2"] = w3 = _peano_witness(c2_stream, True)\n', "C4/C5 wrap C2's witness"),
     ("properties.py", "for p in w3[:3]), w3[3])", "for p in (w3[0], w3[2], w3[1])), w3[3])",
      "C4/C5 swap b and c in C3's witness"),
     ("properties.py", "PointSet(space.n, 1 << p) for p in w3[:3]", "PointSet(space.n, p) for p in w3[:3]",
@@ -79,7 +81,7 @@ MUTANTS = [
     ("sliced.py", "for a in pts for b in range(a, n)]", "for a in pts for b in range(a + 1, n)]",
      "sliced C1, C6 and D1 skip [a, a]"),
     ("sliced.py", "    for u in range(n - 1):\n", "    for u in range(n - 2):\n",
-     "the sliced join skips the last u (convexity, C6..C9, hulls, D4)"),
+     "the sliced join skips the last u (convexity, C6..C9, D3, D4)"),
     ("sliced.py", "            fail2 |= x & ~y\n", "", "sliced C2 never fails"),
     ("sliced.py", "        fail8 |= _breach(n, ivl, tri)\n", "        fail8 |= _breach(n, ivl, ivl[bc])\n",
      "sliced C8 tests the convexity of [b, c], not of [[a, b], {c}]"),
@@ -94,7 +96,12 @@ MUTANTS = [
      "sliced stiffness without c != b"),
     ("sliced.py", "            fail3 |= conv & _two_way(", "            fail3 |= _two_way(",
      "sliced D3 without its convex[M] mask"),
-    ("sliced.py", "hulls[am | 1 << y][x]", "hulls[am | 1 << y][y]", "sliced D4 reads the wrong hull entry"),
+    ("sliced.py", "excluded[m] = list(map(or_, excluded[m], excluded[m | 1 << b]))", "pass",
+     "sliced D4 skips the superset pass: cl(M) is M when M is convex, else every point"),
+    ("sliced.py", "excluded[am | 1 << y][x]", "excluded[am | 1 << y][y]",
+     "sliced D4 reads the wrong excluded entry: y is in cl(A + {y}), so only y in cl(A + {x}) is tested"),
+    ("sliced.py", "[0 if cm >> y & 1 else conv for y in pts]", "[conv if cm >> y & 1 else 0 for y in pts]",
+     "sliced D4 starts from the points each convex C holds, not from those it leaves out"),
     ("sliced.py", "        for y in range(x + 1, n):\n            both = row_x[y] & rows[y][x]\n",
      "        for y in range(x + 2, n):\n            both = row_x[y] & rows[y][x]\n",
      "sliced two-way pairs skip y = x + 1 (D1, D3)"),
@@ -107,6 +114,31 @@ MUTANTS = [
     ("search.py", "(a >> 5) * 2**26 + (b >> 6) < threshold", "(b >> 5) * 2**26 + (a >> 6) < threshold",
      "the sampler resolves a tie with the words a and b swapped"),
     ("search.py", "raw[3::8]", "raw[7::8]", "the sampler's byte table reads the top byte of b, not of a"),
+    # C2, C3 and the transitivity proposition from one stream of triangle breaches.
+    ("properties.py", "_peano_witness(c2_stream, True)", "_peano_witness(c2_stream, False)",
+     "C2 takes C3's test, a point in exactly one side"),
+    ("properties.py", "_peano_witness(c2_stream, True)", "_peano_witness(c3_stream, True)",
+     "C2 reads the stream after C3, so it skips the first triangle breach"),
+    ("properties.py", "if lhs != rhs:", "if lhs & ~rhs:", "the stream keeps only C2 breaches, so C3 reads one inclusion"),
+    ("properties.py", "ivl[t[0] * n + t[1]]) is None)", "ivl[t[0] * n + t[1]]) is not None)",
+     "the transitivity proposition keeps the breaches whose [a, b] is intransitive"),
+    ("core.py", "self._set_interval_mask(a_set.mask, c_set.mask) >> x", "self._set_interval_mask(a_set.mask, a_set.mask) >> x",
+     "set_between reads [A, A], not [A, C]", ("tests/test_core.py",)),
+    # core.record, and the ispace writer.
+    ("core.py", "        if other.__class__ is self.__class__:\n", "        if hasattr(other, '__dict__'):\n",
+     "record equality holds across classes with the same fields", ("tests/test_core.py",)),
+    ("core.py", "return hash(values(self))", "return hash(getattr(self, fields[0]))",
+     "record hash reads the first field only", ("tests/test_core.py",)),
+    ("core.py", "raise AttributeError(f\"cannot assign to field {name!r}\")", "object.__setattr__(self, name, value)",
+     "records are not frozen", ("tests/test_core.py",)),
+    ("core.py", "        if post_init:\n            self.__post_init__()\n", "",
+     "records skip __post_init__", ("tests/test_core.py",)),
+    ("core.py", "if cls.__dict__.get(member.__name__) is None:", "if True:",
+     "record overwrites the dunders the class defines itself", ("tests/test_core.py",)),
+    ("core.py", "defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}", "defaults = {}",
+     "record ignores the class attributes as defaults", ("tests/test_core.py",)),
+    ("cli.py", "if a < c and b != a and b != c]", "if a < c and b != a]",
+     "format_ispace writes the forced triples <a, c, c> too", ("tests/test_cli.py",)),
     # The census.
     ("search.py", "        values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]\n",
      "", "the census does not blank the skipped slices"),
@@ -121,10 +153,16 @@ EQUIVALENT = [
      "sliced C3 tests one inclusion, which is C2: the transitivity theorem makes C2 = C3"),
     ("sliced.py", "c7, c8, c8)", "c7, c8, c2)",
      "sliced C9 takes C2's value: the transitivity theorem makes C2 = C8, whose value C9 takes"),
+    ("core.py", "self._set_interval_mask(a_set.mask, c_set.mask) >> x", "self._set_interval_mask(c_set.mask, a_set.mask) >> x",
+     "set_between reads [C, A]: [a, c] = [c, a] by middle symmetry, so [A, C] = [C, A]", ("tests/test_core.py",)),
 ]
 
 
-def _run(edit: tuple[str, str, str, str] | None) -> tuple[str, float]:
+def _tests(edit: tuple) -> tuple[str, ...]:
+    return edit[4] if len(edit) > 4 else TESTS
+
+
+def _run(edit: tuple | None, tests: tuple[str, ...]) -> tuple[str, float]:
     """'killed', 'survived' or 'stale' (the old text does not occur exactly once), and the seconds taken."""
     with tempfile.TemporaryDirectory(prefix="ispaces-mutant-") as tmp:
         work = Path(tmp)
@@ -138,7 +176,7 @@ def _run(edit: tuple[str, str, str, str] | None) -> tuple[str, float]:
                 return "stale", 0.0
             target.write_text(text.replace(edit[1], edit[2]), encoding="utf-8")
         command = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--hypothesis-seed=0", *TESTS]
+                   "--hypothesis-seed=0", *tests]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         start = time.perf_counter()
         try:
@@ -152,7 +190,7 @@ def _run(edit: tuple[str, str, str, str] | None) -> tuple[str, float]:
 def main(argv: list[str]) -> int:
     plan = [(m, "killed") for m in MUTANTS] + [(m, "survived") for m in EQUIVALENT]
     chosen = [int(a) for a in argv] if argv else range(1, len(plan) + 1)
-    status, seconds = _run(None)
+    status, seconds = _run(None, tuple(sorted({t for m, _ in plan for t in _tests(m)})))
     print(f"unmutated    {seconds:6.1f} s  {'pass' if status == 'survived' else 'FAIL'}", flush=True)
     if status != "survived":
         return 2
@@ -160,7 +198,7 @@ def main(argv: list[str]) -> int:
     total = time.perf_counter()
     for number in chosen:
         mutant, expected = plan[number - 1]
-        status, seconds = _run(mutant)
+        status, seconds = _run(mutant, _tests(mutant))
         mark = "" if status == expected else "  <-- expected " + expected
         wrong += status != expected
         kind = "equivalent: " if expected == "survived" else ""

@@ -245,6 +245,38 @@ def peano_equal(space):  # C3
     )
 
 
+def peano_witnesses(space):  # C2 and C3, in the library's scan order
+    """The smallest (a, b, c, x) with x in [{a},[b,c]] and not in [[a,b],{c}],
+    and the smallest with x in exactly one of the two."""
+    w2 = w3 = None
+    for a, b, c in product(points(space), repeat=3):
+        lhs = set_interval(space, {a}, interval(space, b, c))
+        rhs = set_interval(space, interval(space, a, b), {c})
+        if w2 is None and lhs - rhs:
+            w2 = (a, b, c, min(lhs - rhs))
+        if w3 is None and lhs ^ rhs:
+            w3 = (a, b, c, min(lhs ^ rhs))
+    return w2, w3
+
+
+def base_transitive(space, base):
+    return all(
+        not (base_holds(space, base, x, y) and base_holds(space, base, y, z)) or base_holds(space, base, x, z)
+        for x, y, z in product(points(space), repeat=3)
+    )
+
+
+def base_interval_transitivity_prop_witness(space):
+    """The smallest (a, b, c, x): the base order of [a, b] is transitive,
+    and x is in [{a},[b,c]] but not in [[a,b],{c}]."""
+    for a, b, c in product(points(space), repeat=3):
+        base = interval(space, a, b)
+        extra = set_interval(space, {a}, interval(space, b, c)) - set_interval(space, base, {c})
+        if extra and base_transitive(space, base):
+            return (a, b, c, min(extra))
+    return None
+
+
 def associative(space):  # C4
     subs = subsets(space)
     return all(

@@ -444,6 +444,17 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "order", l3_file, "--set", "0,1")
         assert code == 0 and "reflexive: true" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (("interval", "{k23}", "2", "5"), "point id 5 out of range [0, 5)"),
+        (("interval", "{k23}", "-1", "0"), "point id -1 out of range [0, 5)"),
+        (("order", "{l3}", "--point", "3"), "point id 3 out of range [0, 3)"),
+        (("order", "{l3}", "--point", "-2"), "point id -2 out of range [0, 3)"),
+    ], ids=["interval-high", "interval-negative", "order-high", "order-negative"])
+    def test_point_id_out_of_range_exits_two(self, capsys, k23_file, l3_file, argv, message):
+        argv = [t.format(k23=k23_file, l3=l3_file) for t in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_order_requires_one_base(self, capsys, l3_file):
         code, _, err = run_cli(capsys, "order", l3_file)
         assert code == 2 and "exactly one" in err

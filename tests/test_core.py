@@ -188,6 +188,13 @@ class TestSetOperators:
             space, a_set.members, c_set.members
         )
 
+    @given(space_with_masks(max_n=4, masks=2))
+    def test_set_between_against_naive(self, case):
+        space, am, cm = case
+        a_set, c_set = PointSet(space.n, am), PointSet(space.n, cm)
+        for x in range(space.n):
+            assert space.set_between(a_set, x, c_set) == naive.set_between(space, a_set.members, x, c_set.members)
+
     @given(space_with_masks(masks=2))
     def test_commutative(self, case):
         space, am, cm = case

@@ -238,6 +238,57 @@ class TestFastPathOracles:
         assert _mask_witness(witnesses.get("C4")) == _mask_witness(witnesses.get("C5")) == witness
 
 
+def _symmetric_tables(max_n=5):
+    """Spaces built without the axiom check from tables with <a, x, c> iff
+    <c, x, a>, the one axiom the triangle masks rely on: past the other
+    axioms the propositions can fail."""
+
+    def for_n(n):
+        keys = [(a, x, c) for a in range(n) for x in range(n) for c in range(a, n)]
+
+        def build(chosen):
+            table = BetweennessTable.from_function(n, lambda a, x, c: (min(a, c), x, max(a, c)) in chosen)
+            return I.FiniteIntervalSpace._trusted(table)
+
+        return st.frozensets(st.sampled_from(keys)).map(build)
+
+    return st.integers(1, max_n).flatmap(for_n)
+
+
+class TestTriangleBreaches:
+    """C2, C3 and the transitivity proposition read one stream of triangle
+    breaches; each against its own plain scan."""
+
+    @staticmethod
+    def _check(space):
+        witnesses = transitivity_conditions(space).witnesses
+        assert (witnesses.get("C2"), witnesses.get("C3")) == naive.peano_witnesses(space)
+        assert I.base_interval_transitivity_prop_witness(space) is None
+
+    def test_every_space_up_to_three_points(self):
+        for n in range(1, 4):
+            for space in I.enumerate_spaces(n):
+                self._check(space)
+
+    @given(space_strategy(min_n=4, max_n=5))
+    @settings(max_examples=60)
+    def test_sampled(self, space):
+        self._check(space)
+
+    def test_c2_can_fail_after_c3(self):
+        # the one pass must run on past C3's triple to find C2's
+        space = I.FreeOrbitEncoding(4).decode(96)
+        assert naive.peano_witnesses(space) == ((2, 2, 1, 3), (1, 2, 2, 3))
+        witnesses = transitivity_conditions(space).witnesses
+        assert (witnesses["C2"], witnesses["C3"]) == ((2, 2, 1, 3), (1, 2, 2, 3))
+
+    @given(_symmetric_tables())
+    @settings(max_examples=150)
+    def test_proposition_on_symmetric_tables(self, space):
+        got = I.base_interval_transitivity_prop_witness(space)
+        assert got == naive.base_interval_transitivity_prop_witness(space)
+
+
 class TestTriangleWitnesses:
     """C8 (skip of convex [[a,b],{c}]) and C9 (one hull per point set) against plain scans."""
 

@@ -210,6 +210,24 @@ class TestSampler:
             find_separating(["stiff"], [], ns=(3,), seed=-1)
         assert len(set(SampledPopulation(5, 0, 20, 0.5).encodings())) == 20
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_no_points_is_refused(self, n):
+        # each of these once drew or described a space on no points
+        for build in (
+            lambda: random_encoding(n, 0),
+            lambda: random_encoding(n, 1, 1.0),
+            lambda: SampledPopulation(n, 0, 3),
+            lambda: ExhaustivePopulation(n),
+        ):
+            with pytest.raises(ValueError, match="need at least one point"):
+                build()
+
+    def test_negative_count_is_refused(self):
+        # a census of SampledPopulation(5, 0, -3) reported "spaces": -3
+        with pytest.raises(ValueError, match="count must be nonnegative, got -3"):
+            SampledPopulation(5, 0, -3)
+        assert list(SampledPopulation(5, 0, 0).encodings()) == []
+
 
 class TestPopulations:
     def test_sampled_slicing_is_consistent(self):

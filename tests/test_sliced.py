@@ -168,6 +168,19 @@ class TestPastFivePoints:
         assert _sliced_values(6, encodings) == _scalar_values(6, encodings)
         assert _sliced_antisymmetry(6, encodings) == _scalar_antisymmetry(6, encodings)
 
+    @pytest.mark.parametrize("density", [0.0, 0.02, 1.0, None], ids=["every-subset-convex", "sparse", "full", "sweep"])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_antisymmetry_past_six_points(self, n, density):
+        # D4's closed supersets are gathered over 2^n point sets; density 0
+        # makes every subset convex, and at 0.02 D1..D5 hold on some of the
+        # spaces that meet the hypothesis and fail on others
+        encodings = list(SampledPopulation(n, seed=n, count=120, density=density).encodings())
+        got = _sliced_antisymmetry(n, encodings)
+        assert got == _scalar_antisymmetry(n, encodings)
+        met = [v for v in got if v is not None]
+        if density == 0.02:
+            assert any(all(v) for v in met) and any(not any(v) for v in met)
+
 
 class TestSlicedCensus:
     @pytest.mark.parametrize("workers", [1, 2])
