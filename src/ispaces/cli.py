@@ -34,24 +34,14 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Any
 
+# models, properties and search are imported where a command runs them.
 from .core import (
     BetweennessTable,
     CapExceededError,
     FiniteIntervalSpace,
     PointSet,
-)
-from .models import Graph, geodesic_space_from_graph, vector_space_on_points
-from .properties import property_report
-from .search import (
-    ExhaustivePopulation,
-    FreeOrbitEncoding,
-    SampledPopulation,
-    find_separating,
-    verify_antisymmetry_theorem,
-    verify_transitivity_theorem,
 )
 
 
@@ -160,6 +150,8 @@ def _load_graph(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace:
         if u == v:
             raise SpaceFileError(path, lineno, f"loop at vertex {u}")
         edges.append((u, v))
+    from .models import Graph, geodesic_space_from_graph
+
     try:
         graph = Graph.from_edges(n, edges)
     except ValueError as exc:
@@ -171,6 +163,8 @@ def _rational(token: str) -> Fraction:
     """A coordinate token as a Fraction; any other token fails with Fraction's own message."""
     if not _RATIONAL_TOKEN.fullmatch(token):
         raise ValueError(f"Invalid literal for Fraction: {token!r}")
+    from fractions import Fraction
+
     return Fraction(token)
 
 
@@ -194,6 +188,8 @@ def _load_qpoints(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpac
         points.append(coords)
     if not points:
         raise SpaceFileError(path, None, "qpoints file lists no points")
+    from .models import vector_space_on_points
+
     return vector_space_on_points(points)
 
 
@@ -314,6 +310,8 @@ def _encoding(bits: int) -> int | str:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
+    from .properties import property_report
+
     space = load(args.file)
     names = None
     if args.properties != "all":
@@ -400,6 +398,8 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, dict]:
     if args.n < 1:
         raise UsageError("need at least one point")
+    from .search import ExhaustivePopulation, FreeOrbitEncoding
+
     encodings = ExhaustivePopulation(args.n, allow_large=args.allow_large).encodings()
     enc = FreeOrbitEncoding(args.n)
     payload: dict[str, Any] = {
@@ -433,6 +433,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     if args.samples is not None and args.samples < 0:
         raise UsageError("--samples must be nonnegative")
     _check_seed(args.seed)
+    from .search import (
+        ExhaustivePopulation, SampledPopulation, verify_antisymmetry_theorem, verify_transitivity_theorem,
+    )
+
     if args.exhaustive:
         population = ExhaustivePopulation(args.n, allow_large=args.allow_large)
     else:
@@ -451,6 +455,8 @@ def _check_seed(seed: int) -> None:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
+    from .search import FreeOrbitEncoding, find_separating
+
     _check_seed(args.seed)
     want = [t for t in args.want.split(",") if t] if args.want else []
     want_not = [t for t in args.want_not.split(",") if t] if args.want_not else []

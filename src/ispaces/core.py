@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator
 #: (``--allow-large``).  Each size rule counts its own steps: 2^n * n^2 to
 #: enumerate the subsets of n points (n <= 16) and 2^orbits for an
 #: exhaustive population (n <= 4).  The rule of count * 8^n subset triples
-#: for C4/C5 (n <= 8 for one space, ``properties.semigroup_reported``) only
+#: for C4/C5 (n <= 8 for one space, :func:`semigroup_reported`) only
 #: decides whether they are reported: they take C3's value, at no cost.
 WORK_BUDGET = 1 << 25
 
@@ -65,6 +65,24 @@ def check_budget(what: str, count: int, log2: int, allow_large: bool = False) ->
     exceed `WORK_BUDGET` and ``allow_large`` is not set."""
     if not allow_large and over_budget(count, log2):
         raise CapExceededError(budget_message(what, count, log2))
+
+
+TRANSITIVITY_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
+ANTISYMMETRY_CONDITIONS = ("D1", "D2", "D3", "D4", "D5")
+
+#: The equivalent conditions of each theorem, in report order.
+CONDITIONS = {"transitivity": TRANSITIVITY_CONDITIONS, "antisymmetry": ANTISYMMETRY_CONDITIONS}
+
+
+def semigroup_reported(spaces: int, n: int, allow_large: bool) -> bool:
+    """Whether C4 and C5 are reported for ``spaces`` spaces on n points.
+
+    The one copy of the rule: they are reported when spaces * 8^n subset
+    triples fit the work budget or ``allow_large`` is set, and shown as
+    skipped otherwise.  Since they take C3's value the rule bounds no work;
+    it stays so that reports do not change.
+    """
+    return allow_large or not over_budget(spaces, 3 * n)
 
 
 def bits_of(mask: int) -> Iterator[int]:

@@ -15,17 +15,19 @@ decided by rounding noise.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
 from .core import BetweennessTable, FiniteIntervalSpace, _join_rows, bits_of, record
 
-Rational = Union[int, Fraction]
-RationalPoint = tuple[Fraction, ...]
+# ``fractions`` is imported where points are built, so graph models never load it.
+Rational = Union[int, "Fraction"]
+RationalPoint = tuple["Fraction", ...]
 
 
 def rational_point(coords: Iterable[Rational]) -> RationalPoint:
     """Normalize a coordinate sequence to a tuple of Fractions."""
+    from fractions import Fraction
+
     return tuple(Fraction(c) for c in coords)
 
 

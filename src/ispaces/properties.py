@@ -29,19 +29,16 @@ from __future__ import annotations
 from itertools import tee
 from typing import Callable, Iterable, Iterator
 
-from .core import FiniteIntervalSpace, PointSet, _first_breach, budget_message, over_budget, record
+from .core import (
+    ANTISYMMETRY_CONDITIONS, CONDITIONS, TRANSITIVITY_CONDITIONS, FiniteIntervalSpace, PointSet, _first_breach,
+    budget_message, record, semigroup_reported,
+)
 from .closure import (
     HypothesisNotMetError,
     antiexchange_witness,
     antimatroid_witness,
     convex_closure_system,
 )
-
-TRANSITIVITY_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9")
-ANTISYMMETRY_CONDITIONS = ("D1", "D2", "D3", "D4", "D5")
-
-#: The equivalent conditions of each theorem, in report order.
-CONDITIONS = {"transitivity": TRANSITIVITY_CONDITIONS, "antisymmetry": ANTISYMMETRY_CONDITIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +271,6 @@ def transitivity_conditions(space: FiniteIntervalSpace, *, allow_large: bool = F
     witnesses["C8"] = _c8_witness(space, triangles, convex_set)
     witnesses["C9"] = _c9_witness(space, triangles, witnesses["C8"])
     return ConditionVector.of("transitivity", witnesses)
-
-
-def semigroup_reported(spaces: int, n: int, allow_large: bool) -> bool:
-    """Whether C4 and C5 are reported for ``spaces`` spaces on n points.
-
-    The one copy of the rule: they are reported when spaces * 8^n subset
-    triples fit the work budget or ``allow_large`` is set, and shown as
-    skipped otherwise.  Since they take C3's value the rule bounds no work;
-    it stays so that reports do not change.
-    """
-    return allow_large or not over_budget(spaces, 3 * n)
 
 
 def _d3_witness(space: FiniteIntervalSpace, convex_masks: tuple[int, ...]) -> tuple | None:

@@ -17,7 +17,8 @@ For n <= ``sliced.MAX_N`` both censuses evaluate their conditions on whole
 batches of encodings at once (:mod:`ispaces.sliced`): C1..C9, or the
 interval-transitivity filter and D1..D5.  Past that size a census decodes
 and checks one space at a time, and that scalar path is the tests' oracle
-for the sliced one.
+for the sliced one; it and the separating search import :mod:`ispaces.properties`
+where they run, so a sliced census never loads it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import sliced
 from .core import (
+    CONDITIONS,
     OVERRIDE_ADVICE,
     BetweennessTable,
     CapExceededError,
@@ -42,15 +44,7 @@ from .core import (
     check_budget,
     over_budget,
     record,
-)
-from .properties import (
-    CONDITIONS,
-    PROPERTIES,
-    antisymmetry_conditions,
-    interval_transitivity_witness,
-    resolve_properties,
     semigroup_reported,
-    transitivity_conditions,
 )
 
 
@@ -357,6 +351,8 @@ def _condition_slices(
         if theorem == "transitivity":
             return sliced.transitivity_slices(n, slices), (1 << len(encodings)) - 1
         return sliced.antisymmetry_slices(n, slices)
+    from .properties import antisymmetry_conditions, interval_transitivity_witness, transitivity_conditions
+
     values = [0] * len(CONDITIONS[theorem])
     evaluated = 0
     for j, bits in enumerate(encodings):
@@ -474,7 +470,7 @@ def verify_transitivity_theorem(
 ) -> CensusReport:
     """Census C1..C9 over a population; equivalence violations must be absent.
 
-    C4/C5 are reported as skipped where :func:`~ispaces.properties.semigroup_reported`
+    C4/C5 are reported as skipped where :func:`~ispaces.core.semigroup_reported`
     says so for the population's size.  ``allow_large`` also lifts the work
     budget of each space's subset enumeration.
     """
@@ -499,6 +495,8 @@ def verify_antisymmetry_theorem(
 
 
 def _search_chunk(args: tuple) -> int | None:
+    from .properties import PROPERTIES
+
     population, start, stop, want, want_not = args
     want_witnesses = [PROPERTIES[name] for name in want]
     want_not_witnesses = [PROPERTIES[name] for name in want_not]
@@ -555,10 +553,12 @@ def find_separating(
     drawn from seed + i; density=None sweeps the 0.00..1.00 grid like
     :class:`SampledPopulation`.  Property names are the keys of
     ``properties.PROPERTIES``; a space has a property when its witness is
-    None.  ``ns`` must list at least one size.  Returns None when no
-    candidate within the budget separates the properties; the answer is
-    identical for every worker count.
+    None.  ``ns`` must list at least one size, each at least 1.  Returns
+    None when no candidate within the budget separates the properties; the
+    answer is identical for every worker count.
     """
+    from .properties import resolve_properties
+
     want = resolve_properties(want)
     want_not = resolve_properties(want_not)
     if max_spaces < 0:
@@ -568,6 +568,8 @@ def find_separating(
     ns = tuple(ns)
     if not ns:
         raise ValueError("ns must list at least one size")
+    for n in ns:
+        _check_n(n)
     for population, count in _search_plan(ns, max_spaces, seed, density):
         args_list = [
             (population, s, e, tuple(want), tuple(want_not))

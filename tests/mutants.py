@@ -139,6 +139,11 @@ MUTANTS = [
      "record ignores the class attributes as defaults", ("tests/test_core.py",)),
     ("cli.py", "if a < c and b != a and b != c]", "if a < c and b != a]",
      "format_ispace writes the forced triples <a, c, c> too", ("tests/test_cli.py",)),
+    # Start-up: each command imports the layers it runs.
+    ("cli.py", "    PointSet,\n)\n",
+     "    PointSet,\n)\nfrom .search import (\n    ExhaustivePopulation,\n    FreeOrbitEncoding,\n    SampledPopulation,\n"
+     "    find_separating,\n    verify_antisymmetry_theorem,\n    verify_transitivity_theorem,\n)\n",
+     "the CLI imports search at start-up again, so every command compiles it", ("tests/test_cli.py",)),
     # The census.
     ("search.py", "        values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]\n",
      "", "the census does not blank the skipped slices"),

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -215,15 +216,53 @@ class TestHeaders:
         assert proc.stderr.splitlines() == [f"error: {path}:{message}"]
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # Every command pays its module imports at start-up; the value classes are
-    # built by core.record, so neither module is needed.
+def _loaded_after(code, *modules):
+    """Which of ``modules`` are in sys.modules after a fresh interpreter runs ``code``
+    (on stderr, since a command prints its report on stdout)."""
     src = str(Path(I.__file__).resolve().parents[1])
-    code = "import ispaces.cli, sys; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    code += f"\nimport sys; print(sorted(m for m in {modules!r} if m in sys.modules), file=sys.stderr)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
-    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Every command pays its module imports at start-up; the value classes are
+    # built by core.record, so neither module is needed.
+    assert _loaded_after("import ispaces.cli", "dataclasses", "inspect") == "[]"
+
+
+_LAYERS = ("ispaces.search", "ispaces.sliced", "ispaces.properties", "ispaces.closure", "ispaces.models", "fractions")
+_K23 = str(Path(__file__).resolve().parent / "golden" / "k23.graph")
+
+
+@pytest.mark.parametrize("code, modules", [
+    ("import ispaces", _LAYERS),
+    ("import ispaces.cli", _LAYERS),
+    (f"from ispaces.cli import main; main(['check', {_K23!r}])", ("ispaces.search", "ispaces.sliced", "fractions")),
+    ("from ispaces.cli import main; main(['verify', '--theorem', 'antisymmetry', '--n', '5', '--samples', '50'])",
+     ("ispaces.properties", "ispaces.closure", "ispaces.models", "fractions")),
+], ids=["package", "cli", "check", "sliced-census"])
+def test_command_loads_only_its_layers(code, modules):
+    # the package resolves its exports on first access, and the CLI imports
+    # each layer in the command that runs it
+    assert _loaded_after(code, *modules) == "[]"
+
+
+class TestLazyExports:
+    def test_every_export_is_the_defining_module_attribute(self):
+        for name in I.__all__:
+            module = importlib.import_module(f"ispaces.{I._EXPORTS[name]}")
+            assert getattr(I, name) is getattr(module, name), name
+
+    def test_dir_lists_every_export(self):
+        assert set(I.__all__) <= set(dir(I))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nonsense'"):
+            I.nonsense
 
 
 def _run_module(*argv):
@@ -574,7 +613,7 @@ class TestCommands:
             condition_counts=(("C1", 7),), vector_counts=(("TTTTTTTTT", 7),),
             violations=(I.EquivalenceViolation(3, 3, (True,) * 8 + (False,)),),
         )
-        monkeypatch.setattr("ispaces.cli.verify_transitivity_theorem", lambda *a, **k: broken)
+        monkeypatch.setattr("ispaces.search.verify_transitivity_theorem", lambda *a, **k: broken)
         code, out, _ = run_cli(
             capsys, "verify", "--theorem", "transitivity", "--n", "3", "--exhaustive"
         )
@@ -628,6 +667,12 @@ class TestCommands:
     def test_search_rejects_degenerate_sizes(self, capsys):
         code, _, err = run_cli(capsys, "search", "--ns", "0,3", "--max-spaces", "5")
         assert code == 2 and "at least one point" in err
+
+    @pytest.mark.parametrize("ns", ["0", "-2"])
+    def test_search_checks_every_size_before_scanning(self, capsys, ns):
+        # with no candidates to scan, no population is built for the size
+        code, out, err = run_cli(capsys, "search", "--want", "stiff", "--ns", ns, "--max-spaces", "0")
+        assert (code, out, err) == (2, "", "error: need at least one point\n")
 
     @pytest.mark.parametrize("ns", ["", ","])
     def test_search_rejects_empty_sizes(self, capsys, ns):

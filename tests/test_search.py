@@ -21,7 +21,7 @@ from ispaces import (
     verify_transitivity_theorem,
 )
 
-from ispaces import search
+from ispaces import properties, search
 from ispaces.cli import main
 from ispaces.properties import ANTISYMMETRY_CONDITIONS
 from ispaces.search import (
@@ -267,8 +267,8 @@ class TestPopulations:
 
     def test_one_cap_check_names_the_override(self, monkeypatch, capsys):
         # the check runs before any encoding is built, for every entry point
+        # the CLI reads FreeOrbitEncoding from search when a command runs
         monkeypatch.setattr("ispaces.search.FreeOrbitEncoding", None)
-        monkeypatch.setattr("ispaces.cli.FreeOrbitEncoding", None)
         for call in (
             lambda: ExhaustivePopulation(7).encodings(),
             lambda: next(ExhaustivePopulation(7).spaces()),
@@ -384,7 +384,7 @@ class TestAntisymmetryCensus:
         # per space; tests/test_sliced.py flips a bit on the sliced path
         population = SampledPopulation(6, 11, 200)
         target = next(s for _, s in population.spaces() if I.interval_transitivity_witness(s) is None)
-        real = search.antisymmetry_conditions
+        real = properties.antisymmetry_conditions
         values = list(real(target).values)
         values[2] = not values[2]  # D3
         flipped = tuple(values)
@@ -393,7 +393,8 @@ class TestAntisymmetryCensus:
             cv = real(space, **options)
             return I.ConditionVector("antisymmetry", flipped) if space == target else cv
 
-        monkeypatch.setattr(search, "antisymmetry_conditions", flip_d3)
+        # the scalar census imports the conditions from properties when it runs
+        monkeypatch.setattr(properties, "antisymmetry_conditions", flip_d3)
         report = verify_antisymmetry_theorem(population)
         enc = FreeOrbitEncoding(6)
         expected = tuple(

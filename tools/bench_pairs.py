@@ -20,7 +20,11 @@ its own ``src/``.
 The output holds, per workload and end-to-end metric, the median and
 quartiles of each side and ``change_wins``: the pairs in which the change
 was strictly better, in the direction ``BENCHMARK.json`` gives the metric.
-``runs`` keeps the last stdout line of every run.py call.  A run that
+``runs`` keeps the last stdout line of every run.py call.
+``PYTHONDONTWRITEBYTECODE`` holds that variable as the runs inherited it
+(null when unset): run.py passes it on to every child, and where it is set
+no process finds bytecode, so each compiles the modules it imports and
+every ``wall_s`` and ``setup_s`` is about a third higher.  A run that
 exits non-zero, prints no result or reports ``"correct": false`` stops the
 script with exit status 1 and writes nothing.
 """
@@ -136,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
                  "(tools/bench_pairs.py)"),
         "parent": parent,
         "machine": f"{os.cpu_count()}-CPU {platform.system()}, Python {platform.python_version()}",
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "summary": summarize(runs, better),
         "runs": runs,
     }
