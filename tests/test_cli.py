@@ -397,6 +397,9 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+_VERIFY = ("verify", "--theorem", "transitivity", "--n")
+
+
 class TestCommands:
     def test_check_all_true(self, capsys, l3_file):
         code, out, _ = run_cli(capsys, "check", l3_file, "--properties", "all")
@@ -597,6 +600,32 @@ class TestCommands:
             capsys, "verify", "--theorem", "transitivity", "--n", "3", "--samples", "-4"
         )
         assert code == 2 and "nonnegative" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        ((*_VERIFY, "0", "--samples", "5"), (2, "", "error: need at least one point\n")),
+        ((*_VERIFY, "0", "--exhaustive"), (2, "", "error: need at least one point\n")),
+        (("enumerate", "--n", "0"), (2, "", "error: need at least one point\n")),
+        ((*_VERIFY, "3", "--samples", "-4"), (2, "", "error: --samples must be nonnegative\n")),
+        ((*_VERIFY, "3", "--samples", "5", "--seed", "-10"), (2, "", "error: --seed must be nonnegative\n")),
+        (("search", "--want", "stiff", "--max-spaces", "3", "--seed", "-10"),
+         (2, "", "error: --seed must be nonnegative\n")),
+        ((*_VERIFY, "3", "--samples", "5", "--density", "1.5"), (2, "", "error: density 1.5 out of range [0, 1]\n")),
+        ((*_VERIFY, "3", "--samples", "5", "--density", "nan"), (2, "", "error: density nan out of range [0, 1]\n")),
+        (("search", "--want", "stiff", "--max-spaces", "3", "--density", "1.5"),
+         (2, "", "error: density 1.5 out of range [0, 1]\n")),
+        (("search", "--want", "stiff", "--max-spaces", "3", "--density", "nan"),
+         (2, "", "error: density nan out of range [0, 1]\n")),
+        ((*_VERIFY, "1", "--exhaustive", "--seed", "-3"), (2, "", "error: --seed must be nonnegative\n")),
+        (("check", "{l3}", "--properties", "nonsense"),
+         (2, "", "error: unknown property 'nonsense'; known: antiexchange, antimatroid, combinatorial, "
+          "interval-antisymmetric, interval-convex, interval-transitive, point-antisymmetric, "
+          "point-transitive, stiff\n")),
+    ], ids=["verify-n0-samples", "verify-n0-exhaustive", "enumerate-n0", "verify-negative-samples",
+            "verify-negative-seed", "search-negative-seed", "verify-density-high", "verify-density-nan",
+            "search-density-high", "search-density-nan", "exhaustive-ignores-seed", "check-unknown-property"])
+    def test_rejected_input_exact_output(self, capsys, l3_file, argv, expected):
+        # each input is checked where the library reads it; the CLI prints the library's message
+        assert run_cli(capsys, *(t.format(l3=l3_file) for t in argv)) == expected
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--theorem", "antisymmetry", "--n", "4", "--samples", "20", "--seed", "-10"),
