@@ -21,6 +21,9 @@ same content as a single JSON document with ``--format structured``.
 Exit status: 0 on success, 1 when a census finds equivalence violations,
 2 on usage and parse errors (a point or vertex count above `MAX_POINTS` is
 a parse error) and on work over the budget (``--allow-large`` lifts it).
+A rejected argument exits 2 with the message of the library call that
+checks it (`main` prints any ``ValueError``); ``verify --exhaustive`` reads
+neither ``--seed`` nor ``--density``.
 Every loader builds a valid table by construction, so no input file fails
 the axioms and none is scanned for them.  When the reader of stdout goes
 away before the report is written (``ispaces ... | head``), the command
@@ -316,10 +319,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
     names = None
     if args.properties != "all":
         names = [t.strip() for t in args.properties.split(",") if t.strip()]
-    try:
-        report = property_report(space, names, allow_large=args.allow_large)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = property_report(space, names, allow_large=args.allow_large)
     payload = {
         "command": "check",
         "file": args.file,
@@ -334,10 +334,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_interval(args: argparse.Namespace) -> tuple[int, dict]:
     space = load(args.file)
-    try:
-        result = space.interval(args.a, args.c)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = space.interval(args.a, args.c)
     return 0, {"command": "interval", "file": args.file, "n": space.n,
                "a": args.a, "c": args.c, "result": result}
 
@@ -364,10 +361,7 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
     if (args.point is None) == (args.set is None):
         raise UsageError("order needs exactly one of --point ID or --set LIST")
     if args.point is not None:
-        try:
-            relation = space.base_point_order(args.point)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        relation = space.base_point_order(args.point)
         base: dict[str, Any] = {"point": args.point}
     else:
         base_set = parse_point_set(args.set, space.n)
@@ -396,8 +390,6 @@ def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, dict]:
-    if args.n < 1:
-        raise UsageError("need at least one point")
     from .search import ExhaustivePopulation, FreeOrbitEncoding
 
     encodings = ExhaustivePopulation(args.n, allow_large=args.allow_large).encodings()
@@ -417,22 +409,14 @@ def _parse_density(text: str | None) -> float | None:
     if text is None or text == "sweep":
         return None
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise UsageError(f"bad density {text!r}: expected a number in [0, 1] or 'sweep'") from None
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"density {value} out of range [0, 1]")
-    return value
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     if args.exhaustive == (args.samples is not None):
         raise UsageError("verify needs exactly one of --exhaustive or --samples COUNT")
-    if args.n < 1:
-        raise UsageError("need at least one point")
-    if args.samples is not None and args.samples < 0:
-        raise UsageError("--samples must be nonnegative")
-    _check_seed(args.seed)
     from .search import (
         ExhaustivePopulation, SampledPopulation, verify_antisymmetry_theorem, verify_transitivity_theorem,
     )
@@ -449,33 +433,24 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     return (1 if report.violation_count else 0), payload
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise UsageError("--seed must be nonnegative")
-
-
 def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
     from .search import FreeOrbitEncoding, find_separating
 
-    _check_seed(args.seed)
     want = [t for t in args.want.split(",") if t] if args.want else []
     want_not = [t for t in args.want_not.split(",") if t] if args.want_not else []
     try:
         ns = tuple(int(t) for t in args.ns.split(",") if t)
     except ValueError:
         raise UsageError(f"bad --ns {args.ns!r}: expected comma-separated sizes") from None
-    try:
-        space = find_separating(
-            want,
-            want_not,
-            max_spaces=args.max_spaces,
-            ns=ns,
-            seed=args.seed,
-            density=_parse_density(args.density),
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    space = find_separating(
+        want,
+        want_not,
+        max_spaces=args.max_spaces,
+        ns=ns,
+        seed=args.seed,
+        density=_parse_density(args.density),
+        workers=args.workers,
+    )
     payload: dict[str, Any] = {
         "command": "search",
         "want": want,
@@ -597,7 +572,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload = args.handler(args)
-    except (SpaceFileError, UsageError, CapExceededError) as exc:
+    except (ValueError, CapExceededError) as exc:
+        # SpaceFileError and UsageError are ValueErrors; each input is checked once, where it is read
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

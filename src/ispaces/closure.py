@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness, _first_breach, record
+from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness, _check_point, _first_breach, record
 
 
 class HypothesisNotMetError(ValueError):
@@ -97,8 +97,8 @@ class ClosureSystem:
             raise HypothesisNotMetError(
                 f"base set {a_set} is not closed; pass allow_unclosed=True to relax"
             )
-        if not 0 <= x < self.n or not 0 <= y < self.n:
-            raise ValueError("point id out of range")
+        _check_point(self.n, x)
+        _check_point(self.n, y)
         return (self._cl_mask(a_set.mask | (1 << x)) >> y) & 1 == 1
 
     # -- mask internals ------------------------------------------------------

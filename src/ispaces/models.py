@@ -127,8 +127,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u}-{v} out of range [0, {n})")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj))

@@ -144,6 +144,10 @@ MUTANTS = [
      "    PointSet,\n)\nfrom .search import (\n    ExhaustivePopulation,\n    FreeOrbitEncoding,\n    SampledPopulation,\n"
      "    find_separating,\n    verify_antisymmetry_theorem,\n    verify_transitivity_theorem,\n)\n",
      "the CLI imports search at start-up again, so every command compiles it", ("tests/test_cli.py",)),
+    # Rejected input: the library's ValueError is the one check, and main maps it to exit 2.
+    ("cli.py", "    except (ValueError, CapExceededError) as exc:\n",
+     "    except (SpaceFileError, UsageError, CapExceededError) as exc:\n",
+     "main maps only the CLI's own errors to exit 2, so a library ValueError escapes", ("tests/test_cli.py",)),
     # The census.
     ("search.py", "        values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]\n",
      "", "the census does not blank the skipped slices"),

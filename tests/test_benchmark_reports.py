@@ -6,6 +6,7 @@ census report fails here first.  The test only reads the stored files.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,12 @@ def test_antisymmetry_census_on_two_workers():
     argv = ("verify", "--theorem", "antisymmetry", "--n", "5", "--samples", str(SAMPLES),
             "--seed", "70000", "--workers", "2", "--format", "structured")
     assert _stdout(argv) == _expected("census-antisymmetry-seed70000.json")
+
+
+@pytest.mark.parametrize("path", sorted(EXPECTED_DIR.glob("census-*.json")), ids=lambda p: p.stem)
+def test_stored_vector_counts_cover_the_qualifying_spaces(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    assert sum(report["vector_counts"].values()) == report["spaces"] - report["hypothesis_excluded"]
 
 
 def test_transitivity_census():

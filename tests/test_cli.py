@@ -398,6 +398,13 @@ def run_cli(capsys, *argv):
 
 
 _VERIFY = ("verify", "--theorem", "transitivity", "--n")
+#: The report of ``verify --theorem transitivity --n 1 --exhaustive``.
+_VERIFY_N1 = (
+    "command: verify\ntheorem: transitivity\nn: 1\npopulation: exhaustive n=1\nspaces: 1\n"
+    "hypothesis_excluded: 0\ncondition_counts:\n"
+    + "".join(f"  C{i}: 1\n" for i in range(1, 10))
+    + "vector_counts:\n  TTTTTTTTT: 1\nviolations: 0\n"
+)
 
 
 class TestCommands:
@@ -605,35 +612,42 @@ class TestCommands:
         ((*_VERIFY, "0", "--samples", "5"), (2, "", "error: need at least one point\n")),
         ((*_VERIFY, "0", "--exhaustive"), (2, "", "error: need at least one point\n")),
         (("enumerate", "--n", "0"), (2, "", "error: need at least one point\n")),
-        ((*_VERIFY, "3", "--samples", "-4"), (2, "", "error: --samples must be nonnegative\n")),
-        ((*_VERIFY, "3", "--samples", "5", "--seed", "-10"), (2, "", "error: --seed must be nonnegative\n")),
+        ((*_VERIFY, "3", "--samples", "-4"), (2, "", "error: count must be nonnegative, got -4\n")),
+        ((*_VERIFY, "3", "--samples", "5", "--seed", "-10"),
+         (2, "", "error: seed must be nonnegative, got -10\n")),
         (("search", "--want", "stiff", "--max-spaces", "3", "--seed", "-10"),
-         (2, "", "error: --seed must be nonnegative\n")),
-        ((*_VERIFY, "3", "--samples", "5", "--density", "1.5"), (2, "", "error: density 1.5 out of range [0, 1]\n")),
-        ((*_VERIFY, "3", "--samples", "5", "--density", "nan"), (2, "", "error: density nan out of range [0, 1]\n")),
+         (2, "", "error: seed must be nonnegative, got -10\n")),
+        ((*_VERIFY, "3", "--samples", "5", "--density", "1.5"),
+         (2, "", "error: density must be in [0, 1], got 1.5\n")),
+        ((*_VERIFY, "3", "--samples", "5", "--density", "nan"),
+         (2, "", "error: density must be in [0, 1], got nan\n")),
         (("search", "--want", "stiff", "--max-spaces", "3", "--density", "1.5"),
-         (2, "", "error: density 1.5 out of range [0, 1]\n")),
+         (2, "", "error: density must be in [0, 1], got 1.5\n")),
         (("search", "--want", "stiff", "--max-spaces", "3", "--density", "nan"),
-         (2, "", "error: density nan out of range [0, 1]\n")),
-        ((*_VERIFY, "1", "--exhaustive", "--seed", "-3"), (2, "", "error: --seed must be nonnegative\n")),
+         (2, "", "error: density must be in [0, 1], got nan\n")),
+        ((*_VERIFY, "1", "--exhaustive", "--seed", "-3"), (0, _VERIFY_N1, "")),
         (("check", "{l3}", "--properties", "nonsense"),
          (2, "", "error: unknown property 'nonsense'; known: antiexchange, antimatroid, combinatorial, "
           "interval-antisymmetric, interval-convex, interval-transitive, point-antisymmetric, "
           "point-transitive, stiff\n")),
+        (("search", "--max-spaces", "-1"), (2, "", "error: max_spaces must be nonnegative\n")),
+        ((*_VERIFY, "3", "--samples", "5", "--density", "abc"),
+         (2, "", "error: bad density 'abc': expected a number in [0, 1] or 'sweep'\n")),
     ], ids=["verify-n0-samples", "verify-n0-exhaustive", "enumerate-n0", "verify-negative-samples",
             "verify-negative-seed", "search-negative-seed", "verify-density-high", "verify-density-nan",
-            "search-density-high", "search-density-nan", "exhaustive-ignores-seed", "check-unknown-property"])
+            "search-density-high", "search-density-nan", "exhaustive-ignores-seed", "check-unknown-property",
+            "search-negative-max-spaces", "verify-density-text"])
     def test_rejected_input_exact_output(self, capsys, l3_file, argv, expected):
         # each input is checked where the library reads it; the CLI prints the library's message
         assert run_cli(capsys, *(t.format(l3=l3_file) for t in argv)) == expected
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--theorem", "antisymmetry", "--n", "4", "--samples", "20", "--seed", "-10"),
-        ("search", "--want", "stiff", "--ns", "5", "--max-spaces", "3", "--seed", "-1"),
+    @pytest.mark.parametrize("argv, seed", [
+        (("verify", "--theorem", "antisymmetry", "--n", "4", "--samples", "20", "--seed", "-10"), -10),
+        (("search", "--want", "stiff", "--ns", "5", "--max-spaces", "3", "--seed", "-1"), -1),
     ], ids=["verify", "search"])
-    def test_negative_seed_exits_two(self, capsys, argv):
+    def test_negative_seed_exits_two(self, capsys, argv, seed):
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", "error: --seed must be nonnegative\n")
+        assert (code, out, err) == (2, "", f"error: seed must be nonnegative, got {seed}\n")
 
     def test_verify_exit_one_on_violations(self, capsys, monkeypatch):
         broken = CensusReport(

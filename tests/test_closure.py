@@ -44,6 +44,25 @@ class TestClosureSystemConstruction:
         with pytest.raises(ValueError, match="intersection-closed"):
             ClosureSystem.of(3, [[0, 1], [1, 2], [0, 1, 2]])
 
+    @pytest.mark.parametrize("n, closed, message", [
+        (-1, (), "universe size must be nonnegative"),
+        (2, (3, 1), "closed sets must be distinct and ascending by mask"),
+        (2, (1, 1, 3), "closed sets must be distinct and ascending by mask"),
+        (2, (3, 4), "closed set exceeds the universe"),
+        (2, (-1, 3), "closed set exceeds the universe"),
+    ])
+    def test_shape_checks(self, n, closed, message):
+        with pytest.raises(ValueError) as exc:
+            ClosureSystem(n, closed)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("x, y, bad", [(3, 0, 3), (0, -1, -1)])
+    def test_entails_checks_point_ids(self, x, y, bad):
+        cs = ClosureSystem.of(3, [[], [0, 1, 2]])
+        with pytest.raises(ValueError) as exc:
+            cs.entails(PointSet.empty(3), x, y)
+        assert str(exc.value) == f"point id {bad} out of range [0, 3)"
+
     def test_standalone_moore_family(self):
         cs = ClosureSystem.of(3, [[], [0], [0, 1], [0, 1, 2]])
         assert cs.has_empty()

@@ -125,6 +125,17 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize("n, adj, message", [
+        (0, (), "graph needs at least one vertex"),
+        (2, (0b10,), "adjacency size does not match vertex count"),
+        (2, (0b11, 0b01), "loop at vertex 0"),
+        (1, (0b10,), "asymmetric or out-of-range edge 0-1"),
+    ])
+    def test_construction_checks(self, n, adj, message):
+        with pytest.raises(ValueError) as exc:
+            Graph(n, adj)
+        assert str(exc.value) == message
+
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(2, [(0, 1), (1, 0)])
         assert list(g.edges()) == [(0, 1)]

@@ -446,6 +446,15 @@ class TestPropertyReport:
         with pytest.raises(ValueError, match="unknown property"):
             resolve_properties(["no-such-property"])
 
+    @pytest.mark.parametrize("theorem, values, message", [
+        ("pasch", (True,), "unknown theorem 'pasch'"),
+        ("transitivity", (True,) * 8, "transitivity needs 9 values, got 8"),
+    ])
+    def test_condition_vector_shape_checks(self, theorem, values, message):
+        with pytest.raises(ValueError) as exc:
+            I.ConditionVector(theorem, values)
+        assert str(exc.value) == message
+
     def test_condition_names_evaluate_only_their_family(self, monkeypatch):
         # the first 4-point space that is not interval-transitive
         space = next(s for s in I.enumerate_spaces(4) if interval_transitivity_witness(s) is not None)

@@ -1,7 +1,9 @@
-"""The library quick start in README.md runs as written."""
+"""README.md agrees with the code it describes."""
 
 import re
 from pathlib import Path
+
+import mutants
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -10,3 +12,9 @@ def test_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_mutant_counts_match_the_mutation_check():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert re.findall(r"Each of its (\d+) mutants", text) == [str(len(mutants.MUTANTS))]
+    assert re.findall(r"Each of its (\d+) equivalent mutants", text) == [str(len(mutants.EQUIVALENT))]

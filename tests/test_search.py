@@ -340,6 +340,16 @@ class TestVerifyTheorems:
         report = verify_antisymmetry_theorem(ExhaustivePopulation(4))
         assert report.hypothesis_excluded == 4096 - 400
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_census_identities(self, n):
+        # C1 is interval-transitivity, the hypothesis of the antisymmetry
+        # conditions; every space that meets a census' hypothesis has one vector
+        trans = verify_transitivity_theorem(ExhaustivePopulation(n))
+        anti = verify_antisymmetry_theorem(ExhaustivePopulation(n))
+        assert dict(trans.condition_counts)["C1"] == anti.total - anti.hypothesis_excluded
+        for report in (trans, anti):
+            assert sum(dict(report.vector_counts).values()) == report.total - report.hypothesis_excluded
+
     def test_sampled_equivalences_hold_beyond_exhaustive_sizes(self):
         # C4/C5 exceed the default triple budget here and must be skipped,
         # not guessed; the remaining columns still have to agree
@@ -414,6 +424,11 @@ class TestFindSeparating:
 
     def test_zero_budget(self):
         assert find_separating([], [], max_spaces=0) is None
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            find_separating([], [], max_spaces=-1)
+        assert str(exc.value) == "max_spaces must be nonnegative"
 
     def test_proven_implication_direction_never_separates(self):
         for budget in (1, 10, 500, 5000):
