@@ -357,9 +357,9 @@ def _cmd_hull(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_order(args: argparse.Namespace) -> tuple[int, dict]:
-    space = load(args.file)
     if (args.point is None) == (args.set is None):
         raise UsageError("order needs exactly one of --point ID or --set LIST")
+    space = load(args.file)
     if args.point is not None:
         relation = space.base_point_order(args.point)
         base: dict[str, Any] = {"point": args.point}

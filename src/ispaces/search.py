@@ -11,14 +11,16 @@ theorems, and search for spaces separating named properties.
 All sampling is partition-stable: sample i is drawn from a generator
 reseeded with seed + i, so it does not depend on the samples drawn before
 it, and censuses are identical for every worker count.  No module state is
-kept: each population scan, census chunk and command builds its own
-:class:`FreeOrbitEncoding`, after the work budget has admitted the work.
-For n <= ``sliced.MAX_N`` both censuses evaluate their conditions on whole
-batches of encodings at once (:mod:`ispaces.sliced`): C1..C9, or the
-interval-transitivity filter and D1..D5.  Past that size a census decodes
-and checks one space at a time, and that scalar path is the tests' oracle
-for the sliced one; it and the separating search import :mod:`ispaces.properties`
-where they run, so a sliced census never loads it.
+kept: each population scan and command builds its own :class:`FreeOrbitEncoding`,
+after the work budget has admitted the work.  For n <= ``sliced.MAX_N`` both
+censuses evaluate their conditions on whole batches at once (:mod:`ispaces.sliced`):
+C1..C9, or the interval-transitivity filter and D1..D5.  A population hands
+a batch over as its orbit columns: fixed bit patterns for the exhaustive one,
+whose census chunks start on multiples of ``sliced.BATCH``, and stride slices
+of the sampled one's orbit bytes.  Past that size a census decodes and checks
+one space at a time, and that scalar path is the tests' oracle for the sliced
+one; it and the separating search import :mod:`ispaces.properties` where they
+run, so a sliced census never loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import os
 import random
 from collections import Counter
 from functools import reduce
-from itertools import islice
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -39,6 +40,7 @@ from .core import (
     CapExceededError,
     FiniteIntervalSpace,
     _forced_bits,
+    _orbits,
     _triple_index,
     bits_of,
     check_budget,
@@ -67,13 +69,7 @@ class FreeOrbitEncoding:
     def __init__(self, n: int):
         _check_n(n)
         self.n = n
-        self.orbits: tuple[tuple[int, int, int], ...] = tuple(
-            (a, b, c)
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if a != b and b != c and a < c
-        )
+        self.orbits = _orbits(n)
         # Tables are built as base-2 text, whose first character is the
         # highest triple: the forced bits, and the two positions of each
         # orbit's triples in it (an n^3-bit mask per orbit would hold n^6 bits).
@@ -136,9 +132,9 @@ def _check_density(density: float | None) -> None:
         raise ValueError(f"density must be in [0, 1], got {density}")
 
 
-def _sample_encodings(n: int, draws: Iterable[tuple[int, float]]) -> Iterator[int]:
-    """The orbit encoding for each (seed, density) of ``draws``: orbit k is
-    set when draw k of ``random.Random(seed).random()`` is below ``density``.
+def _sample_bits(n: int, draws: Iterable[tuple[int, float]]) -> Iterator[bytes]:
+    """The orbit bytes for each (seed, density) of ``draws``: byte k is ``1`` when
+    draw k of ``random.Random(seed).random()`` is below ``density``, else ``0``.
     Callers check seeds and densities when they build a draw.
 
     Draw k is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, where a and b are
@@ -170,8 +166,7 @@ def _sample_encodings(n: int, draws: Iterable[tuple[int, float]]) -> Iterator[in
                 b = int.from_bytes(raw[8 * k + 4 : 8 * k + 8], "little")
                 bits[k] = b"01"[(a >> 5) * 2**26 + (b >> 6) < threshold]
                 k = bits.find(b"X", k + 1)
-        # Draw k is bit k; one parse, where ORing each bit in would be quadratic.
-        yield int(bits[::-1] or b"0", 2)
+        yield bits
 
 
 def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
@@ -180,10 +175,7 @@ def random_encoding(n: int, seed: int, density: float = 0.5) -> int:
 
     Deterministic in (n, seed, density); independent of any global state.
     """
-    _check_n(n)
-    _check_seed(seed)
-    _check_density(density)
-    return next(_sample_encodings(n, ((seed, density),)))
+    return next(SampledPopulation(n, seed, 1, density).encodings())
 
 
 def random_space(n: int, seed: int, density: float = 0.5) -> FiniteIntervalSpace:
@@ -196,7 +188,7 @@ def random_space(n: int, seed: int, density: float = 0.5) -> FiniteIntervalSpace
 
 
 class Population:
-    """Indexed spaces on n points; subclasses give ``size``, ``describe`` and ``encodings``."""
+    """Indexed spaces on n points; subclasses give ``size``, ``describe``, ``encodings`` and ``columns``."""
 
     n: int
 
@@ -233,6 +225,21 @@ class ExhaustivePopulation(Population):
         check_budget(f"exhaustive enumeration at n={self.n}", 1, _orbit_count(self.n), self.allow_large)
         return range(start, self.size() if stop is None else stop)
 
+    def columns(self, start: int, stop: int) -> list[int]:
+        """The orbit columns of spaces start..stop-1, within one block of ``sliced.BATCH``
+        encodings: bit i of column j is bit j of start + i, so it is bit j over the
+        block shifted down, or all ones or all zeros once 2^j reaches the block."""
+        span, block = self.encodings(start, stop), sliced.BATCH
+        low, full = span.start % block, (1 << len(span)) - 1
+        if low + len(span) > block:
+            raise ValueError(f"batch [{span.start}, {span.stop}) crosses a multiple of {block}")
+        # (2^block - 1) // (2^r + 1) sets the low r bits of every 2r: shifted up by r = 2^j, bit j over the block
+        return [
+            (((1 << block) - 1) // ((1 << (1 << j)) + 1) << (1 << j)) >> low & full if 1 << j < block
+            else full if span.start >> j & 1 else 0
+            for j in range(_orbit_count(self.n))
+        ]
+
 
 @record
 class SampledPopulation(Population):
@@ -265,10 +272,20 @@ class SampledPopulation(Population):
         density = "sweep" if self.density is None else f"{self.density:g}"
         return f"sampled n={self.n} seed={self.seed} count={self.count} density={density}"
 
+    def _bits(self, start: int, stop: int | None) -> Iterator[bytes]:
+        indices = range(start, self.count if stop is None else stop)
+        return _sample_bits(self.n, ((self.seed + i, self.density_at(i)) for i in indices))
+
     def encodings(self, start: int = 0, stop: int | None = None) -> Iterator[int]:
         """Orbit encodings of samples start..stop-1, each drawn when it is read."""
-        indices = range(start, self.count if stop is None else stop)
-        return _sample_encodings(self.n, ((self.seed + i, self.density_at(i)) for i in indices))
+        # Orbit k is bit k; one parse, where ORing each bit in would be quadratic.
+        return (int(bits[::-1] or b"0", 2) for bits in self._bits(start, stop))
+
+    def columns(self, start: int, stop: int) -> list[int]:
+        """The orbit columns of samples start..stop-1: bit i of column j is orbit j of sample start + i."""
+        # The last sample first, as it holds every column's highest bit: column j is every m-th byte from j.
+        m, text = _orbit_count(self.n), b"".join(list(self._bits(start, stop))[::-1])
+        return [int(text[j::m] or b"0", 2) for j in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,25 +355,24 @@ def _sliced(n: int) -> bool:
 
 
 def _condition_slices(
-    theorem: str, enc: FreeOrbitEncoding, encodings: list[int], allow_large: bool
+    theorem: str, population: Population, lo: int, hi: int, allow_large: bool
 ) -> tuple[Sequence[int], int]:
-    """A batch's condition slices (bit j of entry k: condition k in space j),
-    sliced or one decoded space at a time, and the mask of the spaces
-    evaluated: the antisymmetry census leaves out those that are not
-    interval-transitive.  ``allow_large`` lifts the subset budget of the
-    one-space-at-a-time path."""
-    n = enc.n
+    """The condition slices of spaces lo..hi-1 (bit j of entry k: condition
+    k in space lo + j), sliced or one decoded space at a time, and the mask
+    of the spaces evaluated: the antisymmetry census leaves out those that
+    are not interval-transitive.  ``allow_large`` lifts the subset budget of
+    the one-space-at-a-time path."""
+    n = population.n
     if _sliced(n):
-        slices = sliced.triple_slices(enc, encodings)
+        columns = population.columns(lo, hi)
         if theorem == "transitivity":
-            return sliced.transitivity_slices(n, slices), (1 << len(encodings)) - 1
-        return sliced.antisymmetry_slices(n, slices)
+            return sliced.transitivity_slices(n, columns, hi - lo), (1 << (hi - lo)) - 1
+        return sliced.antisymmetry_slices(n, columns, hi - lo)
     from .properties import antisymmetry_conditions, interval_transitivity_witness, transitivity_conditions
 
     values = [0] * len(CONDITIONS[theorem])
     evaluated = 0
-    for j, bits in enumerate(encodings):
-        space = enc.decode(bits)
+    for j, (_, space) in enumerate(population.spaces(lo, hi)):
         if theorem == "transitivity":
             cv = transitivity_conditions(space, allow_large=allow_large)
         elif interval_transitivity_witness(space) is None:
@@ -364,9 +380,7 @@ def _condition_slices(
         else:
             continue
         evaluated |= 1 << j
-        for k, value in enumerate(cv.values):
-            if value:
-                values[k] |= 1 << j
+        values = [s | bool(value) << j for s, value in zip(values, cv.values)]
     return values, evaluated
 
 
@@ -374,21 +388,13 @@ def _census_chunk(args: tuple) -> dict:
     """The census tallies over spaces start..stop-1, read off one batch of
     slices at a time; the conditions in ``skipped`` are blanked (None) first."""
     theorem, population, start, stop, skipped, allow_large = args
-    counts: Counter = Counter()
-    vectors: Counter = Counter()
-    violations: list[EquivalenceViolation] = []
-    excluded = 0
-    chunk = iter(population.encodings(start, stop))
-    # Built only once encodings() has held the population to the work budget.
-    enc = FreeOrbitEncoding(population.n)
+    counts, vectors, violations, excluded = Counter(), Counter(), [], 0
     for lo in range(start, stop, sliced.BATCH):
-        encodings = list(islice(chunk, sliced.BATCH))
-        values, evaluated = _condition_slices(theorem, enc, encodings, allow_large)
+        hi = min(lo + sliced.BATCH, stop)
+        values, evaluated = _condition_slices(theorem, population, lo, hi, allow_large)
         values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]
-        excluded += len(encodings) - evaluated.bit_count()
-        for name, s in zip(CONDITIONS[theorem], values):
-            if s:
-                counts[name] += s.bit_count()
+        excluded += hi - lo - evaluated.bit_count()
+        counts.update({name: s.bit_count() for name, s in zip(CONDITIONS[theorem], values) if s})
         # An evaluated space agrees when every evaluated condition is true or
         # every one is false; the others are violations, read out one by one.
         decided = [s for s in values if s is not None]
@@ -400,7 +406,8 @@ def _census_chunk(args: tuple) -> dict:
         for j in bits_of(evaluated & ~(agree_true | agree_false)):
             vector = tuple(None if s is None else bool(s >> j & 1) for s in values)
             vectors[_pattern(vector)] += 1
-            violations.append(EquivalenceViolation(lo + j, encodings[j], vector))
+            (encoding,) = population.encodings(lo + j, lo + j + 1)
+            violations.append(EquivalenceViolation(lo + j, encoding, vector))
     return {"counts": counts, "vectors": vectors, "violations": violations, "excluded": excluded}
 
 
@@ -410,12 +417,13 @@ def _pool_size(workers: int, chunks: int) -> int:
 
 
 def _partition(total: int, workers: int, min_chunk: int = 1) -> list[tuple[int, int]]:
-    """Index ranges covering [0, total): about four per worker, none shorter
-    than ``min_chunk`` except the last."""
+    """Index ranges covering [0, total): about four per worker, each starting
+    on a multiple of ``min_chunk``, so no census batch crosses one."""
     if total == 0:
         return []
     workers = _pool_size(workers, total)
-    chunk = total if workers <= 1 else max(min_chunk, -(-total // (workers * 4)))
+    chunk = total if workers <= 1 else -(-total // (workers * 4))
+    chunk = -(-chunk // min_chunk) * min_chunk
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 

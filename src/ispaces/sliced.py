@@ -5,7 +5,8 @@ the triple <a, x, c> is one int whose bit i is that triple's value in space
 i of the batch (bitslicing: Biham, FSE 1997; Knuth, TAOCP 4A, 7.1.3).  A
 formula over triples becomes a chain of AND/OR/XOR over slices that decides
 it for the whole batch at once, and its result is a slice again: bit i is
-the formula's value in space i.
+the formula's value in space i.  A batch arrives as its orbit columns, built
+by its population: bit i of column k is free orbit k in space i.
 
 Sets whose membership differs between spaces are *slice-sets*: tuples of n
 slices, entry x holding "x is a member" per space.  A fixed point set is
@@ -34,7 +35,7 @@ from __future__ import annotations
 from operator import or_
 from typing import Sequence
 
-from .core import _forced_bits, _triple_index, bits_of
+from .core import _forced_bits, _orbits, _triple_index, bits_of
 
 #: Spaces per batch.  A batch costs about the same whatever its size, so
 #: batches are as large as the exhaustive n = 4 population.
@@ -51,29 +52,6 @@ BATCH = 4096
 MAX_N = 5
 
 SliceSet = tuple[int, ...]
-
-
-def triple_slices(encoding, encodings: Sequence[int]) -> list[int]:
-    """The n^3 triple slices of a batch of orbit encodings.
-
-    ``encoding`` is a :class:`~ispaces.search.FreeOrbitEncoding`: slice
-    (a*n + x)*n + c has bit i set iff <a, x, c> holds in the space decoded
-    from ``encodings[i]``.
-    """
-    n, k = encoding.n, encoding.orbit_count
-    full = (1 << len(encodings)) - 1
-    slices = [0] * n ** 3
-    for t in bits_of(_forced_bits(n)):
-        slices[t] = full
-    # The batch as one base-2 text, k digits per space and the last space
-    # first, since it holds the highest bit of every column: orbit j's
-    # column is then every k-th digit from k - 1 - j, one parse each.
-    digits = f"0{k}b"
-    text = "".join([format(e, digits) for e in reversed(encodings)])
-    for j, (a, b, c) in enumerate(encoding.orbits):
-        column = int(text[k - 1 - j::k] or "0", 2)
-        slices[_triple_index(n, a, b, c)] = slices[_triple_index(n, c, b, a)] = column
-    return slices
 
 
 def _join_point(n: int, ivl: list[SliceSet], s: SliceSet, c: int) -> SliceSet:
@@ -148,21 +126,26 @@ def _two_way(n: int, rows: list[list[int]], s: SliceSet) -> int:
 
 
 class _Batch:
-    """The views of a batch's triple slices that both kernels read.
+    """The views both kernels read of a batch of ``size`` spaces, from its orbit columns.
 
     ``fwd[a*n + x][c]`` and ``ivl[a*n + c][x]`` are two views of <a, x, c>;
     ``intervals`` holds [a, b] for a <= b; ``convex[M]`` is the slice of
     the spaces where the point set M is convex.
     """
 
-    def __init__(self, n: int, slices: Sequence[int]):
+    def __init__(self, n: int, columns: Sequence[int], size: int):
         pts = range(n)
         self.n = n
-        self.full = slices[0]  # <0, 0, 0> holds in every space
+        self.full = full = (1 << size) - 1
+        slices = [0] * n ** 3
+        for t in bits_of(_forced_bits(n)):
+            slices[t] = full
+        for column, (a, b, c) in zip(columns, _orbits(n)):
+            slices[_triple_index(n, a, b, c)] = slices[_triple_index(n, c, b, a)] = column
         self.fwd = [tuple(slices[i:i + n]) for i in range(0, n ** 3, n)]
         self.ivl = ivl = [tuple(slices[(a * n + x) * n + c] for x in pts) for a in pts for c in pts]
         self.intervals = [ivl[a * n + b] for a in pts for b in range(a, n)]
-        self.convex = [self.full & ~_breach(n, ivl, self.const(sm)) for sm in range(1 << n)]
+        self.convex = [full & ~_breach(n, ivl, self.const(sm)) for sm in range(1 << n)]
 
     def const(self, mask: int) -> SliceSet:
         """The fixed point set ``mask`` as a slice-set."""
@@ -185,13 +168,13 @@ class _Batch:
         return rows
 
 
-def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
+def transitivity_slices(n: int, columns: Sequence[int], size: int) -> tuple[int, ...]:
     """C1..C9 over a batch: bit i of entry k is condition C(k+1) in space i.
 
-    ``slices`` are the batch's :func:`triple_slices`.  C4 and C5 are always
-    returned; the census decides whether they are reported.
+    ``columns`` are the batch's orbit columns (see :class:`_Batch`).  C4 and
+    C5 are always returned; the census decides whether they are reported.
     """
-    batch = _Batch(n, slices)
+    batch = _Batch(n, columns, size)
     full, ivl, convex = batch.full, batch.ivl, batch.convex
     pts = range(n)
 
@@ -244,14 +227,14 @@ def transitivity_slices(n: int, slices: Sequence[int]) -> tuple[int, ...]:
     return (c1, c2, c3, c3, c3, c6, c7, c8, c8)
 
 
-def antisymmetry_slices(n: int, slices: Sequence[int]) -> tuple[tuple[int, ...], int]:
+def antisymmetry_slices(n: int, columns: Sequence[int], size: int) -> tuple[tuple[int, ...], int]:
     """D1..D5 over a batch, and the mask of the spaces they are evaluated on.
 
-    ``slices`` are the batch's :func:`triple_slices`.  The mask is sliced C1
+    ``columns`` are the batch's orbit columns.  The mask is sliced C1
     (interval-transitivity, the theorem's hypothesis); bit i of entry k is
     condition D(k+1) in space i, and is clear wherever the mask is.
     """
-    batch = _Batch(n, slices)
+    batch = _Batch(n, columns, size)
     full, fwd, convex = batch.full, batch.fwd, batch.convex
     pts = range(n)
 

@@ -151,6 +151,15 @@ MUTANTS = [
     # The census.
     ("search.py", "        values = [None if name in skipped else s for name, s in zip(CONDITIONS[theorem], values)]\n",
      "", "the census does not blank the skipped slices"),
+    # The census batches' orbit columns, and the chunks they are cut from.
+    ("search.py", "full if span.start >> j & 1 else 0", "full if span.stop >> j & 1 else 0",
+     "the exhaustive columns above the block's bits read bit j of stop, not of start"),
+    ("search.py", "<< (1 << j)) >> low & full", "<< (1 << j)) & full",
+     "the exhaustive columns below the block's bits lose their shift by start mod 4096"),
+    ("search.py", "int(text[j::m] or b\"0\", 2)", "int(text[j::m + 1] or b\"0\", 2)",
+     "the sampled columns take every (m + 1)-th byte, not every m-th"),
+    ("search.py", "    chunk = -(-chunk // min_chunk) * min_chunk\n", "    chunk = max(min_chunk, chunk)\n",
+     "census chunks are no shorter than a batch but no longer start on a multiple of one"),
 ]
 
 EQUIVALENT = [

@@ -56,6 +56,13 @@ def entails(space, a_set, x, y):
     return y in hull_by_intersection(space, frozenset(a_set) | {x})
 
 
+def orbit_columns(orbit_count, encodings):
+    """The orbit columns of a batch of encodings, one bit at a time: bit i
+    of column k is bit k of ``encodings[i]``."""
+    ordered = list(encodings)[::-1]  # the last space holds the highest bit
+    return [int("0" + "".join(["1" if e >> k & 1 else "0" for e in ordered]), 2) for k in range(orbit_count)]
+
+
 def triple_slices(encoding, encodings):
     """The triple slices of a batch of orbit encodings, one bit at a time:
     bit i of slice (a*n + x)*n + c is <a, x, c> in the space of ``encodings[i]``."""
@@ -65,9 +72,7 @@ def triple_slices(encoding, encodings):
     for a, x, c in product(range(n), repeat=3):
         if x in (a, c):  # <x, x, c> and <a, x, x> hold in every space
             slices[(a * n + x) * n + c] = full
-    ordered = list(encodings)[::-1]  # the last space holds the highest bit
-    for k, (a, b, c) in enumerate(encoding.orbits):
-        column = int("0" + "".join(["1" if e >> k & 1 else "0" for e in ordered]), 2)
+    for (a, b, c), column in zip(encoding.orbits, orbit_columns(encoding.orbit_count, encodings)):
         slices[(a * n + b) * n + c] = slices[(c * n + b) * n + a] = column
     return slices
 

@@ -633,10 +633,14 @@ class TestCommands:
         (("search", "--max-spaces", "-1"), (2, "", "error: max_spaces must be nonnegative\n")),
         ((*_VERIFY, "3", "--samples", "5", "--density", "abc"),
          (2, "", "error: bad density 'abc': expected a number in [0, 1] or 'sweep'\n")),
+        (("order", "/nonexistent.ispace"), (2, "", "error: order needs exactly one of --point ID or --set LIST\n")),
+        (("order", _K23, "--point", "0", "--set", "1"),
+         (2, "", "error: order needs exactly one of --point ID or --set LIST\n")),
     ], ids=["verify-n0-samples", "verify-n0-exhaustive", "enumerate-n0", "verify-negative-samples",
             "verify-negative-seed", "search-negative-seed", "verify-density-high", "verify-density-nan",
             "search-density-high", "search-density-nan", "exhaustive-ignores-seed", "check-unknown-property",
-            "search-negative-max-spaces", "verify-density-text"])
+            "search-negative-max-spaces", "verify-density-text", "order-no-flag-missing-file",
+            "order-both-flags"])
     def test_rejected_input_exact_output(self, capsys, l3_file, argv, expected):
         # each input is checked where the library reads it; the CLI prints the library's message
         assert run_cli(capsys, *(t.format(l3=l3_file) for t in argv)) == expected

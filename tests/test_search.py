@@ -29,7 +29,7 @@ from ispaces.search import (
     FreeOrbitEncoding,
     _partition,
     _pool_size,
-    _sample_encodings,
+    _sample_bits,
     _search_plan,
     random_encoding,
 )
@@ -164,9 +164,13 @@ class TestSampler:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_naive_oracle(self, n):
-        # n <= 2 has no orbits; every encoding is 0
+        # n <= 2 has no orbits; every sample is empty.  Byte k is b"1" when orbit k is set.
         draws = [(seed, d) for d in self.DENSITIES for seed in self.SEEDS]
-        assert list(_sample_encodings(n, draws)) == [naive.sample_encoding(n, s, d) for s, d in draws]
+        orbits = range(n * (n - 1) * (n - 2) // 2)
+        expected = [naive.sample_encoding(n, s, d) for s, d in draws]
+        assert [bytes(bits) for bits in _sample_bits(n, draws)] == [
+            "".join("1" if e >> k & 1 else "0" for k in orbits).encode() for e in expected
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 2**80), st.floats(0.0, 1.0))

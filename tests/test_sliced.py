@@ -25,8 +25,8 @@ from ispaces import (
     verify_transitivity_theorem,
 )
 from ispaces import search
-from ispaces.properties import TRANSITIVITY_CONDITIONS
-from ispaces.search import EquivalenceViolation, _partition, _verify, random_encoding
+from ispaces.properties import CONDITIONS, TRANSITIVITY_CONDITIONS
+from ispaces.search import EquivalenceViolation, _census_chunk, _partition, _verify, random_encoding
 
 import naive
 
@@ -36,8 +36,12 @@ def _scalar_values(n, encodings):
     return [transitivity_conditions(enc.decode(e)).values for e in encodings]
 
 
+def _columns(n, encodings):
+    return naive.orbit_columns(FreeOrbitEncoding(n).orbit_count, encodings)
+
+
 def _sliced_values(n, encodings):
-    slices = sliced.transitivity_slices(n, sliced.triple_slices(FreeOrbitEncoding(n), encodings))
+    slices = sliced.transitivity_slices(n, _columns(n, encodings), len(encodings))
     return [tuple(bool(s >> i & 1) for s in slices) for i in range(len(encodings))]
 
 
@@ -52,7 +56,7 @@ def _scalar_antisymmetry(n, encodings):
 
 
 def _sliced_antisymmetry(n, encodings):
-    values, evaluated = sliced.antisymmetry_slices(n, sliced.triple_slices(FreeOrbitEncoding(n), encodings))
+    values, evaluated = sliced.antisymmetry_slices(n, _columns(n, encodings), len(encodings))
     # off the hypothesis every D bit must be clear, or the census would count it
     assert not any(s & ~evaluated for s in values)
     return [tuple(bool(s >> i & 1) for s in values) if evaluated >> i & 1 else None for i in range(len(encodings))]
@@ -89,23 +93,69 @@ def _scalar_census(population, semigroup):
     }
 
 
+def _slices(batch):
+    """The triple slices a batch holds, read from its two views."""
+    n = batch.n
+    fwd = [s for row in batch.fwd for s in row]
+    ivl = [batch.ivl[a * n + c][x] for a in range(n) for x in range(n) for c in range(n)]
+    assert fwd == ivl
+    return fwd
+
+
+def _per_bit_columns(start, stop, orbit_count):
+    """Bit i of column j is bit j of start + i, one bit at a time."""
+    return [
+        int("0" + "".join("1" if e >> j & 1 else "0" for e in reversed(range(start, stop))), 2)
+        for j in range(orbit_count)
+    ]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exhaustive_columns_equal_the_per_bit_formula(self, n):
+        population = ExhaustivePopulation(n, allow_large=True)
+        size = min(population.size(), sliced.BATCH)
+        batches = [(0, size), (size // 3, size - size // 4)]
+        if n == 5:
+            # batches 1, 2^17 and 2^18 - 1, and part of batch 2^17 off its start
+            top = 1 << 17
+            batches += [(b * size, (b + 1) * size) for b in (1, top, 2 * top - 1)]
+            batches.append((top * size + 100, top * size + 1300))
+        for start, stop in batches:
+            got = population.columns(start, stop)
+            assert got == _per_bit_columns(start, stop, FreeOrbitEncoding(n).orbit_count), (start, stop)
+
+    def test_exhaustive_batch_across_a_block_is_refused(self):
+        population = ExhaustivePopulation(5, allow_large=True)
+        for start, stop in ((4000, 4100), (sliced.BATCH - 1, sliced.BATCH + 1), (0, sliced.BATCH + 1)):
+            with pytest.raises(ValueError, match=f"crosses a multiple of {sliced.BATCH}"):
+                population.columns(start, stop)
+
+    @pytest.mark.parametrize("size", [1, 7, sliced.BATCH - 1, sliced.BATCH])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sampled_columns_are_the_bits_of_the_encodings(self, n, size):
+        # n <= 2 has no orbits; n = 6 has 60, twice as many as the census's n = 5
+        population = SampledPopulation(n, seed=17 * n, count=size + 5)
+        encodings = list(population.encodings(5, size + 5))
+        assert population.columns(5, size + 5) == _columns(n, encodings)
+
+
 class TestSlices:
-    def test_triple_slices_are_the_decoded_tables(self):
+    def test_batch_slices_are_the_decoded_tables(self):
         for n in range(1, 5):
             enc = FreeOrbitEncoding(n)
-            encodings = range(enc.space_count)
-            slices = sliced.triple_slices(enc, encodings)
-            for i in encodings:
+            slices = _slices(sliced._Batch(n, ExhaustivePopulation(n).columns(0, enc.space_count), enc.space_count))
+            for i in range(enc.space_count):
                 bits = enc.decode(i).table.bits
                 assert [s >> i & 1 for s in slices] == [bits >> t & 1 for t in range(n ** 3)]
 
     @pytest.mark.parametrize("size", [1, 7, sliced.BATCH - 1, sliced.BATCH])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_triple_slices_equal_the_per_bit_formula(self, n, size):
-        # n <= 2 has no orbits; n = 6 has 60, twice as many as the census's n = 5
+    def test_batch_slices_equal_the_per_bit_formula(self, n, size):
         enc = FreeOrbitEncoding(n)
         encodings = list(SampledPopulation(n, seed=17 * n, count=size).encodings())
-        assert sliced.triple_slices(enc, encodings) == naive.triple_slices(enc, encodings)
+        batch = sliced._Batch(n, _columns(n, encodings), size)
+        assert _slices(batch) == naive.triple_slices(enc, encodings)
 
     def test_every_space_up_to_four_points(self):
         for n in range(1, 5):
@@ -208,8 +258,8 @@ class TestSlicedCensus:
         flipped = 17
         real = sliced.transitivity_slices
 
-        def one_flip(n, slices):
-            values = list(real(n, slices))
+        def one_flip(n, columns, size):
+            values = list(real(n, columns, size))
             values[1] ^= 1 << flipped  # C2 of sample 17
             return tuple(values)
 
@@ -230,8 +280,8 @@ class TestSlicedCensus:
         flipped = next(i for i, e in enumerate(population.encodings())
                        if interval_transitivity_witness(enc.decode(e)) is None)
 
-        def one_flip(n, slices):
-            values, evaluated = real(n, slices)
+        def one_flip(n, columns, size):
+            values, evaluated = real(n, columns, size)
             values = list(values)
             values[2] ^= 1 << flipped  # D3 of the first interval-transitive sample
             return tuple(values), evaluated
@@ -247,7 +297,7 @@ class TestSlicedCensus:
         def refuse(*args):
             raise AssertionError("a batch was built")
 
-        monkeypatch.setattr(sliced, "triple_slices", refuse)
+        monkeypatch.setattr(sliced, "_Batch", refuse)
         with pytest.raises(CapExceededError):
             verify_transitivity_theorem(ExhaustivePopulation(5))
 
@@ -259,3 +309,54 @@ def test_partition_respects_minimum_chunk(monkeypatch):
     assert _partition(10_000, 2, 4096) == [(0, 4096), (4096, 8192), (8192, 10_000)]
     assert _partition(100, 2) == [(s, min(s + 13, 100)) for s in range(0, 100, 13)]
     assert _partition(100, 1, 4096) == [(0, 100)]
+
+
+def test_partition_aligns_chunks(monkeypatch):
+    # 2^30 / 12 is not a multiple of 4096: unaligned chunks cut exhaustive
+    # batches across blocks of encodings
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    for total in (2**30, 10_000):
+        chunks = _partition(total, 3, sliced.BATCH)
+        assert all(start % sliced.BATCH == 0 for start, _ in chunks)
+        assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+        assert chunks[-1][1] == total
+
+
+@lru_cache(maxsize=None)
+def _scalar_chunk(theorem, population, lo, hi):
+    """The tallies of spaces lo..hi-1 by a plain loop over the scalar conditions."""
+    counts = Counter()
+    vectors = Counter()
+    excluded = 0
+    for _, space in population.spaces(lo, hi):
+        if theorem == "transitivity":
+            values = transitivity_conditions(space).values
+        elif interval_transitivity_witness(space) is None:
+            values = antisymmetry_conditions(space).values
+        else:
+            excluded += 1
+            continue
+        counts.update(name for name, v in zip(CONDITIONS[theorem], values) if v)
+        vectors["".join("T" if v else "F" for v in values)] += 1
+    return {"counts": counts, "vectors": vectors, "violations": [], "excluded": excluded}
+
+
+class TestFivePointBatches:
+    """The first 1,024 spaces of exhaustive n = 5 batches 0 and 2^18 - 1,
+    through the sliced census and the scalar conditions."""
+
+    POPULATION = ExhaustivePopulation(5, allow_large=True)
+
+    @pytest.mark.parametrize("theorem", ["transitivity", "antisymmetry"])
+    @pytest.mark.parametrize("batch", [0, 2**18 - 1])
+    def test_census_chunk_equals_scalar_conditions(self, batch, theorem):
+        lo = batch * sliced.BATCH
+        got = _census_chunk((theorem, self.POPULATION, lo, lo + 1024, (), True))
+        assert got == _scalar_chunk(theorem, self.POPULATION, lo, lo + 1024)
+
+    @pytest.mark.parametrize("batch", [0, 2**18 - 1])
+    def test_c1_count_is_the_evaluated_count(self, batch):
+        lo = batch * sliced.BATCH
+        transitivity = _census_chunk(("transitivity", self.POPULATION, lo, lo + 1024, (), True))
+        antisymmetry = _census_chunk(("antisymmetry", self.POPULATION, lo, lo + 1024, (), True))
+        assert transitivity["counts"]["C1"] == 1024 - antisymmetry["excluded"]
