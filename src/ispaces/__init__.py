@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
+        "base": ("ANTISYMMETRY_CONDITIONS", "TRANSITIVITY_CONDITIONS", "WORK_BUDGET", "CapExceededError"),
         "core": (
-            "ANTISYMMETRY_CONDITIONS", "TRANSITIVITY_CONDITIONS", "WORK_BUDGET", "Axiom", "AxiomViolation",
-            "BetweennessTable", "BinaryRelation", "CapExceededError", "FiniteIntervalSpace", "PointSet",
+            "Axiom", "AxiomViolation", "BetweennessTable", "BinaryRelation", "FiniteIntervalSpace", "PointSet",
             "ValidationError", "axiom_violations", "validate",
         ),
         "closure": (

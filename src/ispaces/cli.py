@@ -39,13 +39,8 @@ import re
 import sys
 from typing import Any
 
-# models, properties and search are imported where a command runs them.
-from .core import (
-    BetweennessTable,
-    CapExceededError,
-    FiniteIntervalSpace,
-    PointSet,
-)
+# core, models, properties and search are imported where a command runs them.
+from .base import CapExceededError
 
 
 #: Largest point or vertex count a file may declare, and the most points a
@@ -136,6 +131,8 @@ def _load_ispace(path: str, lines: list[tuple[int, str]]) -> FiniteIntervalSpace
                 path, lineno, f"triple <{a},{x},{c}> breaks thinness: middle differs from repeated endpoint"
             )
         triples.append((a, x, c))
+    from .core import BetweennessTable, FiniteIntervalSpace
+
     return FiniteIntervalSpace._trusted(BetweennessTable.completed(n, triples))
 
 
@@ -232,6 +229,8 @@ def save_ispace(space: FiniteIntervalSpace, path: str) -> None:
 
 def parse_point_set(text: str, n: int) -> PointSet:
     """Comma-separated point ids; '-' is the empty set."""
+    from .core import PointSet
+
     if text.strip() == "-":
         return PointSet.empty(n)
     try:
@@ -246,16 +245,6 @@ def parse_point_set(text: str, n: int) -> PointSet:
 
 # ---------------------------------------------------------------------------
 # Report rendering
-
-
-def _jsonify(value: Any) -> Any:
-    if isinstance(value, PointSet):
-        return sorted(value.members)
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
 
 
 def _fmt_scalar(value: Any) -> str:
@@ -297,7 +286,8 @@ def _human_lines(value: dict, indent: int = 0) -> list[str]:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "structured":
-        print(json.dumps(_jsonify(payload), indent=2))
+        # a PointSet is the list of its members, ascending
+        print(json.dumps(payload, indent=2, default=list))
     else:
         print("\n".join(_human_lines(payload)))
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness, _check_point, _first_breach, record
+from .base import _check_point, record
+from .core import FiniteIntervalSpace, PointSet, _antisymmetric_rows_witness, _first_breach
 
 
 class HypothesisNotMetError(ValueError):

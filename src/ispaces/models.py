@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Sequence, Union
 
-from .core import BetweennessTable, FiniteIntervalSpace, _join_rows, bits_of, record
+from .base import _join_rows, bits_of, record
+from .core import BetweennessTable, FiniteIntervalSpace
 
 # ``fractions`` is imported where points are built, so graph models never load it.
 Rational = Union[int, "Fraction"]

@@ -29,10 +29,10 @@ from __future__ import annotations
 from itertools import tee
 from typing import Callable, Iterable, Iterator
 
-from .core import (
-    ANTISYMMETRY_CONDITIONS, CONDITIONS, TRANSITIVITY_CONDITIONS, FiniteIntervalSpace, PointSet, _first_breach,
-    budget_message, record, semigroup_reported,
+from .base import (
+    ANTISYMMETRY_CONDITIONS, CONDITIONS, TRANSITIVITY_CONDITIONS, budget_message, record, semigroup_reported,
 )
+from .core import FiniteIntervalSpace, PointSet, _first_breach
 from .closure import (
     HypothesisNotMetError,
     antiexchange_witness,

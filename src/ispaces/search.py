@@ -20,7 +20,8 @@ whose census chunks start on multiples of ``sliced.BATCH``, and stride slices
 of the sampled one's orbit bytes.  Past that size a census decodes and checks
 one space at a time, and that scalar path is the tests' oracle for the sliced
 one; it and the separating search import :mod:`ispaces.properties` where they
-run, so a sliced census never loads it.
+run, and decoding a space imports :mod:`ispaces.core`, so a sliced census
+loads neither.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import sliced
-from .core import (
+from .base import (
     CONDITIONS,
     OVERRIDE_ADVICE,
-    BetweennessTable,
     CapExceededError,
-    FiniteIntervalSpace,
     _forced_bits,
     _orbits,
     _triple_index,
@@ -90,6 +89,8 @@ class FreeOrbitEncoding:
     def decode(self, bits: int) -> FiniteIntervalSpace:
         if not 0 <= bits < self.space_count:
             raise ValueError(f"encoding {bits} out of range [0, 2^{self.orbit_count})")
+        from .core import BetweennessTable, FiniteIntervalSpace
+
         # One parse of the table text: ORing each orbit into an int as wide
         # as the table would take time quadratic in n^3.
         text = bytearray(self._base)
@@ -478,7 +479,7 @@ def verify_transitivity_theorem(
 ) -> CensusReport:
     """Census C1..C9 over a population; equivalence violations must be absent.
 
-    C4/C5 are reported as skipped where :func:`~ispaces.core.semigroup_reported`
+    C4/C5 are reported as skipped where :func:`~ispaces.base.semigroup_reported`
     says so for the population's size.  ``allow_large`` also lifts the work
     budget of each space's subset enumeration.
     """

@@ -35,7 +35,7 @@ from __future__ import annotations
 from operator import or_
 from typing import Sequence
 
-from .core import _forced_bits, _orbits, _triple_index, bits_of
+from .base import _forced_bits, _orbits, _triple_index, bits_of
 
 #: Spaces per batch.  A batch costs about the same whatever its size, so
 #: batches are as large as the exhaustive n = 4 population.

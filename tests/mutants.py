@@ -124,26 +124,29 @@ MUTANTS = [
      "the transitivity proposition keeps the breaches whose [a, b] is intransitive"),
     ("core.py", "self._set_interval_mask(a_set.mask, c_set.mask) >> x", "self._set_interval_mask(a_set.mask, a_set.mask) >> x",
      "set_between reads [A, A], not [A, C]", ("tests/test_core.py",)),
-    # core.record, and the ispace writer.
-    ("core.py", "        if other.__class__ is self.__class__:\n", "        if hasattr(other, '__dict__'):\n",
+    # base.record, and the ispace writer.
+    ("base.py", "        if other.__class__ is self.__class__:\n", "        if hasattr(other, '__dict__'):\n",
      "record equality holds across classes with the same fields", ("tests/test_core.py",)),
-    ("core.py", "return hash(values(self))", "return hash(getattr(self, fields[0]))",
+    ("base.py", "return hash(values(self))", "return hash(getattr(self, fields[0]))",
      "record hash reads the first field only", ("tests/test_core.py",)),
-    ("core.py", "raise AttributeError(f\"cannot assign to field {name!r}\")", "object.__setattr__(self, name, value)",
+    ("base.py", "raise AttributeError(f\"cannot assign to field {name!r}\")", "object.__setattr__(self, name, value)",
      "records are not frozen", ("tests/test_core.py",)),
-    ("core.py", "        if post_init:\n            self.__post_init__()\n", "",
+    ("base.py", "        if post_init:\n            self.__post_init__()\n", "",
      "records skip __post_init__", ("tests/test_core.py",)),
-    ("core.py", "if cls.__dict__.get(member.__name__) is None:", "if True:",
+    ("base.py", "if cls.__dict__.get(member.__name__) is None:", "if True:",
      "record overwrites the dunders the class defines itself", ("tests/test_core.py",)),
-    ("core.py", "defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}", "defaults = {}",
+    ("base.py", "defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}", "defaults = {}",
      "record ignores the class attributes as defaults", ("tests/test_core.py",)),
     ("cli.py", "if a < c and b != a and b != c]", "if a < c and b != a]",
      "format_ispace writes the forced triples <a, c, c> too", ("tests/test_cli.py",)),
     # Start-up: each command imports the layers it runs.
-    ("cli.py", "    PointSet,\n)\n",
-     "    PointSet,\n)\nfrom .search import (\n    ExhaustivePopulation,\n    FreeOrbitEncoding,\n    SampledPopulation,\n"
+    ("cli.py", "from .base import CapExceededError\n",
+     "from .base import CapExceededError\nfrom .search import (\n    ExhaustivePopulation,\n    FreeOrbitEncoding,\n    SampledPopulation,\n"
      "    find_separating,\n    verify_antisymmetry_theorem,\n    verify_transitivity_theorem,\n)\n",
      "the CLI imports search at start-up again, so every command compiles it", ("tests/test_cli.py",)),
+    ("cli.py", "from .base import CapExceededError\n",
+     "from .base import CapExceededError\nfrom .core import PointSet\n",
+     "the CLI imports core at start-up again, so a census compiles the space model", ("tests/test_cli.py",)),
     # Rejected input: the library's ValueError is the one check, and main maps it to exit 2.
     ("cli.py", "    except (ValueError, CapExceededError) as exc:\n",
      "    except (SpaceFileError, UsageError, CapExceededError) as exc:\n",

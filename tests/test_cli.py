@@ -230,11 +230,16 @@ def _loaded_after(code, *modules):
 
 def test_cli_import_skips_dataclasses_and_inspect():
     # Every command pays its module imports at start-up; the value classes are
-    # built by core.record, so neither module is needed.
+    # built by base.record, so neither module is needed.
     assert _loaded_after("import ispaces.cli", "dataclasses", "inspect") == "[]"
 
 
-_LAYERS = ("ispaces.search", "ispaces.sliced", "ispaces.properties", "ispaces.closure", "ispaces.models", "fractions")
+_LAYERS = (
+    "ispaces.core", "ispaces.search", "ispaces.sliced", "ispaces.properties", "ispaces.closure", "ispaces.models",
+    "fractions",
+)
+#: What a sliced census (n <= 5) never loads: it builds no space.
+_NO_SPACE = ("ispaces.core", "ispaces.properties", "ispaces.closure", "ispaces.models", "fractions")
 _K23 = str(Path(__file__).resolve().parent / "golden" / "k23.graph")
 
 
@@ -243,11 +248,14 @@ _K23 = str(Path(__file__).resolve().parent / "golden" / "k23.graph")
     ("import ispaces.cli", _LAYERS),
     (f"from ispaces.cli import main; main(['check', {_K23!r}])", ("ispaces.search", "ispaces.sliced", "fractions")),
     ("from ispaces.cli import main; main(['verify', '--theorem', 'antisymmetry', '--n', '5', '--samples', '50'])",
-     ("ispaces.properties", "ispaces.closure", "ispaces.models", "fractions")),
-], ids=["package", "cli", "check", "sliced-census"])
+     _NO_SPACE),
+    ("from ispaces.cli import main; main(['verify', '--theorem', 'transitivity', '--n', '4', '--exhaustive'])",
+     _NO_SPACE),
+    ("import ispaces; ispaces.CapExceededError", ("ispaces.core",)),
+], ids=["package", "cli", "check", "sliced-census", "exhaustive-census", "budget-error"])
 def test_command_loads_only_its_layers(code, modules):
-    # the package resolves its exports on first access, and the CLI imports
-    # each layer in the command that runs it
+    # the package resolves its exports on first access, the CLI imports each
+    # layer in the command that runs it, and the model-free primitives live in base
     assert _loaded_after(code, *modules) == "[]"
 
 
@@ -636,11 +644,13 @@ class TestCommands:
         (("order", "/nonexistent.ispace"), (2, "", "error: order needs exactly one of --point ID or --set LIST\n")),
         (("order", _K23, "--point", "0", "--set", "1"),
          (2, "", "error: order needs exactly one of --point ID or --set LIST\n")),
+        (("search", "--want", "stiff", "--ns", "3,x"),
+         (2, "", "error: bad --ns '3,x': expected comma-separated sizes\n")),
     ], ids=["verify-n0-samples", "verify-n0-exhaustive", "enumerate-n0", "verify-negative-samples",
             "verify-negative-seed", "search-negative-seed", "verify-density-high", "verify-density-nan",
             "search-density-high", "search-density-nan", "exhaustive-ignores-seed", "check-unknown-property",
             "search-negative-max-spaces", "verify-density-text", "order-no-flag-missing-file",
-            "order-both-flags"])
+            "order-both-flags", "search-ns-text"])
     def test_rejected_input_exact_output(self, capsys, l3_file, argv, expected):
         # each input is checked where the library reads it; the CLI prints the library's message
         assert run_cli(capsys, *(t.format(l3=l3_file) for t in argv)) == expected
@@ -751,3 +761,13 @@ class TestCommands:
         code, out, err = run_cli(capsys, "check", str(path))
         assert code == 2 and out == ""
         assert err == f"error: {path}: not UTF-8 text: byte 0 cannot be decoded\n"
+
+    @pytest.mark.parametrize("text, where", [
+        ("# only a comment\n\n", ": empty file"),
+        ("graph v1\nvertices 2\nedge 0\n", ":3: expected 'edge u v', got 'edge 0'"),
+        ("graph v1\nvertices 2\nvertex 0 1\n", ":3: expected 'edge u v', got 'vertex 0 1'"),
+    ], ids=["empty", "edge-one-vertex", "edge-keyword"])
+    def test_file_error_exact_output(self, capsys, tmp_path, text, where):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        assert run_cli(capsys, "check", str(path)) == (2, "", f"error: {path}{where}\n")

@@ -63,6 +63,13 @@ class TestClosureSystemConstruction:
             cs.entails(PointSet.empty(3), x, y)
         assert str(exc.value) == f"point id {bad} out of range [0, 3)"
 
+    def test_foreign_universe_rejected(self):
+        cs = ClosureSystem.of(3, [[], [0, 1, 2]])
+        for call in (cs.is_closed, cs.cl, lambda s: cs.entails(s, 0, 1)):
+            with pytest.raises(ValueError) as exc:
+                call(PointSet.of(4, [0]))
+            assert str(exc.value) == "point set universe 4 does not match system universe 3"
+
     def test_standalone_moore_family(self):
         cs = ClosureSystem.of(3, [[], [0], [0, 1], [0, 1, 2]])
         assert cs.has_empty()

@@ -1,3 +1,4 @@
+import operator
 import pickle
 import re
 
@@ -14,7 +15,8 @@ from ispaces import (
     validate,
 )
 from ispaces.closure import ClosureSystem
-from ispaces.core import AxiomViolation, BinaryRelation, record
+from ispaces.base import record
+from ispaces.core import AxiomViolation, BinaryRelation
 from ispaces.models import Graph
 from ispaces.properties import ConditionVector, PropertyReport
 from ispaces.search import CensusReport, EquivalenceViolation, ExhaustivePopulation, SampledPopulation
@@ -51,6 +53,13 @@ class TestValidate:
         table = BetweennessTable(3, base.bits | (1 << ((0 * 3 + 1) * 3 + 2)))  # <0,1,2> only
         violations = axiom_violations(table)
         assert violations == [I.AxiomViolation(Axiom.MIDDLE_SYMMETRY, (0, 1, 2))]
+
+    @pytest.mark.parametrize("n, bits", [(2, 1 << 8), (1, 2), (2, -1)])
+    def test_table_bits_past_the_triple_range_rejected(self, n, bits):
+        BetweennessTable(n, (1 << n ** 3) - 1)  # every triple true is in range
+        with pytest.raises(ValueError) as exc:
+            BetweennessTable(n, bits)
+        assert str(exc.value) == "relation bits exceed the n^3 triple range"
 
     def test_reflexivity_violation_witnessed(self):
         violations = axiom_violations(BetweennessTable(2, 0))
@@ -389,9 +398,20 @@ class TestPointSet:
         with pytest.raises(ValueError):
             l3.hull(PointSet.of(4, [0]))
 
+    @pytest.mark.parametrize("op", [operator.or_, operator.and_, operator.sub, PointSet.issubset])
+    def test_set_algebra_refuses_a_non_set(self, op):
+        with pytest.raises(TypeError) as exc:
+            op(PointSet.of(3, [0]), 1)
+        assert str(exc.value) == "expected PointSet, got int"
+
+    def test_space_refuses_a_non_set(self, l3):
+        with pytest.raises(TypeError) as exc:
+            l3.hull({0})
+        assert str(exc.value) == "expected PointSet, got set"
+
 
 # ---------------------------------------------------------------------------
-# value classes (core.record)
+# value classes (base.record)
 
 
 def _census_report():

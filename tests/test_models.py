@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import ispaces as I
 from ispaces import Graph, PointSet, rational_between, vector_space_on_points
+from ispaces.base import bits_of
 from ispaces.cli import load
 
 import naive
@@ -136,6 +137,12 @@ class TestGraph:
             Graph(n, adj)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 0)])
+    def test_edge_out_of_range_rejected(self, edge):
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(3, [(0, 1), edge])
+        assert str(exc.value) == f"edge {edge[0]}-{edge[1]} out of range [0, 3)"
+
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(2, [(0, 1), (1, 0)])
         assert list(g.edges()) == [(0, 1)]
@@ -185,7 +192,7 @@ class TestGeodesicSpaces:
                 while path[-1] != c:
                     v = path[-1]
                     nxt = next(
-                        u for u in I.core.bits_of(graph.adj[v])
+                        u for u in bits_of(graph.adj[v])
                         if dist[u][c] == dist[v][c] - 1
                     )
                     path.append(nxt)
