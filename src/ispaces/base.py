@@ -204,8 +204,8 @@ def _forced_bits(n: int) -> int:
     return _join_rows(n, _forced_rows(n))
 
 
-def _orbits(n: int) -> tuple[tuple[int, int, int], ...]:
+def _orbits(n: int) -> Iterator[tuple[int, int, int]]:
     """The free orbits in encoding order: orbit k is {<a,b,c>, <c,b,a>} for the k-th
     pairwise-distinct (a, b, c) with a < c, lexicographically; the axioms force the rest."""
     pts = range(n)
-    return tuple((a, b, c) for a in pts for b in pts for c in pts if a != b and b != c and a < c)
+    return ((a, b, c) for a in pts for b in pts for c in pts if a != b and b != c and a < c)

@@ -12,13 +12,13 @@ All sampling is partition-stable: sample i is drawn from a generator
 reseeded with seed + i, so it does not depend on the samples drawn before
 it, and censuses are identical for every worker count.  No module state is
 kept: each population scan and command builds its own :class:`FreeOrbitEncoding`,
-after the work budget has admitted the work.  For n <= ``sliced.MAX_N`` both
-censuses evaluate their conditions on whole batches at once (:mod:`ispaces.sliced`):
-C1..C9, or the interval-transitivity filter and D1..D5.  A population hands
-a batch over as its orbit columns: fixed bit patterns for the exhaustive one,
+after the work budget has admitted the work.  Both censuses evaluate a batch
+of at least 2^n spaces on n points at once (:mod:`ispaces.sliced`): C1..C9,
+or the interval-transitivity filter and D1..D5.  A population hands such a
+batch over as its orbit columns: fixed bit patterns for the exhaustive one,
 whose census chunks start on multiples of ``sliced.BATCH``, and stride slices
-of the sampled one's orbit bytes.  Past that size a census decodes and checks
-one space at a time, and that scalar path is the tests' oracle for the sliced
+of the sampled one's orbit bytes.  A smaller batch is decoded and checked one
+space at a time, and that scalar path is the tests' oracle for the sliced
 one; it and the separating search import :mod:`ispaces.properties` where they
 run, and decoding a space imports :mod:`ispaces.core`, so a sliced census
 loads neither.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 from collections import Counter
 from functools import reduce
 from operator import and_, or_
@@ -68,23 +69,21 @@ class FreeOrbitEncoding:
     def __init__(self, n: int):
         _check_n(n)
         self.n = n
-        self.orbits = _orbits(n)
         # Tables are built as base-2 text, whose first character is the
-        # highest triple: the forced bits, and the two positions of each
-        # orbit's triples in it (an n^3-bit mask per orbit would hold n^6 bits).
+        # highest triple: the forced bits, and the two positions of each orbit's
+        # triples in it, in flat arrays (not n^3 tuples, nor n^6 bits of masks).
         top = n ** 3 - 1
         self._base = format(_forced_bits(n), f"0{top + 1}b").encode()
-        self._pairs = tuple(
-            (top - _triple_index(n, a, b, c), top - _triple_index(n, c, b, a)) for a, b, c in self.orbits
-        )
+        self._first = array("q", (top - _triple_index(n, a, b, c) for a, b, c in _orbits(n)))
+        self._second = array("q", (top - _triple_index(n, c, b, a) for a, b, c in _orbits(n)))
 
     @property
     def orbit_count(self) -> int:
-        return len(self.orbits)
+        return len(self._first)
 
     @property
     def space_count(self) -> int:
-        return 1 << len(self.orbits)
+        return 1 << self.orbit_count
 
     def decode(self, bits: int) -> FiniteIntervalSpace:
         if not 0 <= bits < self.space_count:
@@ -94,20 +93,22 @@ class FreeOrbitEncoding:
         # One parse of the table text: ORing each orbit into an int as wide
         # as the table would take time quadratic in n^3.
         text = bytearray(self._base)
-        for (i, j), bit in zip(self._pairs, reversed(format(bits, f"0{self.orbit_count}b"))):
+        for i, j, bit in zip(self._first, self._second, reversed(format(bits, f"0{self.orbit_count}b"))):
             if bit == "1":
                 text[i] = text[j] = 49  # ord("1")
         return FiniteIntervalSpace._trusted(BetweennessTable(self.n, int(text, 2)))
 
     def triples(self, bits: int) -> list[tuple[int, int, int]]:
         """The orbit representatives <a, b, c> (a < c) set in an encoding, in orbit order."""
-        return [self.orbits[k] for k in bits_of(bits)]
+        n, top = self.n, len(self._base) - 1
+        return [(t // (n * n), t // n % n, t % n) for t in (top - self._first[k] for k in bits_of(bits))]
 
     def encode(self, space: FiniteIntervalSpace) -> int:
         if space.n != self.n:
             raise ValueError(f"space has {space.n} points, encoding expects {self.n}")
-        n, fwd = self.n, space._fwd
-        return int("".join(["1" if fwd[a * n + b] >> c & 1 else "0" for a, b, c in reversed(self.orbits)]) or "0", 2)
+        # Orbit k is bit k: the table text at each orbit's first position, the last orbit first.
+        text = format(space.table.bits, f"0{len(self._base)}b").encode()
+        return int(bytes(map(text.__getitem__, reversed(self._first))) or b"0", 2)
 
 
 def enumerate_spaces(n: int, *, allow_large: bool = False) -> Iterator[FiniteIntervalSpace]:
@@ -350,9 +351,10 @@ def _pattern(values: tuple[bool | None, ...]) -> str:
     return "".join("-" if v is None else ("T" if v else "F") for v in values)
 
 
-def _sliced(n: int) -> bool:
-    """Whether a census on n points evaluates its conditions bit-sliced, a batch at a time."""
-    return n <= sliced.MAX_N
+def _sliced(n: int, size: int) -> bool:
+    """Whether a census batch of ``size`` spaces on n points is evaluated bit-sliced: a sliced
+    batch scans the 2^n point sets whatever its size, so it pays from 2^n spaces (n <= 12)."""
+    return size >= 1 << n
 
 
 def _condition_slices(
@@ -364,7 +366,7 @@ def _condition_slices(
     are not interval-transitive.  ``allow_large`` lifts the subset budget of
     the one-space-at-a-time path."""
     n = population.n
-    if _sliced(n):
+    if _sliced(n, hi - lo):
         columns = population.columns(lo, hi)
         if theorem == "transitivity":
             return sliced.transitivity_slices(n, columns, hi - lo), (1 << (hi - lo)) - 1
@@ -443,7 +445,8 @@ def _verify(
     theorem: str, population: Population, skipped: tuple[str, ...], allow_large: bool, workers: int
 ) -> CensusReport:
     total = population.size()
-    min_chunk = sliced.BATCH if _sliced(population.n) else 1
+    # chunks start on multiples of a batch where a full one is sliced, else they balance
+    min_chunk = sliced.BATCH if _sliced(population.n, min(total, sliced.BATCH)) else 1
     chunk_results = _run_chunks(
         _census_chunk,
         [(theorem, population, s, e, skipped, allow_large) for s, e in _partition(total, workers, min_chunk)],

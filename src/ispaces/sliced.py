@@ -6,7 +6,9 @@ i of the batch (bitslicing: Biham, FSE 1997; Knuth, TAOCP 4A, 7.1.3).  A
 formula over triples becomes a chain of AND/OR/XOR over slices that decides
 it for the whole batch at once, and its result is a slice again: bit i is
 the formula's value in space i.  A batch arrives as its orbit columns, built
-by its population: bit i of column k is free orbit k in space i.
+by its population: bit i of column k is free orbit k in space i.  C6, C7, D3
+and D4 scan all 2^n point sets whatever the batch size, so the census slices
+only batches of at least 2^n spaces (``search._sliced``).
 
 Sets whose membership differs between spaces are *slice-sets*: tuples of n
 slices, entry x holding "x is a member" per space.  A fixed point set is
@@ -40,16 +42,6 @@ from .base import _forced_bits, _orbits, _triple_index, bits_of
 #: Spaces per batch.  A batch costs about the same whatever its size, so
 #: batches are as large as the exhaustive n = 4 population.
 BATCH = 4096
-
-#: Largest n evaluated sliced.  A batch costs about 2^n * n^3 big-int
-#: operations whatever its size (C6 and C7 scan every subset and union),
-#: plus an AND and an OR per pair of subsets (C7), while the scalar path
-#: rejects most spaces of the antisymmetry census on the hypothesis alone.
-#: So past n = 5 a small batch gains little or loses.  Scalar / sliced
-#: seconds for 64 sampled spaces (density sweep, 2-CPU VM): transitivity
-#: 0.034 / 0.017 at n = 6, 0.052 / 0.042 at n = 7 and 0.37 / 0.71 at
-#: n = 10; antisymmetry 0.009 / 0.011 at n = 6 and 0.073 / 0.51 at n = 10.
-MAX_N = 5
 
 SliceSet = tuple[int, ...]
 

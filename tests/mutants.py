@@ -163,6 +163,14 @@ MUTANTS = [
      "the sampled columns take every (m + 1)-th byte, not every m-th"),
     ("search.py", "    chunk = -(-chunk // min_chunk) * min_chunk\n", "    chunk = max(min_chunk, chunk)\n",
      "census chunks are no shorter than a batch but no longer start on a multiple of one"),
+    # The census path: a batch of at least 2^n spaces runs sliced.
+    ("search.py", "    return size >= 1 << n\n", "    return size >= 1 << n + 1\n",
+     "the census slices a batch only from 2^(n+1) spaces", ("tests/test_sliced.py",)),
+    ("search.py", "    return size >= 1 << n\n", "    return size >= 1 << n - 1\n",
+     "the census slices a batch from 2^(n-1) spaces", ("tests/test_sliced.py",)),
+    ("search.py", "_sliced(population.n, min(total, sliced.BATCH))", "_sliced(population.n, total)",
+     "chunks start on batches wherever the population reaches 2^n, even where no batch of 4096 does",
+     ("tests/test_sliced.py",)),
 ]
 
 EQUIVALENT = [

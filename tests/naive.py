@@ -9,6 +9,8 @@ evidence, not tautology.  Sizes are expected to stay small (n <= 5 or so).
 import random
 from itertools import combinations, product
 
+from ispaces.base import _orbits
+
 
 def points(space):
     return range(space.n)
@@ -72,7 +74,7 @@ def triple_slices(encoding, encodings):
     for a, x, c in product(range(n), repeat=3):
         if x in (a, c):  # <x, x, c> and <a, x, x> hold in every space
             slices[(a * n + x) * n + c] = full
-    for (a, b, c), column in zip(encoding.orbits, orbit_columns(encoding.orbit_count, encodings)):
+    for (a, b, c), column in zip(_orbits(n), orbit_columns(encoding.orbit_count, encodings)):
         slices[(a * n + b) * n + c] = slices[(c * n + b) * n + a] = column
     return slices
 

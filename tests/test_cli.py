@@ -238,7 +238,7 @@ _LAYERS = (
     "ispaces.core", "ispaces.search", "ispaces.sliced", "ispaces.properties", "ispaces.closure", "ispaces.models",
     "fractions",
 )
-#: What a sliced census (n <= 5) never loads: it builds no space.
+#: What a sliced census (every batch of at least 2^n spaces) never loads: it builds no space.
 _NO_SPACE = ("ispaces.core", "ispaces.properties", "ispaces.closure", "ispaces.models", "fractions")
 _K23 = str(Path(__file__).resolve().parent / "golden" / "k23.graph")
 
@@ -551,7 +551,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("theorem", ["transitivity", "antisymmetry"])
     def test_verify_allow_large_lifts_the_subset_budget(self, capsys, theorem):
-        # n = 17 is past sliced.MAX_N, so each space is checked alone, and
+        # one space is fewer than 2^17, so it is checked alone, and
         # 2^17 * 17^2 subset steps are over the budget; at density 1 every
         # triple holds and the space has 19 convex sets, so the run is short
         args = ("verify", "--theorem", theorem, "--n", "17", "--samples", "1", "--density", "1",
@@ -766,7 +766,8 @@ class TestCommands:
         ("# only a comment\n\n", ": empty file"),
         ("graph v1\nvertices 2\nedge 0\n", ":3: expected 'edge u v', got 'edge 0'"),
         ("graph v1\nvertices 2\nvertex 0 1\n", ":3: expected 'edge u v', got 'vertex 0 1'"),
-    ], ids=["empty", "edge-one-vertex", "edge-keyword"])
+        ("graph v1\nvertices 3\nedge 0 3\n", ":3: vertex id 3 out of range [0, 3)"),
+    ], ids=["empty", "edge-one-vertex", "edge-keyword", "vertex-out-of-range"])
     def test_file_error_exact_output(self, capsys, tmp_path, text, where):
         path = tmp_path / "bad.graph"
         path.write_text(text)

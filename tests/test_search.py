@@ -78,6 +78,17 @@ class TestFreeOrbitEncoding:
         assert peak < 32 * 2 ** 20
         assert space.n == 40 and enc.encode(space) == random_encoding(40, 0)
 
+    def test_encoding_holds_no_object_per_orbit(self):
+        # two flat arrays of text positions, 16 bytes per orbit; a tuple per
+        # orbit and per pair of positions took about 200
+        tracemalloc.start()
+        try:
+            enc = FreeOrbitEncoding(60)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert enc.orbit_count == 102_660 and size < 24 * enc.orbit_count
+
     def test_wide_encodings_take_linear_time(self):
         # 842,520 orbits and a 1,728,000-bit table: ORing or shifting an int
         # that wide once per bit took minutes
@@ -394,9 +405,9 @@ class TestAntisymmetryCensus:
         )
 
     def test_flipped_condition_is_reported_as_violation(self, monkeypatch):
-        # n = 6 is past sliced.MAX_N, so the census calls the scalar conditions
-        # per space; tests/test_sliced.py flips a bit on the sliced path
-        population = SampledPopulation(6, 11, 200)
+        # 50 < 2^6 spaces on 6 points make no sliced batch, so the census calls
+        # the scalar conditions per space; tests/test_sliced.py flips a bit on the sliced path
+        population = SampledPopulation(6, 11, 50)
         target = next(s for _, s in population.spaces() if I.interval_transitivity_witness(s) is None)
         real = properties.antisymmetry_conditions
         values = list(real(target).values)

@@ -181,8 +181,8 @@ class TestAntisymmetrySlices:
 
 
 class TestPastFivePoints:
-    """The kernels against the scalar path on spaces larger than the census
-    evaluates sliced (:data:`sliced.MAX_N`)."""
+    """The kernels against the scalar path on 6 to 12 points: the census
+    slices a batch of at least 2^n spaces, and a batch holds up to 2^12."""
 
     @pytest.mark.parametrize(
         "graph",
@@ -193,8 +193,14 @@ class TestPastFivePoints:
             complete_bipartite_graph(2, 4),
             path_graph(7),
             Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+            # the 3 x 3 grid meets C1..C9 and fails D1..D5
+            Graph.from_edges(9, [(i, i + 1) for i in range(9) if i % 3 != 2] + [(i, i + 3) for i in range(6)]),
+            complete_bipartite_graph(3, 6),
+            complete_bipartite_graph(4, 6),
+            Graph.from_edges(11, [(i, (i + 1) % 11) for i in range(11)]),
+            path_graph(12),
         ],
-        ids=["Q_3", "K_2_4", "P_7", "C_6"],
+        ids=["Q_3", "K_2_4", "P_7", "C_6", "grid_3_3", "K_3_6", "K_4_6", "C_11", "P_12"],
     )
     def test_geodesic_models(self, graph):
         space = geodesic_space_from_graph(graph)
@@ -209,6 +215,13 @@ class TestPastFivePoints:
         encodings = list(SampledPopulation(6, seed=seed, count=200).encodings())
         assert _sliced_values(6, encodings) == _scalar_values(6, encodings)
         assert _sliced_antisymmetry(6, encodings) == _scalar_antisymmetry(6, encodings)
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_sampled_batches_up_to_twelve_points(self, n):
+        # the sweep's first densities, 0 to 0.03, leave many subsets convex
+        encodings = list(SampledPopulation(n, seed=n, count=4).encodings())
+        assert _sliced_values(n, encodings) == _scalar_values(n, encodings)
+        assert _sliced_antisymmetry(n, encodings) == _scalar_antisymmetry(n, encodings)
 
     @pytest.mark.parametrize("density", [0.0, 0.02, 1.0, None], ids=["every-subset-convex", "sparse", "full", "sweep"])
     @pytest.mark.parametrize("n", [7, 8])
@@ -292,6 +305,64 @@ class TestSlicedCensus:
         monkeypatch.setattr(sliced, "_Batch", refuse)
         with pytest.raises(CapExceededError):
             verify_transitivity_theorem(ExhaustivePopulation(5))
+
+
+class TestPathRule:
+    """A census batch of ``size`` spaces on n points runs sliced when size >= 2^n."""
+
+    @pytest.mark.parametrize("theorem", ["transitivity", "antisymmetry"])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_threshold(self, monkeypatch, n, theorem):
+        kernel = f"{theorem}_slices"
+        real, calls = getattr(sliced, kernel), []
+
+        def spy(n, columns, size):
+            calls.append(size)
+            return real(n, columns, size)
+
+        monkeypatch.setattr(sliced, kernel, spy)
+        verify = verify_transitivity_theorem if theorem == "transitivity" else verify_antisymmetry_theorem
+        verify(SampledPopulation(n, seed=n, count=2 ** n - 1))
+        assert calls == []
+        verify(SampledPopulation(n, seed=n, count=2 ** n))
+        assert calls == [2 ** n]
+
+    @pytest.fixture
+    def chunk_starts(self, monkeypatch):
+        """The chunk starts a census asks of ``_census_chunk`` on 3 workers, run in process without tallies."""
+        starts = []
+
+        def spy(args):
+            starts.append(args[2])
+            return {"counts": Counter(), "vectors": Counter(), "violations": [], "excluded": 0}
+
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(search, "_census_chunk", spy)
+        monkeypatch.setattr(search, "_run_chunks", lambda task, args_list, workers: [task(a) for a in args_list])
+
+        def run(population):
+            starts.clear()
+            _verify("transitivity", population, (), False, 3)
+            return starts
+
+        return run
+
+    @pytest.mark.parametrize("population", [
+        SampledPopulation(5, seed=0, count=9000), SampledPopulation(6, seed=0, count=64), ExhaustivePopulation(4),
+    ], ids=lambda p: p.describe())
+    def test_chunks_of_a_sliced_population_start_on_batches(self, chunk_starts, population):
+        starts = chunk_starts(population)
+        assert starts and all(start % sliced.BATCH == 0 for start in starts)
+        assert len(starts) == -(-population.size() // sliced.BATCH)
+
+    @pytest.mark.parametrize("population", [
+        SampledPopulation(5, seed=0, count=31), SampledPopulation(6, seed=0, count=63),
+        # no batch of at most 4096 spaces reaches 2^13
+        SampledPopulation(13, seed=0, count=2 ** 13),
+    ], ids=lambda p: p.describe())
+    def test_chunks_of_a_scalar_population_are_not_rounded_up(self, chunk_starts, population):
+        step = -(-population.size() // 12)  # about four chunks per worker
+        assert chunk_starts(population) == list(range(0, population.size(), step))
 
 
 def test_partition_respects_minimum_chunk(monkeypatch):
