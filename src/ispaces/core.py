@@ -436,8 +436,7 @@ class FiniteIntervalSpace:
     def base_point_order(self, a: int) -> BinaryRelation:
         """The "in front of a" relation: R(x, y) iff <a, x, y>."""
         _check_point(self.n, a)
-        n = self.n
-        return BinaryRelation(n, tuple(self._fwd[a * n + x] for x in range(n)))
+        return BinaryRelation(self.n, tuple(self._base_set_rows(1 << a)))
 
     def base_set_order(self, a_set: PointSet) -> BinaryRelation:
         """R(x, y) iff <a, x, y> for some a in a_set."""

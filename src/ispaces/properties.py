@@ -20,8 +20,10 @@ Interval scans skip b < a: [a, b] = [b, a] by middle symmetry, so the
 smallest failing pair has a <= b (a < b for convexity, as [a, a] = {a}).
 Base orders are tested by the space's two ``_order_*_breach`` kernels, and
 each quantifier over base points, intervals or convex sets is one
-``core._first_breach`` scan.  The evaluators always return C4 and C5;
-whether they are reported is :func:`semigroup_reported`'s decision.
+``core._first_breach`` scan.  Stiffness and its proposition read one stream
+of stiffness breaches, as C2, C3 and theirs read one of triangle breaches.
+The evaluators always return C4 and C5; whether they are reported is
+:func:`semigroup_reported`'s decision.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import tee
 from typing import Callable, Iterable, Iterator
 
 from .base import (
-    ANTISYMMETRY_CONDITIONS, CONDITIONS, TRANSITIVITY_CONDITIONS, budget_message, record, semigroup_reported,
+    ANTISYMMETRY_CONDITIONS, CONDITIONS, TRANSITIVITY_CONDITIONS, bits_of, budget_message, record, semigroup_reported,
 )
 from .core import FiniteIntervalSpace, PointSet, _first_breach
 from .closure import (
@@ -79,22 +81,27 @@ def interval_convexity_witness(space: FiniteIntervalSpace) -> tuple[int, int, in
     return _first_breach(space._intervals(1), space._convexity_breach)
 
 
-def stiffness_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] | None:
-    """Smallest (a, b, c, d) with <a,b,c>, b != c, <b,c,d>, but not <a,b,d>."""
-    n = space.n
-    fwd = space._fwd
+def _stiffness_breaches(space: FiniteIntervalSpace) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, c, D) for every <a,b,c> with b != c, ascending, where D is the
+    nonempty mask of every d with <b,c,d> and not <a,b,d>."""
+    n, fwd = space.n, space._fwd
     for a in range(n):
         for b in range(n):
             row_ab = fwd[a * n + b]
-            cands = fwd[a * n + b] & ~(1 << b)
-            rest_c = cands
+            rest_c = row_ab & ~(1 << b)
             while rest_c:
                 low = rest_c & -rest_c
                 c = low.bit_length() - 1
                 rest_c ^= low
                 extra = fwd[b * n + c] & ~row_ab
                 if extra:
-                    return (a, b, c, (extra & -extra).bit_length() - 1)
+                    yield (a, b, c, extra)
+
+
+def stiffness_witness(space: FiniteIntervalSpace) -> tuple[int, int, int, int] | None:
+    """Smallest (a, b, c, d) with <a,b,c>, b != c, <b,c,d>, but not <a,b,d>."""
+    for a, b, c, extra in _stiffness_breaches(space):
+        return (a, b, c, (extra & -extra).bit_length() - 1)
     return None
 
 
@@ -333,27 +340,13 @@ def base_interval_transitivity_prop_witness(space: FiniteIntervalSpace) -> tuple
 def base_interval_antisymmetry_prop_witness(space: FiniteIntervalSpace) -> tuple | None:
     """Smallest (a, d, b, c) breaking: in a point-transitive space, if the base
     order of [a,d] is antisymmetric outside [a,d], then <a,b,c>, b != c and
-    <b,c,d> force <a,b,d>.  Vacuously None when not point-transitive."""
+    <b,c,d> force <a,b,d>.  Vacuously None when not point-transitive; else
+    the least over every d of every stiffness breach with [a,d] antisymmetric."""
     if point_transitivity_witness(space) is not None:
         return None
-    n = space.n
-    ivl = space._ivl
-    fwd = space._fwd
-    for a in range(n):
-        for d in range(n):
-            if space._order_antisymmetry_breach(ivl[a * n + d]) is not None:
-                continue
-            for b in range(n):
-                row_ab = fwd[a * n + b]
-                if not (row_ab >> d) & 1:
-                    rest_c = row_ab & ~(1 << b)
-                    while rest_c:
-                        low = rest_c & -rest_c
-                        c = low.bit_length() - 1
-                        rest_c ^= low
-                        if (fwd[b * n + c] >> d) & 1:
-                            return (a, d, b, c)
-    return None
+    n, ivl = space.n, space._ivl
+    return min(((a, d, b, c) for a, b, c, extra in _stiffness_breaches(space) for d in bits_of(extra)
+                if space._order_antisymmetry_breach(ivl[a * n + d]) is None), default=None)
 
 
 def stiff_convex_antisymmetry_witness(space: FiniteIntervalSpace, *, allow_large: bool = False) -> tuple | None:

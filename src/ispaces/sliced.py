@@ -30,12 +30,16 @@ convex A < B once: for nonempty convex A and B, [A, B] = [U, U], since
 [a, b] holds a and b (endpoint reflexivity), [A, A] = A and [B, B] = B.
 D4 takes cl(A + {x}) as the intersection of the closed supersets, as the
 scalar path does, so every sliced condition has its scalar twin's formula.
+
+One member union, :func:`_union`, builds [[a, b], {c}] from the [p, c] and
+each base order from the rows <p, x, .>.  :func:`_join`, the 2^n-set scan,
+keeps its loop over u < v: via :func:`_union` a kernel took 1 to 3 % longer.
 """
 
 from __future__ import annotations
 
 from operator import or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .base import _forced_bits, _orbits, _triple_index, bits_of
 
@@ -46,15 +50,14 @@ BATCH = 4096
 SliceSet = tuple[int, ...]
 
 
-def _join_point(n: int, ivl: list[SliceSet], s: SliceSet, c: int) -> SliceSet:
-    """[S, {c}] for a slice-set S: the union of [p, c] over p in S."""
+def _union(n: int, terms: Iterable[tuple[int, SliceSet]]) -> SliceSet:
+    """The slice-set OR of M & S over each (M, S) in ``terms``, M a slice."""
     out = [0] * n
-    for p in range(n):
-        sp = s[p]
-        if sp:
-            row = ivl[p * n + c]
-            for x in range(n):
-                out[x] |= sp & row[x]
+    pts = range(n)
+    for m, s in terms:
+        if m:
+            for x in pts:
+                out[x] |= m & s[x]
     return tuple(out)
 
 
@@ -82,7 +85,7 @@ def _breach(n: int, ivl: list[SliceSet], s: SliceSet) -> int:
     return out
 
 
-def _intransitive(n: int, rows: list[list[int]]) -> int:
+def _intransitive(n: int, rows: list[SliceSet]) -> int:
     """Spaces where the base order ``rows`` is not transitive."""
     out = 0
     for x in range(n):
@@ -97,7 +100,7 @@ def _intransitive(n: int, rows: list[list[int]]) -> int:
     return out
 
 
-def _two_way(n: int, rows: list[list[int]], s: SliceSet) -> int:
+def _two_way(n: int, rows: list[SliceSet], s: SliceSet) -> int:
     """Spaces where the base order ``rows`` of a convex S relates some x < y
     outside S both ways.
 
@@ -134,7 +137,8 @@ class _Batch:
             slices[t] = full
         for column, (a, b, c) in zip(columns, _orbits(n)):
             slices[_triple_index(n, a, b, c)] = slices[_triple_index(n, c, b, a)] = column
-        self.fwd = [tuple(slices[i:i + n]) for i in range(0, n ** 3, n)]
+        self.fwd = fwd = [tuple(slices[i:i + n]) for i in range(0, n ** 3, n)]
+        self.cols = [fwd[x::n] for x in pts]
         self.ivl = ivl = [tuple(slices[(a * n + x) * n + c] for x in pts) for a in pts for c in pts]
         self.intervals = [ivl[a * n + b] for a in pts for b in range(a, n)]
         self.convex = [full & ~_breach(n, ivl, self.const(sm)) for sm in range(1 << n)]
@@ -143,21 +147,10 @@ class _Batch:
         """The fixed point set ``mask`` as a slice-set."""
         return tuple(self.full if mask >> x & 1 else 0 for x in range(self.n))
 
-    def rows(self, s: SliceSet) -> list[list[int]]:
-        """The base order of S as n rows of slices: rows[x][y] holds
-        R(x, y) iff <p, x, y> for some p in S."""
-        n, fwd = self.n, self.fwd
-        rows = []
-        for x in range(n):
-            row = [0] * n
-            for p in range(n):
-                sp = s[p]
-                if sp:
-                    px = fwd[p * n + x]
-                    for y in range(n):
-                        row[y] |= sp & px[y]
-            rows.append(row)
-        return rows
+    def rows(self, s: SliceSet) -> list[SliceSet]:
+        """The base order of S as n rows of slices: row x is the union of
+        the rows <p, x, .> (``cols[x][p]``) over p in S."""
+        return [_union(self.n, zip(s, col)) for col in self.cols]
 
 
 def transitivity_slices(n: int, columns: Sequence[int], size: int) -> tuple[int, ...]:
@@ -178,7 +171,8 @@ def transitivity_slices(n: int, columns: Sequence[int], size: int) -> tuple[int,
 
     # C2: [{a}, [b, c]] <= [[a, b], {c}];  C3: the two are equal.
     # C8: [[a, b], {c}] is convex.  triangles[(a*n + b)*n + c] is [[a, b], {c}].
-    triangles = [_join_point(n, ivl, ab, c) for ab in ivl for c in pts]
+    to = [ivl[c::n] for c in pts]
+    triangles = [_union(n, zip(ab, to[c])) for ab in ivl for c in pts]
     fail2 = fail3 = fail8 = 0
     for index, tri in enumerate(triangles):
         a, bc = divmod(index, n * n)

@@ -124,6 +124,16 @@ MUTANTS = [
      "the transitivity proposition keeps the breaches whose [a, b] is intransitive"),
     ("core.py", "self._set_interval_mask(a_set.mask, c_set.mask) >> x", "self._set_interval_mask(a_set.mask, a_set.mask) >> x",
      "set_between reads [A, A], not [A, C]", ("tests/test_core.py",)),
+    # Stiffness and the antisymmetry proposition from one stream of stiffness breaches.
+    ("properties.py", "            rest_c = row_ab & ~(1 << b)\n", "            rest_c = row_ab\n",
+     "the stiffness stream lets c = b, where <b,b,d> always holds"),
+    ("properties.py", "ivl[a * n + d]) is None)", "ivl[a * n + d]) is not None)",
+     "the antisymmetry proposition keeps the breaches whose [a, d] is not antisymmetric"),
+    # The one member union of the sliced kernels.
+    ("sliced.py", "self.cols = [fwd[x::n] for x in pts]", "self.cols = [fwd[x::n + 1] for x in pts]",
+     "the sliced base orders read the rows <p, x, .> with the wrong stride"),
+    ("sliced.py", "to = [ivl[c::n] for c in pts]", "to = [ivl[c::n + 1] for c in pts]",
+     "the sliced [[a, b], {c}] read the [p, c] with the wrong stride"),
     # base.record, and the ispace writer.
     ("base.py", "        if other.__class__ is self.__class__:\n", "        if hasattr(other, '__dict__'):\n",
      "record equality holds across classes with the same fields", ("tests/test_core.py",)),
@@ -182,6 +192,9 @@ EQUIVALENT = [
      "sliced C3 tests one inclusion, which is C2: the transitivity theorem makes C2 = C3"),
     ("sliced.py", "c7, c8, c8)", "c7, c8, c2)",
      "sliced C9 takes C2's value: the transitivity theorem makes C2 = C8, whose value C9 takes"),
+    ("sliced.py", "        if m:\n            for x in pts:\n                out[x] |= m & s[x]\n",
+     "        for x in pts:\n            out[x] |= m & s[x]\n",
+     "the sliced union without its zero test: a zero mask adds nothing"),
     ("core.py", "self._set_interval_mask(a_set.mask, c_set.mask) >> x", "self._set_interval_mask(c_set.mask, a_set.mask) >> x",
      "set_between reads [C, A]: [a, c] = [c, a] by middle symmetry, so [A, C] = [C, A]", ("tests/test_core.py",)),
 ]

@@ -273,6 +273,32 @@ def base_transitive(space, base):
     )
 
 
+def stiffness_breaches(space):
+    """Every (a, b, c, d) with <a,b,c>, b != c, <b,c,d> and not <a,b,d>, ascending."""
+    n = space.n
+    holds = {t for t in product(range(n), repeat=3) if space.holds(*t)}
+    return [
+        (a, b, c, d) for a, b, c, d in product(range(n), repeat=4)
+        if (a, b, c) in holds and b != c and (b, c, d) in holds and (a, b, d) not in holds
+    ]
+
+
+def base_interval_antisymmetry_prop_witness(space):
+    """The smallest (a, d, b, c) of a point-transitive space: the base order of
+    [a, d] relates no two points outside [a, d] both ways, <a,b,c>, b != c
+    and <b,c,d>, but not <a,b,d>."""
+    if not point_transitive(space):
+        return None
+    n = space.n
+    for a, d, b, c in product(range(n), repeat=4):
+        if space.holds(a, b, c) and b != c and space.holds(b, c, d) and not space.holds(a, b, d):
+            base = interval(space, a, d)
+            if not any(x not in base and y not in base and base_holds(space, base, x, y)
+                       and base_holds(space, base, y, x) for x, y in combinations(range(n), 2)):
+                return (a, d, b, c)
+    return None
+
+
 def base_interval_transitivity_prop_witness(space):
     """The smallest (a, b, c, x): the base order of [a, b] is transitive,
     and x is in [{a},[b,c]] but not in [[a,b],{c}]."""

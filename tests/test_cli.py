@@ -767,7 +767,10 @@ class TestCommands:
         ("graph v1\nvertices 2\nedge 0\n", ":3: expected 'edge u v', got 'edge 0'"),
         ("graph v1\nvertices 2\nvertex 0 1\n", ":3: expected 'edge u v', got 'vertex 0 1'"),
         ("graph v1\nvertices 3\nedge 0 3\n", ":3: vertex id 3 out of range [0, 3)"),
-    ], ids=["empty", "edge-one-vertex", "edge-keyword", "vertex-out-of-range"])
+        ("ispace v1\npoints 3\ntriple 0 1\n", ":3: expected 'triple a x c', got 'triple 0 1'"),
+        ("qpoints v1\ndim 1\n" + "".join(f"point {i}\n" for i in range(MAX_POINTS + 1)),
+         f":{MAX_POINTS + 3}: point count exceeds the limit of {MAX_POINTS}"),
+    ], ids=["empty", "edge-one-vertex", "edge-keyword", "vertex-out-of-range", "triple-two-ids", "many-qpoints"])
     def test_file_error_exact_output(self, capsys, tmp_path, text, where):
         path = tmp_path / "bad.graph"
         path.write_text(text)

@@ -38,6 +38,9 @@ class TestValidate:
         space = validate(chain_table(3))
         assert space.n == 3
         assert space == I.linear_order_space(3)
+        # a table is not a space: equality is left to the other operand, which declines too
+        assert space.__eq__(chain_table(3)) is NotImplemented
+        assert space != chain_table(3)
 
     def test_thinness_violation_witnessed(self):
         table = BetweennessTable.completed(2, [])

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import ispaces as I
 from ispaces import BetweennessTable, HypothesisNotMetError, validate
+from ispaces.base import bits_of
 from ispaces.properties import (
     _c7_witness,
+    _stiffness_breaches,
     antisymmetry_conditions,
     interval_transitivity_witness,
     property_report,
@@ -286,6 +288,37 @@ class TestTriangleBreaches:
     def test_proposition_on_symmetric_tables(self, space):
         got = I.base_interval_transitivity_prop_witness(space)
         assert got == naive.base_interval_transitivity_prop_witness(space)
+
+
+class TestStiffnessBreaches:
+    """Stiffness and the antisymmetry proposition read one stream of
+    stiffness breaches; the stream, every d of every breach, against a plain
+    quadruple scan."""
+
+    @staticmethod
+    def _check(space):
+        stream = list(_stiffness_breaches(space))
+        assert all(extra for *_, extra in stream)
+        quadruples = [(a, b, c, d) for a, b, c, extra in stream for d in bits_of(extra)]
+        assert quadruples == naive.stiffness_breaches(space)
+        assert I.stiffness_witness(space) == next(iter(quadruples), None)
+        assert I.base_interval_antisymmetry_prop_witness(space) is None
+
+    def test_every_space_up_to_four_points(self):
+        for n in range(1, 5):
+            for space in I.enumerate_spaces(n):
+                self._check(space)
+
+    @given(space_strategy(min_n=5, max_n=7))
+    @settings(max_examples=40)
+    def test_sampled(self, space):
+        self._check(space)
+
+    @given(_symmetric_tables(max_n=4))
+    @settings(max_examples=150)
+    def test_proposition_on_symmetric_tables(self, space):
+        got = I.base_interval_antisymmetry_prop_witness(space)
+        assert got == naive.base_interval_antisymmetry_prop_witness(space)
 
 
 class TestTriangleWitnesses:
