@@ -88,6 +88,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("verify", "--theorem", "transitivity", "--n", "6", "--samples", "40", "--seed", "3"),
     ("verify", "--theorem", "antisymmetry", "--n", "6", "--samples", "500"),
     ("verify", "--theorem", "transitivity", "--n", "6", "--samples", "60", "--density", "0.9"),
+    # Census mixes: sliced batches of 4096 spaces, and at n = 7 a 104-space scalar tail.
+    ("verify", "--theorem", "transitivity", "--n", "6", "--samples", "4096", "--format", "structured"),
+    ("verify", "--theorem", "antisymmetry", "--n", "8", "--samples", "4096", "--format", "structured"),
+    ("verify", "--theorem", "transitivity", "--n", "7", "--samples", "4200", "--format", "structured"),
     ("search", "--want", "interval-transitive", "--want-not", "interval-antisymmetric"),
     ("search", "--want", "stiff", "--want-not", "interval-convex", "--format", "structured"),
     (
