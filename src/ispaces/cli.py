@@ -383,14 +383,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, dict]:
     from .search import ExhaustivePopulation, FreeOrbitEncoding
 
     encodings = ExhaustivePopulation(args.n, allow_large=args.allow_large).encodings()
-    enc = FreeOrbitEncoding(args.n)
+    orbits = encodings.stop.bit_length() - 1  # the encodings are 0 .. 2^orbits - 1
     payload: dict[str, Any] = {
         "command": "enumerate",
         "n": args.n,
-        "free_orbits": enc.orbit_count,
-        "spaces": enc.space_count if enc.orbit_count < 64 else f"2^{enc.orbit_count}",
+        "free_orbits": orbits,
+        "spaces": 1 << orbits if orbits < 64 else f"2^{orbits}",
     }
     if args.list:
+        enc = FreeOrbitEncoding(args.n)  # n^3 time and memory, so built only for a listing
         payload["list"] = [{"encoding": _encoding(bits), "triples": enc.triples(bits)} for bits in encodings]
     return 0, payload
 

@@ -80,7 +80,7 @@ MUTANTS = [
     # The sliced kernels.
     ("sliced.py", "for a in pts for b in range(a, n)]", "for a in pts for b in range(a + 1, n)]",
      "sliced C1, C6 and D1 skip [a, a]"),
-    ("sliced.py", "    for u in range(n - 1):\n", "    for u in range(n - 2):\n",
+    ("sliced.py", "for u in range(n - 1) for v", "for u in range(n - 2) for v",
      "the sliced join skips the last u (convexity, C6..C9, D3, D4)"),
     ("sliced.py", "            fail2 |= x & ~y\n", "", "sliced C2 never fails"),
     ("sliced.py", "        fail8 |= _breach(n, ivl, tri)\n", "        fail8 |= _breach(n, ivl, ivl[bc])\n",
@@ -90,10 +90,12 @@ MUTANTS = [
     ("sliced.py", "                pairs[am | bm] |= conv_a & convex[bm]\n", "                pairs[am | bm] |= conv_a\n",
      "sliced C7 pairs convex A with every B"),
     ("sliced.py", "pairs[am | bm]", "pairs[bm]", "sliced C7 files each pair under B, not under A | B"),
-    ("sliced.py", "tuple(_join(n, ivl, batch.const(um)))", "batch.const(um)",
+    ("sliced.py", "_breach(n, ivl, _join(n, ivl, batch.const(um)))", "_breach(n, ivl, batch.const(um))",
      "sliced C7 tests whether the union U is convex, not [U, U]"),
-    ("sliced.py", "                if c != b and abc:\n", "                if abc:\n",
-     "sliced stiffness without c != b"),
+    ("sliced.py", "for c in pts if c != b)", "for c in pts)", "sliced stiffness without c != b"),
+    ("sliced.py", "_union(n, ((row_ab[c], fwd[b * n + c]) for c in pts if c != b)), row_ab)",
+     "_union(n, ((row_ab[c], fwd[b * n + c]) for c in pts if c != b)), fwd[b * n + ab // n])",
+     "sliced stiffness tests the union against <b, a, .>, not <a, b, .>"),
     ("sliced.py", "            fail3 |= conv & _two_way(", "            fail3 |= _two_way(",
      "sliced D3 without its convex[M] mask"),
     ("sliced.py", "excluded[m] = list(map(or_, excluded[m], excluded[m | 1 << b]))", "pass",
@@ -129,7 +131,11 @@ MUTANTS = [
      "the stiffness stream lets c = b, where <b,b,d> always holds"),
     ("properties.py", "ivl[a * n + d]) is None)", "ivl[a * n + d]) is not None)",
      "the antisymmetry proposition keeps the breaches whose [a, d] is not antisymmetric"),
-    # The one member union of the sliced kernels.
+    # The two primitives of the sliced kernels: the member union and the escape test.
+    ("sliced.py", "        out |= r & ~m\n", "        out |= r & m\n",
+     "the escape test reads the points inside S, not those outside it"),
+    ("sliced.py", "_escapes(_union(n, zip(row_x, rows)), row_x)", "_escapes(row_x, row_x)",
+     "the sliced transitivity test drops the composition: no row escapes itself (C1, C6)"),
     ("sliced.py", "self.cols = [fwd[x::n] for x in pts]", "self.cols = [fwd[x::n + 1] for x in pts]",
      "the sliced base orders read the rows <p, x, .> with the wrong stride"),
     ("sliced.py", "to = [ivl[c::n] for c in pts]", "to = [ivl[c::n + 1] for c in pts]",

@@ -527,6 +527,15 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "enumerate", "--n", "7", "--allow-large")
         assert code == 0 and "spaces: 2^105\n" in out
 
+    def test_enumerate_counts_without_the_encoding(self, capsys, monkeypatch):
+        # the encoding of n points costs n^3 time and memory, and only --list reads it
+        def refuse(n):
+            raise AssertionError(f"enumerate built the encoding of {n} points")
+
+        monkeypatch.setattr("ispaces.search.FreeOrbitEncoding", refuse)
+        code, out, err = run_cli(capsys, "enumerate", "--n", "150", "--allow-large", "--format", "structured")
+        assert (code, err) == (0, "") and json.loads(out)["spaces"] == "2^1653900"
+
     def test_enumerate_cap(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "5")
         assert code == 2 and "work budget" in err and "--allow-large" in err
