@@ -37,6 +37,8 @@ class ClosureSystem:
 
     n: int
     closed: tuple[int, ...]
+    _universe = "system"
+    _check_set = FiniteIntervalSpace._check_set
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -103,10 +105,6 @@ class ClosureSystem:
         return (self._cl_mask(a_set.mask | (1 << x)) >> y) & 1 == 1
 
     # -- mask internals ------------------------------------------------------
-
-    def _check_set(self, s: PointSet) -> None:
-        if s.n != self.n:
-            raise ValueError(f"point set universe {s.n} does not match system universe {self.n}")
 
     @cached_property
     def _members(self) -> frozenset[int]:

@@ -339,6 +339,7 @@ class FiniteIntervalSpace:
     """
 
     __slots__ = ("table", "n", "_ivl", "_fwd", "_convex", "_closure", "_it_witness")
+    _universe = "space"
 
     def __init__(self, table: BetweennessTable):
         violations = axiom_violations(table)
@@ -467,10 +468,11 @@ class FiniteIntervalSpace:
     # -- mask-level internals (shared with the checker modules) --------------
 
     def _check_set(self, s: PointSet) -> None:
+        """Reject all but a point set on ``self.n`` points; closure systems share it."""
         if not isinstance(s, PointSet):
             raise TypeError(f"expected PointSet, got {type(s).__name__}")
         if s.n != self.n:
-            raise ValueError(f"point set universe {s.n} does not match space universe {self.n}")
+            raise ValueError(f"point set universe {s.n} does not match {self._universe} universe {self.n}")
 
     def _set_interval_mask(self, am: int, cm: int) -> int:
         # [A, C] is the union of [a, c] over a in A, c in C.

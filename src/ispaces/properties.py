@@ -28,6 +28,7 @@ The evaluators always return C4 and C5; whether they are reported is
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import tee
 from typing import Callable, Iterable, Iterator
 
@@ -341,12 +342,14 @@ def base_interval_antisymmetry_prop_witness(space: FiniteIntervalSpace) -> tuple
     """Smallest (a, d, b, c) breaking: in a point-transitive space, if the base
     order of [a,d] is antisymmetric outside [a,d], then <a,b,c>, b != c and
     <b,c,d> force <a,b,d>.  Vacuously None when not point-transitive; else
-    the least over every d of every stiffness breach with [a,d] antisymmetric."""
+    the least over every d of every stiffness breach with [a,d] antisymmetric,
+    each [a,d] tested once."""
     if point_transitivity_witness(space) is not None:
         return None
     n, ivl = space.n, space._ivl
+    antisymmetric = cache(lambda ad: space._order_antisymmetry_breach(ivl[ad]) is None)
     return min(((a, d, b, c) for a, b, c, extra in _stiffness_breaches(space) for d in bits_of(extra)
-                if space._order_antisymmetry_breach(ivl[a * n + d]) is None), default=None)
+                if antisymmetric(a * n + d)), default=None)
 
 
 def stiff_convex_antisymmetry_witness(space: FiniteIntervalSpace, *, allow_large: bool = False) -> tuple | None:

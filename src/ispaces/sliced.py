@@ -28,20 +28,21 @@ test and C7 share one join over u < v.  The sets [[a, b], {c}] are
 built once, for C2, C3 and C8 alike.  C7 joins each union U = A | B of
 convex A < B once: for nonempty convex A and B, [A, B] = [U, U], since
 [a, b] holds a and b (endpoint reflexivity), [A, A] = A and [B, B] = B.
-D4 takes cl(A + {x}) as the intersection of the closed supersets, as the
-scalar path does, so every sliced condition has its scalar twin's formula.
 
-Two primitives build the inclusion tests: :func:`_union`, the OR of
-slice-sets each masked by a slice, and :func:`_escapes`, the spaces where
-one slice-set has a point outside another.  S is convex where [S, S] does
-not escape S (C6..C8, D3, D4), a base order is transitive where no row
-escapes the union of the rows it holds (C1, C6), and D2 is that test on the
-rows <a, b, .>.
+Four tests build every condition.  :func:`_union` (the OR of slice-sets
+each masked by a slice) and :func:`_escapes` (the spaces where one
+slice-set has a point outside another) test inclusion: C2 and C3 compare
+[{a}, [b, c]] with [[a, b], {c}], S is convex where [S, S] does not escape
+S (C6..C8, D3, D4), and D2 tests the rows <a, b, .>.  :func:`_intransitive`
+tests the transitivity of the base orders of the intervals (C1, the D
+hypothesis) and of the convex sets (C6).  :func:`_two_way` tests the
+antisymmetry of those base orders (D1, D3) and of entailment (D4), whose
+row x at a closed A is cl(A + {x}), as in the scalar path.
 """
 
 from __future__ import annotations
 
-from operator import or_
+from operator import and_
 from typing import Iterable, Sequence
 
 from .base import _forced_bits, _orbits, _triple_index, bits_of
@@ -65,10 +66,11 @@ def _union(n: int, terms: Iterable[tuple[int, SliceSet]]) -> SliceSet:
 
 
 def _escapes(reach: SliceSet, s: SliceSet) -> int:
-    """The spaces where the slice-set ``reach`` has a point outside S."""
+    """The spaces where the slice-set ``reach`` has a point outside S.  ``(r | m) ^ m``
+    is ``r & ~m`` without the negative ``~m``, which is slower on long slices."""
     out = 0
     for r, m in zip(reach, s):
-        out |= r & ~m
+        out |= (r | m) ^ m
     return out
 
 
@@ -93,22 +95,22 @@ def _intransitive(n: int, rows: list[SliceSet]) -> int:
 
 
 def _two_way(n: int, rows: list[SliceSet], s: SliceSet) -> int:
-    """Spaces where the base order ``rows`` of a convex S relates some x < y
-    outside S both ways.
+    """Spaces where the relation ``rows`` relates some x < y outside S both ways.
 
-    Only x is tested: R(x, y) with x outside S puts y outside S, since
-    <p, x, y> with p and y in S would put x in the convex S.  D1 passes
+    Only x is tested, which is exact for the relations passed here.  In the
+    base order of a convex S, R(x, y) with x outside S puts y outside S,
+    since <p, x, y> with p and y in S would put x in the convex S; D1 passes
     intervals, which are convex on the interval-transitive spaces it is
-    evaluated on (C1 implies C6).
+    evaluated on (C1 implies C6).  In D4's rows cl(A + {x}) of a closed A,
+    cl(A + {y}) = A leaves x out for every y in A.
     """
     out = 0
     for x in range(n - 1):
         row_x = rows[x]
-        outside_x = ~s[x]
+        both = 0
         for y in range(x + 1, n):
-            both = row_x[y] & rows[y][x]
-            if both:
-                out |= both & outside_x
+            both |= row_x[y] & rows[y][x]
+        out |= (both | s[x]) ^ s[x]
     return out
 
 
@@ -116,8 +118,9 @@ class _Batch:
     """The views both kernels read of a batch of ``size`` spaces, from its orbit columns.
 
     ``fwd[a*n + x][c]`` and ``ivl[a*n + c][x]`` are two views of <a, x, c>;
-    ``intervals`` holds [a, b] for a <= b; ``convex[M]`` is the slice of
-    the spaces where the point set M is convex.
+    ``intervals`` holds [a, b] for a <= b; ``sets[M]`` is the fixed point
+    set M as a slice-set, and ``convex[M]`` the slice of the spaces where M
+    is convex.
     """
 
     def __init__(self, n: int, columns: Sequence[int], size: int):
@@ -133,11 +136,8 @@ class _Batch:
         self.cols = [fwd[x::n] for x in pts]
         self.ivl = ivl = [tuple(slices[(a * n + x) * n + c] for x in pts) for a in pts for c in pts]
         self.intervals = [ivl[a * n + b] for a in pts for b in range(a, n)]
-        self.convex = [full & ~_breach(n, ivl, self.const(sm)) for sm in range(1 << n)]
-
-    def const(self, mask: int) -> SliceSet:
-        """The fixed point set ``mask`` as a slice-set."""
-        return tuple(self.full if mask >> x & 1 else 0 for x in range(self.n))
+        self.sets = [tuple(full if sm >> x & 1 else 0 for x in pts) for sm in range(1 << n)]
+        self.convex = [full & ~_breach(n, ivl, s) for s in self.sets]
 
     def rows(self, s: SliceSet) -> list[SliceSet]:
         """The base order of S as n rows of slices: row x is the union of
@@ -152,35 +152,33 @@ def transitivity_slices(n: int, columns: Sequence[int], size: int) -> tuple[int,
     C5 are always returned; the census decides whether they are reported.
     """
     batch = _Batch(n, columns, size)
-    full, ivl, convex = batch.full, batch.ivl, batch.convex
+    full, ivl, sets, convex = batch.full, batch.ivl, batch.sets, batch.convex
     pts = range(n)
 
     # Each fail_k collects the spaces where C(k) fails.
-    # C1: the base order of every [a, b] is transitive.
-    fail1 = 0
+    # C1: the base order of every [a, b] is transitive.  C6: every [a, b]
+    # is convex, and the base order of every convex set is transitive.
+    fail1 = fail6 = 0
     for ab in batch.intervals:
         fail1 |= _intransitive(n, batch.rows(ab))
+        fail6 |= _breach(n, ivl, ab)
+    for s, conv in zip(sets, convex):
+        if conv:
+            fail6 |= conv & _intransitive(n, batch.rows(s))
 
-    # C2: [{a}, [b, c]] <= [[a, b], {c}];  C3: the two are equal.
-    # C8: [[a, b], {c}] is convex.  triangles[(a*n + b)*n + c] is [[a, b], {c}].
+    # C2: [{a}, [b, c]] <= [[a, b], {c}];  C3: the two are equal, so fail3
+    # collects the reverse inclusion.  C8: [[a, b], {c}] is convex.
+    # triangles[(a*n + b)*n + c] is [[a, b], {c}].
     to = [ivl[c::n] for c in pts]
     triangles = [_union(n, zip(ab, to[c])) for ab in ivl for c in pts]
     fail2 = fail3 = fail8 = 0
     for index, tri in enumerate(triangles):
         a, bc = divmod(index, n * n)
         # [{a}, [b, c]] = [[b, c], {a}] by middle symmetry
-        for x, y in zip(triangles[bc * n + a], tri):
-            fail2 |= x & ~y
-            fail3 |= x ^ y
+        lhs = triangles[bc * n + a]
+        fail2 |= _escapes(lhs, tri)
+        fail3 |= _escapes(tri, lhs)
         fail8 |= _breach(n, ivl, tri)
-
-    # C6: every [a, b] is convex, and the base order of every convex set is transitive.
-    fail6 = 0
-    for ab in batch.intervals:
-        fail6 |= _breach(n, ivl, ab)
-    for sm, conv in enumerate(convex):
-        if conv:
-            fail6 |= conv & _intransitive(n, batch.rows(batch.const(sm)))
 
     # C7: [A, B] is convex for all convex A and B.  [A, B] = [U, U] for
     # U = A | B when A and B are convex and nonempty, and [{}, B] is empty;
@@ -196,9 +194,9 @@ def transitivity_slices(n: int, columns: Sequence[int], size: int) -> tuple[int,
     fail7 = 0
     for um, both in enumerate(pairs):
         if both:
-            fail7 |= both & _breach(n, ivl, _join(n, ivl, batch.const(um)))
+            fail7 |= both & _breach(n, ivl, _join(n, ivl, sets[um]))
 
-    c1, c2, c3, c6, c7, c8 = (full & ~f for f in (fail1, fail2, fail3, fail6, fail7, fail8))
+    c1, c2, c3, c6, c7, c8 = (full & ~f for f in (fail1, fail2, fail2 | fail3, fail6, fail7, fail8))
     # C4: [.,.] on subsets is associative;  C5: associative and commutative.
     # Both take C3's value, and C9 (the triangle equals the hull of {a, b, c})
     # takes C8's, as in the scalar path.
@@ -213,7 +211,7 @@ def antisymmetry_slices(n: int, columns: Sequence[int], size: int) -> tuple[tupl
     condition D(k+1) in space i, and is clear wherever the mask is.
     """
     batch = _Batch(n, columns, size)
-    full, fwd, convex = batch.full, batch.fwd, batch.convex
+    full, fwd, sets, convex = batch.full, batch.fwd, batch.sets, batch.convex
     pts = range(n)
 
     # The hypothesis and D1 read the same base orders: those of every [a, b].
@@ -233,30 +231,24 @@ def antisymmetry_slices(n: int, columns: Sequence[int], size: int) -> tuple[tupl
 
     # D3: the base order of every convex M relates no x < y outside M both ways.
     fail3 = 0
-    for sm, conv in enumerate(convex):
+    for s, conv in zip(sets, convex):
         if conv:
-            const = batch.const(sm)
-            fail3 |= conv & _two_way(n, batch.rows(const), const)
+            fail3 |= conv & _two_way(n, batch.rows(s), s)
 
-    # D4 (antiexchange): for closed A and x < y outside A, y in cl(A + {x})
-    # and x in cl(A + {y}) never both hold.  cl(M) is the intersection of the
-    # closed supersets of M, as in the scalar path: excluded[M][y] collects
-    # the spaces where some convex superset of M leaves y out, from each
-    # convex C by one pass over the supersets, a bit at a time.
-    excluded = [[0 if cm >> y & 1 else conv for y in pts] for cm, conv in enumerate(convex)]
+    # D4 (antiexchange): entailment is antisymmetric: for closed A and x < y
+    # outside A, y in cl(A + {x}) and x in cl(A + {y}) never both hold.
+    # cl[M][y] is the spaces where every convex superset of M holds y, as in
+    # the scalar path: M's members, and every point where M is not convex,
+    # ANDed over the supersets by one pass, a bit at a time.
+    cl = [[m | full ^ conv for m in s] for s, conv in zip(sets, convex)]
     for b in pts:
         for m in range(1 << n):
             if not m >> b & 1:
-                excluded[m] = list(map(or_, excluded[m], excluded[m | 1 << b]))
+                cl[m] = list(map(and_, cl[m], cl[m | 1 << b]))
     fail4 = 0
     for am, closed in enumerate(convex):
         if closed:
-            for x in pts:
-                if not am >> x & 1:
-                    out_x = excluded[am | 1 << x]
-                    for y in range(x + 1, n):
-                        if not am >> y & 1:
-                            fail4 |= closed & ~(out_x[y] | excluded[am | 1 << y][x])
+            fail4 |= closed & _two_way(n, [cl[am | 1 << x] for x in pts], sets[am])
 
     # D5 (antimatroid): antiexchange, and the empty set is closed, which it
     # always is; so D5 takes D4's value, as in the scalar path.

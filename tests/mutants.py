@@ -82,7 +82,7 @@ MUTANTS = [
      "sliced C1, C6 and D1 skip [a, a]"),
     ("sliced.py", "for u in range(n - 1) for v", "for u in range(n - 2) for v",
      "the sliced join skips the last u (convexity, C6..C9, D3, D4)"),
-    ("sliced.py", "            fail2 |= x & ~y\n", "", "sliced C2 never fails"),
+    ("sliced.py", "        fail2 |= _escapes(lhs, tri)\n", "", "sliced C2 never fails"),
     ("sliced.py", "        fail8 |= _breach(n, ivl, tri)\n", "        fail8 |= _breach(n, ivl, ivl[bc])\n",
      "sliced C8 tests the convexity of [b, c], not of [[a, b], {c}]"),
     ("sliced.py", "            fail6 |= conv & _intransitive(", "            fail6 |= _intransitive(",
@@ -90,7 +90,7 @@ MUTANTS = [
     ("sliced.py", "                pairs[am | bm] |= conv_a & convex[bm]\n", "                pairs[am | bm] |= conv_a\n",
      "sliced C7 pairs convex A with every B"),
     ("sliced.py", "pairs[am | bm]", "pairs[bm]", "sliced C7 files each pair under B, not under A | B"),
-    ("sliced.py", "_breach(n, ivl, _join(n, ivl, batch.const(um)))", "_breach(n, ivl, batch.const(um))",
+    ("sliced.py", "_breach(n, ivl, _join(n, ivl, sets[um]))", "_breach(n, ivl, sets[um])",
      "sliced C7 tests whether the union U is convex, not [U, U]"),
     ("sliced.py", "for c in pts if c != b)", "for c in pts)", "sliced stiffness without c != b"),
     ("sliced.py", "_union(n, ((row_ab[c], fwd[b * n + c]) for c in pts if c != b)), row_ab)",
@@ -98,15 +98,22 @@ MUTANTS = [
      "sliced stiffness tests the union against <b, a, .>, not <a, b, .>"),
     ("sliced.py", "            fail3 |= conv & _two_way(", "            fail3 |= _two_way(",
      "sliced D3 without its convex[M] mask"),
-    ("sliced.py", "excluded[m] = list(map(or_, excluded[m], excluded[m | 1 << b]))", "pass",
+    ("sliced.py", "cl[m] = list(map(and_, cl[m], cl[m | 1 << b]))", "pass",
      "sliced D4 skips the superset pass: cl(M) is M when M is convex, else every point"),
-    ("sliced.py", "excluded[am | 1 << y][x]", "excluded[am | 1 << y][y]",
-     "sliced D4 reads the wrong excluded entry: y is in cl(A + {y}), so only y in cl(A + {x}) is tested"),
-    ("sliced.py", "[0 if cm >> y & 1 else conv for y in pts]", "[conv if cm >> y & 1 else 0 for y in pts]",
-     "sliced D4 starts from the points each convex C holds, not from those it leaves out"),
-    ("sliced.py", "        for y in range(x + 1, n):\n            both = row_x[y] & rows[y][x]\n",
-     "        for y in range(x + 2, n):\n            both = row_x[y] & rows[y][x]\n",
-     "sliced two-way pairs skip y = x + 1 (D1, D3)"),
+    ("sliced.py", "& rows[y][x]\n", "& rows[y][y]\n",
+     "the two-way test reads R(y, y) for R(y, x): y is in cl(A + {y}), so only y in cl(A + {x}) is tested"
+     " (D1, D3, D4)"),
+    ("sliced.py", "[m | full ^ conv for m in s]", "[full ^ m | full ^ conv for m in s]",
+     "sliced D4 starts cl from the points each convex C leaves out, not from those it holds"),
+    ("sliced.py", "[m | full ^ conv for m in s]", "list(s)",
+     "sliced D4 starts cl at every point set, convex or not, so cl(M) is M"),
+    ("sliced.py", "[cl[am | 1 << x] for x in pts]", "[cl[am] for x in pts]",
+     "sliced D4 reads cl(A) for every row, not cl(A + {x})"),
+    ("sliced.py", "fail4 |= closed & _two_way(", "fail4 |= _two_way(",
+     "sliced D4 without its closed mask"),
+    ("sliced.py", "        for y in range(x + 1, n):\n            both |= row_x[y] & rows[y][x]\n",
+     "        for y in range(x + 2, n):\n            both |= row_x[y] & rows[y][x]\n",
+     "sliced two-way pairs skip y = x + 1 (D1, D3, D4)"),
     ("sliced.py", "    d1, d2, d3, d4 = (evaluated & ~f", "    d1, d2, d3, d4 = (full & ~f",
      "sliced D1..D4 without the evaluated mask"),
     # The sampler.
@@ -129,10 +136,10 @@ MUTANTS = [
     # Stiffness and the antisymmetry proposition from one stream of stiffness breaches.
     ("properties.py", "            rest_c = row_ab & ~(1 << b)\n", "            rest_c = row_ab\n",
      "the stiffness stream lets c = b, where <b,b,d> always holds"),
-    ("properties.py", "ivl[a * n + d]) is None)", "ivl[a * n + d]) is not None)",
+    ("properties.py", "ivl[ad]) is None)", "ivl[ad]) is not None)",
      "the antisymmetry proposition keeps the breaches whose [a, d] is not antisymmetric"),
     # The two primitives of the sliced kernels: the member union and the escape test.
-    ("sliced.py", "        out |= r & ~m\n", "        out |= r & m\n",
+    ("sliced.py", "        out |= (r | m) ^ m\n", "        out |= r & m\n",
      "the escape test reads the points inside S, not those outside it"),
     ("sliced.py", "_escapes(_union(n, zip(row_x, rows)), row_x)", "_escapes(row_x, row_x)",
      "the sliced transitivity test drops the composition: no row escapes itself (C1, C6)"),
@@ -191,11 +198,12 @@ MUTANTS = [
 
 EQUIVALENT = [
     ("sliced.py", "return (c1, c2, c3, c3, c3, c6", "return (c1, c2, c3, c2, c2, c6",
-     "sliced C4/C5 take C2's value: the transitivity theorem makes C2 = C3 on every space"),
+     "sliced C4/C5 take C2's value: middle symmetry makes C2 = C3 on every space, as for C3 below"),
     ("sliced.py", "return (d1, d2, d3, d4, d4), evaluated", "return (d1, d2, d3, d4, d3), evaluated",
      "sliced D5 takes D3's value: D3 = D4 on the interval-transitive spaces the evaluated mask keeps"),
-    ("sliced.py", "            fail3 |= x ^ y\n", "            fail3 |= x & ~y\n",
-     "sliced C3 tests one inclusion, which is C2: the transitivity theorem makes C2 = C3"),
+    ("sliced.py", "fail3 |= _escapes(tri, lhs)", "fail3 |= _escapes(lhs, tri)",
+     "sliced C3 tests one inclusion, which is C2: C2 at (c, b, a) is the reverse inclusion at (a, b, c)"
+     " by middle symmetry alone, so C2 = C3 on every interval space"),
     ("sliced.py", "c7, c8, c8)", "c7, c8, c2)",
      "sliced C9 takes C2's value: the transitivity theorem makes C2 = C8, whose value C9 takes"),
     ("sliced.py", "        if m:\n            for x in pts:\n                out[x] |= m & s[x]\n",

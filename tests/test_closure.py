@@ -70,6 +70,14 @@ class TestClosureSystemConstruction:
                 call(PointSet.of(4, [0]))
             assert str(exc.value) == "point set universe 4 does not match system universe 3"
 
+    def test_non_point_set_rejected(self, l3):
+        cs = convex_closure_system(l3)
+        for call in (cs.is_closed, cs.cl, lambda s: cs.entails(s, 0, 1)):
+            for bad in (5, {0}):
+                with pytest.raises(TypeError) as exc:
+                    call(bad)
+                assert str(exc.value) == f"expected PointSet, got {type(bad).__name__}"
+
     def test_standalone_moore_family(self):
         cs = ClosureSystem.of(3, [[], [0], [0, 1], [0, 1, 2]])
         assert cs.has_empty()

@@ -320,6 +320,21 @@ class TestStiffnessBreaches:
         got = I.base_interval_antisymmetry_prop_witness(space)
         assert got == naive.base_interval_antisymmetry_prop_witness(space)
 
+    def test_proposition_tests_each_interval_once(self, k23, monkeypatch):
+        # K_{2,3} is point-transitive, and its 24 breach points (a, d) name 12 intervals
+        ads = [(a, d) for a, _, _, extra in _stiffness_breaches(k23) for d in bits_of(extra)]
+        assert (len(ads), len(set(ads))) == (24, 12)
+        calls = []
+        breach = type(k23)._order_antisymmetry_breach
+
+        def counted(space, am):
+            calls.append(am)
+            return breach(space, am)
+
+        monkeypatch.setattr(type(k23), "_order_antisymmetry_breach", counted)
+        assert I.base_interval_antisymmetry_prop_witness(k23) is None
+        assert len(calls) == 12
+
 
 class TestTriangleWitnesses:
     """C8 (skip of convex [[a,b],{c}]) and C9 (one hull per point set) against plain scans."""
